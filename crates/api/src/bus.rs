@@ -7,6 +7,7 @@
 //! wire-format boundary, as in the physical testbed.
 
 use crate::envelope::{Request, Response};
+use crate::rpc::Router;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -42,15 +43,12 @@ impl fmt::Display for BusError {
 
 impl std::error::Error for BusError {}
 
-// `Send` so a world owning a bus (orchestrator → control plane) can be
-// sharded across the federation's worker threads; the repo's handlers are
-// plain fns or closures over owned data, which satisfy it for free.
-type Handler = Box<dyn FnMut(Request) -> Response + Send>;
-
-/// Endpoint-dispatched request/response bus. See module docs.
+/// Endpoint-dispatched request/response bus: a [`Router`] (the same
+/// handler table a socket server dispatches against) plus the client-side
+/// accounting. See module docs.
 #[derive(Default)]
 pub struct MessageBus {
-    handlers: BTreeMap<String, Handler>,
+    router: Router,
     next_id: u64,
     requests_served: BTreeMap<String, u64>,
 }
@@ -67,18 +65,13 @@ impl MessageBus {
         endpoint: &str,
         handler: impl FnMut(Request) -> Response + Send + 'static,
     ) {
-        self.handlers.insert(endpoint.to_owned(), Box::new(handler));
+        self.router.register(endpoint, handler);
     }
 
-    /// True if `endpoint` has a handler.
-    pub fn has_endpoint(&self, endpoint: &str) -> bool {
-        self.handlers.contains_key(endpoint)
-    }
-
-    /// The registered endpoints, ascending (the bus's "routing table" —
-    /// what a socket transport mirrors as its route map).
-    pub fn endpoints(&self) -> impl Iterator<Item = &str> {
-        self.handlers.keys().map(String::as_str)
+    /// The handler table, for wiring code that registers a whole surface
+    /// at once (see [`register_control_endpoints`](crate::domain::register_control_endpoints)).
+    pub fn router_mut(&mut self) -> &mut Router {
+        &mut self.router
     }
 
     /// Issue a request: wrap `body` in an envelope, serialize it across the
@@ -92,7 +85,7 @@ impl MessageBus {
     /// dispatch*: a handler that ran is a request the endpoint served, even
     /// if its response envelope later fails to (de)serialize.
     pub fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
-        if !self.handlers.contains_key(endpoint) {
+        if !self.router.has_endpoint(endpoint) {
             return Err(BusError::NoSuchEndpoint(endpoint.to_owned()));
         }
         let request = Request {
@@ -104,10 +97,9 @@ impl MessageBus {
         let wire = serde_json::to_vec(&request).map_err(BusError::Envelope)?;
         let delivered: Request = serde_json::from_slice(&wire).map_err(BusError::Envelope)?;
 
-        let handler = self.handlers.get_mut(endpoint).expect("checked above");
         self.next_id += 1;
         *self.requests_served.entry(endpoint.to_owned()).or_insert(0) += 1;
-        let response = handler(delivered);
+        let response = self.router.dispatch(delivered);
 
         let wire_back = serde_json::to_vec(&response).map_err(BusError::Envelope)?;
         let response: Response = serde_json::from_slice(&wire_back).map_err(BusError::Envelope)?;
@@ -162,8 +154,6 @@ mod tests {
         let resp = bus.call("echo", b"payload".to_vec()).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.body, b"payload");
-        assert!(bus.has_endpoint("echo"));
-        assert!(!bus.has_endpoint("nope"));
     }
 
     #[test]

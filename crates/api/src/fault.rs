@@ -3,16 +3,17 @@
 //! The physical demo's orchestrator speaks REST to the RAN, transport, and
 //! cloud controllers — calls that in practice get dropped, delayed,
 //! corrupted, or answered 5xx by a flapping controller. This module makes
-//! those failure modes injectable on any [`Transport`] — the in-process
-//! [`MessageBus`](crate::bus::MessageBus) or the socket RPC plane —
-//! without giving up bit-for-bit reproducibility:
+//! those failure modes injectable on either arm of the [`ControlTransport`]
+//! — the in-process [`MessageBus`](crate::bus::MessageBus) or the socket RPC
+//! plane — without giving up bit-for-bit reproducibility:
 //!
 //! * [`FaultPlan`] — a declarative, serializable description of what goes
 //!   wrong per endpoint: drop/transient-error/delay/corruption
 //!   probabilities plus scheduled outage windows. The plan carries its own
 //!   RNG seed, so fault realizations never perturb the simulation's other
 //!   random streams.
-//! * [`FaultInjector`] — wraps [`Transport::call`] and applies one plan.
+//! * [`FaultInjector`] — wraps [`ControlTransport::call`] and applies one
+//!   plan.
 //!   An endpoint the plan doesn't mention (or mentions with all-zero
 //!   probabilities) is passed through untouched — the zero-fault path makes
 //!   **no** RNG draws and is byte-identical to the unwrapped bus. On a
@@ -29,7 +30,7 @@
 
 use crate::bus::BusError;
 use crate::envelope::Response;
-use crate::transport::Transport;
+use crate::transport::ControlTransport;
 use ovnes_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -220,7 +221,7 @@ impl EndpointStats {
     }
 }
 
-/// Applies one [`FaultPlan`] to calls over a [`MessageBus`]. See module docs.
+/// Applies one [`FaultPlan`] to calls over a [`ControlTransport`]. See module docs.
 ///
 /// Serializable in full (plan, RNG position, stats): restoring a serialized
 /// injector resumes the exact fault schedule the original would have run.
@@ -257,16 +258,16 @@ impl FaultInjector {
     /// (zero unless a delay fired). Endpoints the plan leaves quiet pass
     /// through without any RNG draw.
     ///
-    /// Generic over the [`Transport`]: fault *decisions* (every RNG draw,
-    /// in a fixed order) happen here, identically on any transport, which
-    /// is what keeps chaos runs byte-identical in-process vs. over
-    /// sockets. A transport may additionally *realize* a decided
-    /// drop/outage physically via its `realize_*` hooks — a connection
-    /// reset or teardown on the socket plane, a no-op on the in-process
-    /// oracle — without perturbing accounting or the draw sequence.
-    pub fn call<T: Transport>(
+    /// Fault *decisions* (every RNG draw, in a fixed order) happen here,
+    /// identically on either transport arm, which is what keeps chaos runs
+    /// byte-identical in-process vs. over sockets. The transport
+    /// additionally *realizes* a decided drop/outage physically via its
+    /// `realize_*` hooks — a connection reset or teardown on the socket
+    /// plane, a no-op on the in-process oracle — without perturbing
+    /// accounting or the draw sequence.
+    pub fn call(
         &mut self,
-        bus: &mut T,
+        bus: &mut ControlTransport,
         now: SimTime,
         endpoint: &str,
         body: Vec<u8>,
@@ -554,10 +555,10 @@ mod tests {
     use crate::bus::MessageBus;
     use crate::envelope::Status;
 
-    fn echo_bus() -> MessageBus {
+    fn echo_bus() -> ControlTransport {
         let mut bus = MessageBus::new();
         bus.register("echo", |req| Response::ok(req.id, req.body));
-        bus
+        ControlTransport::InProcess(bus)
     }
 
     #[test]

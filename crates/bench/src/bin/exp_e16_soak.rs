@@ -25,7 +25,7 @@
 
 use ovnes_api::{EndpointFaults, FaultPlan};
 use ovnes_orchestrator::{
-    replay_bisect, ChaosScenario, ScenarioConfig, ScenarioState, WorldSnapshot,
+    replay_bisect, DemoScenario, ScenarioConfig, ScenarioState, WorldSnapshot,
 };
 use ovnes_sim::SimDuration;
 use std::path::PathBuf;
@@ -76,7 +76,14 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn monitoring_json(s: &ChaosScenario) -> Vec<String> {
+/// The soak's world: the demo testbed under the control-plane fault plan.
+fn chaos_scenario(shape: &Shape) -> DemoScenario {
+    let mut s = DemoScenario::build(config(shape));
+    s.orchestrator_mut().set_fault_plan(plan());
+    s
+}
+
+fn monitoring_json(s: &DemoScenario) -> Vec<String> {
     s.orchestrator()
         .monitoring()
         .iter()
@@ -121,7 +128,7 @@ fn main() {
     // Uninterrupted reference, checkpointing on the same cadence into its
     // own store so the two manifest chains can be bisected afterwards.
     let ref_world = WorldSnapshot::open(scratch("reference")).expect("open reference store");
-    let mut reference = ChaosScenario::build(config(shape), plan());
+    let mut reference = chaos_scenario(shape);
     let mut ref_costs = Costs::default();
     let mut epoch = 0u64;
     while reference.step_epoch() {
@@ -130,7 +137,7 @@ fn main() {
             checkpoint(&ref_world, &reference.export_state(), &mut ref_costs);
         }
     }
-    let ref_summary = reference.summary();
+    let ref_summary = reference.chaos_summary();
     let ref_monitoring = monitoring_json(&reference);
     let total_epochs = epoch;
 
@@ -138,7 +145,7 @@ fn main() {
     // world is dropped at each kill point and rebuilt from the store.
     let world = WorldSnapshot::open(scratch("soak")).expect("open soak store");
     let mut costs = Costs::default();
-    let mut live = ChaosScenario::build(config(shape), plan());
+    let mut live = chaos_scenario(shape);
     let mut restores = 0u32;
     let mut epoch = 0u64;
     loop {
@@ -149,7 +156,7 @@ fn main() {
                 .restore_latest()
                 .expect("restore reads")
                 .expect("a checkpoint exists before each kill point");
-            live = ChaosScenario::from_state(&state);
+            live = DemoScenario::from_state(&state);
             costs.restore_s.push(start.elapsed().as_secs_f64());
             restores += 1;
             // Replay the epochs lost since the last checkpoint.
@@ -171,7 +178,7 @@ fn main() {
 
     // Identity: the twice-restored run finished exactly where the
     // uninterrupted one did.
-    let summary = live.summary();
+    let summary = live.chaos_summary();
     assert_eq!(summary, ref_summary, "soak summary diverged from reference");
     assert_eq!(
         monitoring_json(&live),

@@ -150,7 +150,7 @@ fn main() {
         .collect();
 
     let mut s = DemoScenario::build(config(shape));
-    s.use_socket_control(socket);
+    s.orchestrator_mut().set_control_socket(socket);
     let summary = s.run();
     assert_eq!(
         summary, ref_summary,

@@ -24,7 +24,7 @@
 //! in CI, which archives it). `--smoke` shrinks the horizon and the storm to
 //! CI size; every assertion still runs.
 
-use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer};
+use ovnes_api::{register_control_endpoints, Router, RpcServer};
 use ovnes_api::{BusDeadlines, BusError, CrashPlan};
 use ovnes_orchestrator::{
     run_supervised, spawn_domain_control_servers, DemoScenario, HealthState, ScenarioConfig,
@@ -95,7 +95,7 @@ fn main() {
     // ---- arm 1: supervised crash storm is byte-invisible ------------------
     let (servers, socket) = spawn_domain_control_servers().expect("spawn control servers");
     let mut s = DemoScenario::build(config(shape));
-    s.use_socket_control(socket);
+    s.orchestrator_mut().set_control_socket(socket);
     let plan = CrashPlan::new(1818).with_random_storm(
         &DOMAINS,
         shape.crashes_per_domain,
@@ -149,7 +149,7 @@ fn main() {
     // epochs later. Every epoch any domain is off `Up` is a degraded epoch.
     let (mut servers, socket) = spawn_domain_control_servers().expect("spawn control servers");
     let mut s = DemoScenario::build(config(shape));
-    s.use_socket_control(socket);
+    s.orchestrator_mut().set_control_socket(socket);
     let (kill_at, repair_at) = (10u64, 15u64);
     let mut carry = None;
     let mut degraded_epochs = 0u64;

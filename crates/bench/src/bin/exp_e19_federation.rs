@@ -27,7 +27,7 @@
 
 use ovnes_bench::{embb_request, report_header, report_json, report_kv, scaling_world};
 use ovnes_model::RateMbps;
-use ovnes_orchestrator::federation::{FederationBroker, FederationConfig, RegionWorld};
+use ovnes_orchestrator::{FederationBroker, FederationConfig, RegionWorld};
 use ovnes_orchestrator::{OrchestratorConfig, PolicyKind};
 use ovnes_sim::{par, SimDuration, SimRng, SimTime};
 use ovnes_transport::{

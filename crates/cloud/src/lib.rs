@@ -16,8 +16,10 @@
 //!   its attach-latency model.
 //! * [`controller`] — the cloud domain controller: deploy/scale/delete
 //!   slice stacks, utilization telemetry.
-//! * [`rpc`] — the controller as a *server task* behind framed TCP (the
-//!   testbed's OpenStack-controller process boundary).
+//! * [`rpc`] — the controller's side of the REST contract
+//!   (`impl ovnes_api::DomainController`), served behind framed TCP by
+//!   `ovnes_api::serve` (the testbed's OpenStack-controller process
+//!   boundary).
 
 //! ## Example: deploy a slice's vEPC into the core DC
 //!

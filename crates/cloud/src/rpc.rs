@@ -1,254 +1,81 @@
-//! The cloud controller as a server task (see `ovnes_api::rpc`): the
-//! control surface with the canonical shared handlers, plus
-//! `cloud/command` materializing [`CloudCommand::DeployEpc`] into a sized
-//! vEPC Heat template deployed on a real [`CloudController`] behind the
-//! socket.
+//! The cloud controller as a domain server: its side of the REST contract
+//! (see `ovnes_api::domain` for everything around the command `match`).
+//! [`CloudCommand::DeployEpc`] is materialized here into a sized vEPC Heat
+//! template.
 
 use crate::{epc_template, CloudController, CloudControllerState, EpcSizing};
-use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer, ServerStats};
-use ovnes_api::{
-    decode, encode, CloudCommand, CloudReply, MonitoringReport, Response, ResyncReport,
-};
+use ovnes_api::{CloudCommand, CloudReply, DomainController};
 use ovnes_model::SliceClass;
-use ovnes_sim::SimTime;
-use std::io;
-use std::sync::{Arc, Mutex};
+use ovnes_sim::MetricRegistry;
 
-/// The endpoint prefix this domain serves under.
-pub const DOMAIN: &str = "cloud";
+impl DomainController for CloudController {
+    const DOMAIN: &'static str = "cloud";
+    type Command = CloudCommand;
+    type Reply = CloudReply;
+    type State = CloudControllerState;
 
-/// The control-plane surface (`cloud/health`, `cloud/monitoring`) with the
-/// canonical shared handlers.
-pub fn control_router() -> Router {
-    let mut router = Router::new();
-    register_control_endpoints(&mut router, DOMAIN);
-    router
-}
-
-/// Serve [`control_router`] on a loopback server task.
-pub fn serve_control() -> io::Result<RpcServer> {
-    RpcServer::spawn(control_router())
-}
-
-/// A full domain router: the control surface plus `cloud/command` driving
-/// `controller`, `cloud/monitoring` reporting its live metrics, and
-/// `cloud/resync` exporting its complete state.
-pub fn command_router(controller: CloudController) -> Router {
-    command_router_incarnation(controller, 1)
-}
-
-/// [`command_router`] serving as incarnation `term` (baked into every
-/// `cloud/resync` report).
-pub fn command_router_incarnation(controller: CloudController, term: u64) -> Router {
-    let controller = Arc::new(Mutex::new(controller));
-    let mut router = control_router();
-
-    let cloud = controller.clone();
-    router.register("cloud/command", move |req| {
-        let cmd: CloudCommand = match decode(&req.body) {
-            Ok(c) => c,
-            Err(e) => return Response::error(req.id, &e.to_string()),
-        };
-        let mut cloud = cloud.lock().unwrap_or_else(|p| p.into_inner());
-        let result = match cmd {
+    fn apply(&mut self, command: CloudCommand) -> Result<CloudReply, String> {
+        match command {
             CloudCommand::DeployEpc {
                 slice,
                 dc,
                 throughput,
                 class,
             } => {
-                let Some(class) = SliceClass::ALL.into_iter().find(|c| c.label() == class)
-                else {
-                    return Response::rejected(
-                        req.id,
-                        format!("unknown slice class {class:?}").into_bytes(),
-                    );
-                };
+                let class = SliceClass::ALL
+                    .into_iter()
+                    .find(|c| c.label() == class)
+                    .ok_or_else(|| format!("unknown slice class {class:?}"))?;
                 let demand = class.compute_demand(throughput);
                 let template = epc_template(slice, &demand, &EpcSizing::default());
-                cloud
-                    .deploy(slice, dc, &template)
+                self.deploy(slice, dc, &template)
                     .map(|stack| CloudReply::Deployed {
                         deploy_time_us: stack.deploy_time.as_micros(),
                         vms: stack.vms.len(),
                     })
             }
             CloudCommand::Delete { slice } => {
-                cloud.delete_for_slice(slice).map(|_| CloudReply::Done)
+                self.delete_for_slice(slice).map(|_| CloudReply::Done)
             }
-        };
-        match result {
-            Ok(reply) => Response::ok(req.id, encode(&reply).expect("encodable")),
-            Err(e) => Response::rejected(req.id, e.to_string().into_bytes()),
         }
-    });
+        .map_err(|e| e.to_string())
+    }
 
-    let cloud = controller.clone();
-    router.register("cloud/monitoring", move |req| {
-        let scalars = cloud
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .metrics()
-            .scalar_snapshot();
-        let report = MonitoringReport {
-            domain: DOMAIN.into(),
-            at: SimTime::ZERO,
-            scalars,
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
+    fn metrics(&self) -> &MetricRegistry {
+        CloudController::metrics(self)
+    }
 
-    let cloud = controller;
-    router.register("cloud/resync", move |req| {
-        let cloud = cloud.lock().unwrap_or_else(|p| p.into_inner());
-        let report = ResyncReport {
-            domain: DOMAIN.into(),
-            term,
-            state: encode(&cloud.export_state()).expect("encodable"),
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
-    router
-}
+    fn export_state(&self) -> CloudControllerState {
+        CloudController::export_state(self)
+    }
 
-/// Serve [`command_router`] on a loopback server task, taking ownership of
-/// the controller.
-pub fn serve(controller: CloudController) -> io::Result<RpcServer> {
-    RpcServer::spawn(command_router(controller))
-}
-
-/// Restart the command server from a resynced state: a fresh incarnation
-/// serving `term`, seeded from `state` and resuming `carry`'s lifetime
-/// counters.
-pub fn serve_resumed(
-    state: &CloudControllerState,
-    term: u64,
-    carry: ServerStats,
-) -> io::Result<RpcServer> {
-    RpcServer::spawn_incarnation(
-        command_router_incarnation(CloudController::from_state(state), term),
-        term,
-        carry,
-    )
+    fn from_state(state: &CloudControllerState) -> CloudController {
+        CloudController::from_state(state)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::host::HostCapacity;
-    use crate::{DataCenter, DcKind, PlacementStrategy};
-    use ovnes_api::{SocketBus, Status};
+    use crate::{CloudController, DataCenter, DcKind, PlacementStrategy};
+    use ovnes_api::{encode, serve, CloudCommand, SocketBus, Status};
     use ovnes_model::{DcId, DiskGb, MemMb, RateMbps, SliceId, VCpus};
 
-    fn core_dc_controller() -> CloudController {
+    #[test]
+    fn unknown_class_is_rejected() {
         let host = HostCapacity {
             vcpus: VCpus::new(32),
             mem: MemMb::new(65_536),
             disk: DiskGb::new(500),
         };
-        CloudController::new(vec![DataCenter::homogeneous(
+        let controller = CloudController::new(vec![DataCenter::homogeneous(
             DcId::new(1),
             DcKind::Core,
             4,
             host,
             PlacementStrategy::WorstFit,
-        )])
-    }
-
-    #[test]
-    fn deploy_and_delete_over_the_socket() {
-        let server = serve(core_dc_controller()).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-
-        let resp = bus
-            .call(
-                "cloud/command",
-                encode(&CloudCommand::DeployEpc {
-                    slice: SliceId::new(1),
-                    dc: DcId::new(1),
-                    throughput: RateMbps::new(50.0),
-                    class: "embb".into(),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        match decode::<CloudReply>(&resp.body).unwrap() {
-            CloudReply::Deployed {
-                deploy_time_us,
-                vms,
-            } => {
-                assert_eq!(vms, 4, "hss, mme, sgw, pgw");
-                assert!(deploy_time_us > 0);
-            }
-            other => panic!("expected Deployed, got {other:?}"),
-        }
-
-        let resp = bus
-            .call(
-                "cloud/command",
-                encode(&CloudCommand::Delete {
-                    slice: SliceId::new(1),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
-    }
-
-    #[test]
-    fn resync_round_trip_restores_state_in_a_new_incarnation() {
-        let mut server = serve(core_dc_controller()).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-
-        let resp = bus
-            .call(
-                "cloud/command",
-                encode(&CloudCommand::DeployEpc {
-                    slice: SliceId::new(1),
-                    dc: DcId::new(1),
-                    throughput: RateMbps::new(50.0),
-                    class: "embb".into(),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
-
-        // Pull the state over the wire, kill the server, restart seeded.
-        let resp = bus.call("cloud/resync", Vec::new()).unwrap();
-        let report: ResyncReport = decode(&resp.body).unwrap();
-        assert_eq!(report.domain, "cloud");
-        assert_eq!(report.term, 1);
-        let state: CloudControllerState = decode(&report.state).unwrap();
-        let carry = server.stats();
-        server.shutdown();
-        drop(server);
-
-        let restarted = serve_resumed(&state, 2, carry).unwrap();
-        assert_eq!(restarted.term(), 2);
-        bus.attach(&restarted);
-        bus.fence("cloud", 2);
-
-        // The restarted incarnation remembers the deployed stack: deleting
-        // slice 1 succeeds (a forgotten stack would be a rejection).
-        let resp = bus
-            .call(
-                "cloud/command",
-                encode(&CloudCommand::Delete {
-                    slice: SliceId::new(1),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok, "deployed stack was not restored");
-    }
-
-    #[test]
-    fn unknown_class_is_rejected() {
-        let server = serve(core_dc_controller()).unwrap();
+        )]);
+        let server = serve(controller).unwrap();
         let mut bus = SocketBus::new();
         bus.attach(&server);
         let resp = bus

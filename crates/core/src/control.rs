@@ -3,11 +3,12 @@
 //!
 //! In the testbed, the orchestrator's health probes, commands, and
 //! monitoring pulls are HTTP calls that can be dropped, delayed, or
-//! answered 5xx. [`ControlPlane`] reproduces that boundary over a
-//! [`ControlTransport`]: by default an in-process [`MessageBus`] hosting
-//! one `health` and one `monitoring` endpoint per domain (the
-//! deterministic oracle), or — after [`ControlPlane::install_socket`] — a
-//! [`SocketBus`] reaching real controller server tasks over framed TCP.
+//! answered 5xx. [`ControlPlane`] reproduces that boundary over the one
+//! control seam, [`ControlTransport`]: by default an in-process
+//! [`MessageBus`] hosting one `health` and one `monitoring` endpoint per
+//! domain (the deterministic oracle), or — after
+//! [`ControlPlane::install_socket`] — a [`SocketBus`] reaching real
+//! controller server tasks over framed TCP.
 //! Either way, an optional [`FaultInjector`] perturbs calls per a seeded
 //! [`FaultPlan`] (realizing decided drops/outages as physical connection
 //! teardowns on the socket plane), and a [`RetryPolicy`] drives bounded
@@ -17,14 +18,13 @@
 //! With no fault plan installed (or with a quiet plan) every call succeeds
 //! on the first attempt, makes no RNG draw, and is byte-identical to
 //! calling the bus directly — chaos machinery costs nothing when idle.
-//! The two transports register the *same* canonical handler functions
-//! (`ovnes_api::rpc::health_handler` / `monitoring_echo_handler`), so run
-//! summaries are byte-identical in-process vs. over RPC.
+//! Both transports get their control surface from the one
+//! [`register_control_endpoints`], so run summaries are byte-identical
+//! in-process vs. over RPC.
 
-use ovnes_api::rpc::{health_handler, monitoring_echo_handler};
 use ovnes_api::{
-    BusState, ControlTransport, FaultInjector, FaultPlan, MessageBus, Response, RetryPolicy,
-    SocketBus, Status, Transport,
+    register_control_endpoints, serve_control, BusState, ControlTransport, FaultInjector,
+    FaultPlan, MessageBus, Response, RetryPolicy, SocketBus, Status,
 };
 use ovnes_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -63,13 +63,7 @@ impl ControlPlane {
     pub fn new() -> ControlPlane {
         let mut bus = MessageBus::new();
         for domain in DOMAINS {
-            // Health: a live controller answers 200 with an empty body.
-            // Monitoring: the controller acknowledges a pushed report by
-            // echoing it (so the payload demonstrably survived the wire).
-            // Both are the canonical shared handler fns, so a socket
-            // server registering the same fns answers byte-identically.
-            bus.register(&format!("{domain}/health"), health_handler);
-            bus.register(&format!("{domain}/monitoring"), monitoring_echo_handler);
+            register_control_endpoints(bus.router_mut(), domain);
         }
         ControlPlane {
             transport: ControlTransport::InProcess(bus),
@@ -91,14 +85,17 @@ impl ControlPlane {
 
     /// True when calls travel over sockets rather than in-process.
     pub fn is_socket(&self) -> bool {
-        self.transport.is_socket()
+        matches!(self.transport, ControlTransport::Socket(_))
     }
 
     /// The socket bus, when calls travel over sockets. The supervision
     /// layer uses this to re-route endpoints to a restarted incarnation
     /// and to fence off the dead one's term.
     pub fn socket_mut(&mut self) -> Option<&mut SocketBus> {
-        self.transport.as_socket_mut()
+        match &mut self.transport {
+            ControlTransport::Socket(socket) => Some(socket),
+            ControlTransport::InProcess(_) => None,
+        }
     }
 
     /// Responses rejected as stale by incarnation-term fencing (0 on the
@@ -254,15 +251,14 @@ impl ControlPlane {
 /// server tasks — one loopback TCP server per domain, each serving the
 /// canonical `health`/`monitoring` handlers — and a [`SocketBus`] routed
 /// to all of them. This is the multi-process control plane: hand the bus
-/// to [`ControlPlane::install_socket`] (or a scenario's
-/// `use_socket_control`) and keep the servers alive for the duration of
-/// the run.
+/// to [`ControlPlane::install_socket`] (or
+/// [`Orchestrator::set_control_socket`](crate::Orchestrator::set_control_socket))
+/// and keep the servers alive for the duration of the run.
 pub fn spawn_domain_control_servers() -> std::io::Result<(Vec<ovnes_api::RpcServer>, SocketBus)> {
-    let servers = vec![
-        ovnes_ran::rpc::serve_control()?,
-        ovnes_transport::rpc::serve_control()?,
-        ovnes_cloud::rpc::serve_control()?,
-    ];
+    let servers = DOMAINS
+        .into_iter()
+        .map(serve_control)
+        .collect::<std::io::Result<Vec<_>>>()?;
     let mut socket = SocketBus::new();
     for server in &servers {
         socket.attach(server);
@@ -429,7 +425,7 @@ mod tests {
 
     #[test]
     fn socket_transport_is_byte_identical_to_in_process() {
-        use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer};
+        use ovnes_api::{Router, RpcServer};
 
         let mut router = Router::new();
         for domain in DOMAINS {

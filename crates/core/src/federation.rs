@@ -1,9 +1,10 @@
 //! Multi-region federation: shard the world into N regional orchestrators
 //! under one broker.
 //!
-//! Each region is a full [`DemoScenario`](crate::scenario::DemoScenario)-style
-//! world — its own cells, DCs, topology slice, request generator, and
-//! orchestrator running the existing epoch pipeline *unchanged*. The
+//! Each region *is* a [`DemoScenario`] — its own cells, DCs, topology
+//! slice, request generator, run cursor, and orchestrator running the
+//! existing epoch pipeline unchanged; the broker calls the scenario's own
+//! arrival delivery and epoch fold rather than restating them. The
 //! [`FederationBroker`] federates two things across them:
 //!
 //! * **Admission.** Arrivals are delivered to their home region; a request
@@ -13,8 +14,9 @@
 //!   the broker's backbone graph (home gateway ↔ host gateway), released
 //!   when the slice expires.
 //! * **Epochs.** All regional epochs run in parallel via
-//!   [`par_map`](ovnes_sim::par::par_map); their reports are folded into
-//!   per-region cursors **serially, in region order**, so every summary,
+//!   [`par_map`](ovnes_sim::par::par_map), each folding its report into its
+//!   own region's cursor; the reports come back **in region order** and
+//!   backbone legs are retired serially from them, so every summary,
 //!   monitoring feed, and snapshot is byte-identical at any worker count.
 //!
 //! Determinism argument (DESIGN.md decision 13): regions never share RNG
@@ -23,23 +25,17 @@
 //! region `r ≥ 1` forks the label `region-{r}` from the master seed. The
 //! parallel phase only runs per-region epochs, which touch region-local
 //! state; everything cross-region (arrival delivery, spill placement,
-//! backbone booking, report folding) happens serially in region order.
+//! backbone booking and release) happens serially in region order.
 
-use crate::lifecycle::SliceState;
-use crate::orchestrator::{EpochReport, Orchestrator};
+use crate::orchestrator::Orchestrator;
 use crate::scenario::{
-    DemoSummary, RequestGenerator, RequestMix, RunCursor, ScenarioConfig, ScenarioState,
+    DemoScenario, DemoSummary, RegionWorld, RequestMix, ScenarioConfig, ScenarioState,
 };
 use ovnes_api::MonitoringReport;
-use ovnes_cloud::host::HostCapacity;
-use ovnes_cloud::{CloudController, DataCenter, DcKind, PlacementStrategy};
-use ovnes_model::{
-    DcId, DiskGb, EnbId, Latency, MemMb, Money, NodeId, RateMbps, SliceId, SliceRequest, VCpus,
-};
-use ovnes_ran::{CellConfig, Enb, RanController};
+use ovnes_model::{Latency, Money, NodeId, RateMbps, SliceId, SliceRequest};
 use ovnes_sim::par::par_map;
 use ovnes_sim::{SimDuration, SimRng, SimTime};
-use ovnes_transport::{star, Topology, TransportController, TransportControllerState};
+use ovnes_transport::{star, TransportController, TransportControllerState};
 use serde::{Deserialize, Serialize};
 
 /// Federation parameters. Every region runs the same arrival process and
@@ -90,32 +86,6 @@ impl Default for FederationConfig {
     }
 }
 
-/// The world one region orchestrates: its controllers and cell profile.
-/// [`FederationBroker::build_with_worlds`] takes a constructor so benches
-/// can shard arbitrarily large worlds; [`FederationBroker::build`] uses the
-/// Fig. 2 testbed per region.
-pub struct RegionWorld {
-    /// The region's RAN controller (its cells).
-    pub ran: RanController,
-    /// The region's transport controller (its topology slice).
-    pub transport: TransportController,
-    /// The region's cloud controller (its DCs).
-    pub cloud: CloudController,
-    /// The cell profile shared by the region's eNBs.
-    pub cell: CellConfig,
-}
-
-/// One regional shard: a complete scenario-grade world.
-struct Region {
-    orchestrator: Orchestrator,
-    generator: RequestGenerator,
-    /// Run progress; `None` until the first epoch (its initialization draws
-    /// the first inter-arrival — same deferral as the demo scenario).
-    cursor: Option<RunCursor>,
-    /// Report from the parallel epoch phase, folded serially afterwards.
-    last_report: Option<EpochReport>,
-}
-
 /// A spilled slice's inter-region booking: the backbone leg lives exactly
 /// as long as the slice it carries.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -130,7 +100,7 @@ pub struct SpillRoute {
 
 /// Broker-level run progress: the shared epoch clock plus federated
 /// admission accounting (per-region accounting lives in each region's
-/// [`RunCursor`]).
+/// [`RunCursor`](crate::scenario::RunCursor)).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FederationCursor {
     /// The shared epoch clock (time of the last completed epoch).
@@ -202,7 +172,7 @@ pub struct FederationState {
 /// structure and the determinism argument.
 pub struct FederationBroker {
     config: FederationConfig,
-    regions: Vec<Region>,
+    regions: Vec<DemoScenario>,
     /// Inter-region transport: a star of gateway switches (node 0 is the
     /// hub, node `r + 1` region `r`'s gateway).
     backbone: TransportController,
@@ -218,70 +188,24 @@ struct Spill {
     request: SliceRequest,
 }
 
-/// The per-region scenario config a shard would run standalone (used for
-/// state export so a region snapshot is a valid [`ScenarioState`]).
-fn region_config(cfg: &FederationConfig) -> ScenarioConfig {
+/// The scenario config each region of a federation runs under (all regions
+/// share it; it is also what their exported [`ScenarioState`]s report).
+pub fn region_scenario_config(config: &FederationConfig) -> ScenarioConfig {
     ScenarioConfig {
-        seed: cfg.seed,
-        arrivals_per_hour: cfg.arrivals_per_hour,
-        diurnal_arrivals: cfg.diurnal_arrivals,
-        mix: cfg.mix,
-        mean_duration: cfg.mean_duration,
-        horizon: cfg.horizon,
-        orchestrator: cfg.orchestrator.clone(),
-    }
-}
-
-/// The Fig. 2 testbed world (the demo scenario's construction, one copy
-/// per region).
-fn testbed_region_world() -> RegionWorld {
-    let cell = CellConfig {
-        max_plmns: 32,
-        ..CellConfig::default_20mhz()
-    };
-    let ran = RanController::new(vec![
-        Enb::new(EnbId::new(0), cell),
-        Enb::new(EnbId::new(1), cell),
-    ]);
-    let transport = TransportController::new(Topology::testbed(), 4096);
-    let host = HostCapacity {
-        vcpus: VCpus::new(32),
-        mem: MemMb::new(65_536),
-        disk: DiskGb::new(500),
-    };
-    let edge_host = HostCapacity {
-        vcpus: VCpus::new(16),
-        mem: MemMb::new(32_768),
-        disk: DiskGb::new(250),
-    };
-    let cloud = CloudController::new(vec![
-        DataCenter::homogeneous(
-            DcId::new(0),
-            DcKind::Edge,
-            4,
-            edge_host,
-            PlacementStrategy::WorstFit,
-        ),
-        DataCenter::homogeneous(
-            DcId::new(1),
-            DcKind::Core,
-            16,
-            host,
-            PlacementStrategy::WorstFit,
-        ),
-    ]);
-    RegionWorld {
-        ran,
-        transport,
-        cloud,
-        cell,
+        seed: config.seed,
+        arrivals_per_hour: config.arrivals_per_hour,
+        diurnal_arrivals: config.diurnal_arrivals,
+        mix: config.mix,
+        mean_duration: config.mean_duration,
+        horizon: config.horizon,
+        orchestrator: config.orchestrator.clone(),
     }
 }
 
 impl FederationBroker {
     /// Build a federation of `config.regions` testbed worlds.
     pub fn build(config: FederationConfig) -> FederationBroker {
-        Self::build_with_worlds(config, |_| testbed_region_world())
+        Self::build_with_worlds(config, |_| RegionWorld::testbed())
     }
 
     /// Build a federation over caller-supplied region worlds (benches shard
@@ -301,31 +225,17 @@ impl FederationBroker {
     ) -> FederationBroker {
         assert!(config.regions >= 1, "a federation needs at least one region");
         let mut master = SimRng::seed_from(config.seed);
-        let mut regions = Vec::with_capacity(config.regions);
-        for r in 0..config.regions {
-            let (gen_rng, orch_rng) = if r == 0 {
-                (master.fork("requests"), master.fork("orchestrator"))
-            } else {
-                let mut region_rng = master.fork(&format!("region-{r}"));
-                (region_rng.fork("requests"), region_rng.fork("orchestrator"))
-            };
-            let w = world(r);
-            let generator = RequestGenerator::new(config.mix, config.mean_duration, gen_rng);
-            let orchestrator = Orchestrator::new(
-                config.orchestrator.clone(),
-                w.ran,
-                w.transport,
-                w.cloud,
-                w.cell,
-                orch_rng,
-            );
-            regions.push(Region {
-                orchestrator,
-                generator,
-                cursor: None,
-                last_report: None,
-            });
-        }
+        let regions = (0..config.regions)
+            .map(|r| {
+                let scenario = region_scenario_config(&config);
+                if r == 0 {
+                    DemoScenario::with_world(scenario, world(r), &mut master)
+                } else {
+                    let mut region_rng = master.fork(&format!("region-{r}"));
+                    DemoScenario::with_world(scenario, world(r), &mut region_rng)
+                }
+            })
+            .collect();
         let backbone = TransportController::new(
             star(config.regions + 1, config.backbone_capacity, config.backbone_delay),
             4096,
@@ -347,15 +257,15 @@ impl FederationBroker {
 
     /// Region `r`'s orchestrator (for post-run inspection).
     pub fn orchestrator(&self, r: usize) -> &Orchestrator {
-        &self.regions[r].orchestrator
+        self.regions[r].orchestrator()
     }
 
     /// Mutable access to region `r`'s orchestrator — for pre-run
     /// configuration such as per-region fault plans (control-plane chaos
     /// and substrate outages compose with federation exactly as they do
-    /// with the single-region scenario wrappers).
+    /// with a single-region run).
     pub fn orchestrator_mut(&mut self, r: usize) -> &mut Orchestrator {
-        &mut self.regions[r].orchestrator
+        self.regions[r].orchestrator_mut()
     }
 
     /// The backbone transport controller (for inspecting inter-region legs).
@@ -385,7 +295,7 @@ impl FederationBroker {
         self.regions
             .iter()
             .map(|r| {
-                let orch = &r.orchestrator;
+                let orch = r.orchestrator();
                 orch.records().map(|rec| orch.ue_count(rec.id)).sum::<usize>()
             })
             .sum()
@@ -396,71 +306,31 @@ impl FederationBroker {
         self.backbone.topology().nodes()[r + 1].id
     }
 
-    fn arrival_rate_at(&self, now: SimTime) -> f64 {
-        if !self.config.diurnal_arrivals {
-            return self.config.arrivals_per_hour;
-        }
-        let day_fraction = (now.as_secs_f64() / 86_400.0).fract();
-        self.config.arrivals_per_hour * (1.0 + 0.6 * (std::f64::consts::TAU * day_fraction).sin())
-    }
-
-    fn peak_rate(&self) -> f64 {
-        if self.config.diurnal_arrivals {
-            self.config.arrivals_per_hour * 1.6
-        } else {
-            self.config.arrivals_per_hour
-        }
-    }
-
     /// Advance the whole federation by one monitoring epoch. Returns
     /// `false` (without advancing) once the horizon is reached.
     ///
     /// Four phases: (A) serial arrival delivery per region in region order,
     /// queuing home rejections as spills; (B) serial spill placement in
     /// canonical order, booking backbone legs; (C) parallel per-region
-    /// epochs via `par_map`; (D) serial report folding and backbone-leg
-    /// expiry in region order. Only phase C is parallel, and it touches
-    /// region-local state exclusively — so the run is byte-identical at any
-    /// worker count.
+    /// epochs via `par_map`, each folding into its own cursor; (D) serial
+    /// backbone-leg expiry in region order. Only phase C is parallel, and
+    /// it touches region-local state exclusively — so the run is
+    /// byte-identical at any worker count.
     pub fn step_epoch(&mut self) -> bool {
-        let epoch = self.config.orchestrator.epoch;
-        let horizon = self.config.horizon;
-        if self.cursor.now >= SimTime::ZERO + horizon {
+        if self.cursor.now >= SimTime::ZERO + self.config.horizon {
             return false;
         }
-        let now = self.cursor.now + epoch;
-        let peak = self.peak_rate();
+        let now = self.cursor.now + self.config.orchestrator.epoch;
 
         // Phase A: deliver each region's Poisson arrivals, home-first.
         let mut spills: Vec<Spill> = Vec::new();
         let federated = self.config.federated_admission;
-        for r in 0..self.regions.len() {
-            if self.regions[r].cursor.is_none() {
-                let first = SimTime::ZERO + self.regions[r].generator.next_interarrival(peak);
-                self.regions[r].cursor = Some(RunCursor::fresh(first));
-            }
-            loop {
-                let next_arrival = self.regions[r].cursor.as_ref().expect("initialized above").next_arrival;
-                if next_arrival > now {
-                    break;
+        for (home, region) in self.regions.iter_mut().enumerate() {
+            region.deliver_arrivals(now, |request| {
+                if federated {
+                    spills.push(Spill { home, request });
                 }
-                let accept_p = self.arrival_rate_at(next_arrival) / peak;
-                let region = &mut self.regions[r];
-                if region.generator.thin(accept_p) {
-                    let request = region.generator.generate();
-                    let cursor = region.cursor.as_mut().expect("initialized above");
-                    cursor.submitted += 1;
-                    match region.orchestrator.submit(next_arrival, request.clone()) {
-                        Ok(_) => cursor.admitted += 1,
-                        Err(_) if federated => spills.push(Spill { home: r, request }),
-                        Err(_) => {}
-                    }
-                }
-                let region = &mut self.regions[r];
-                let step = region.generator.next_interarrival(peak);
-                region.cursor.as_mut().expect("initialized above").next_arrival += step;
-            }
-            self.regions[r].cursor.as_mut().expect("initialized above").now = now;
+            });
         }
 
         // Phase B: place spills at the epoch boundary, canonical order —
@@ -481,7 +351,7 @@ impl FederationBroker {
                 {
                     continue;
                 }
-                match self.regions[host].orchestrator.submit(now, spill.request.clone()) {
+                match self.regions[host].orchestrator_mut().submit(now, spill.request.clone()) {
                     Ok(slice) => {
                         self.next_backbone_id += 1;
                         self.spill_routes.push(SpillRoute {
@@ -503,32 +373,17 @@ impl FederationBroker {
             }
         }
 
-        // Phase C: every region's epoch, in parallel. `par_map` joins in
-        // input order regardless of worker count, and each closure touches
-        // only its own region.
-        let regions = std::mem::take(&mut self.regions);
-        self.regions = par_map(regions, move |mut region| {
-            region.last_report = Some(region.orchestrator.run_epoch(now));
-            region
+        // Phase C: every region's epoch (run + fold into its own cursor), in
+        // parallel. `par_map` joins in input order regardless of worker
+        // count, and each closure touches only its own region.
+        let reports = par_map(self.regions.iter_mut().collect(), |region: &mut DemoScenario| {
+            region.run_epoch(now)
         });
 
-        // Phase D: fold reports serially in region order, exactly the demo
-        // scenario's fold, and retire backbone legs of expired spills.
+        // Phase D: retire backbone legs of expired spills, in region order.
         self.cursor.now = now;
         self.cursor.epochs += 1;
-        for (r, region) in self.regions.iter_mut().enumerate() {
-            let report = region.last_report.as_ref().expect("epoch just ran");
-            let cursor = region.cursor.as_mut().expect("initialized in phase A");
-            cursor.epochs += 1;
-            cursor.slice_epochs += report.verdicts.len() as u64;
-            cursor.violations += report.verdicts.iter().filter(|v| !v.met).count() as u64;
-            cursor.active_sum += report.active as u64;
-            if report.active > 0 {
-                cursor.busy_epochs += 1;
-                cursor.savings_sum += report.gain.savings_fraction;
-                cursor.ob_sum += report.gain.overbooking_factor;
-                cursor.ob_peak = cursor.ob_peak.max(report.gain.overbooking_factor);
-            }
+        for (r, report) in reports.iter().enumerate() {
             for &expired in &report.expired {
                 if let Some(pos) = self
                     .spill_routes
@@ -557,7 +412,7 @@ impl FederationBroker {
     /// track home arrivals), so each region's summary remains internally
     /// consistent.
     pub fn summary(&self) -> FederationSummary {
-        let regions: Vec<DemoSummary> = self.regions.iter().map(region_summary).collect();
+        let regions: Vec<DemoSummary> = self.regions.iter().map(DemoScenario::summary).collect();
         let submitted: u64 = regions.iter().map(|s| s.submitted).sum();
         let home_admitted: u64 = regions.iter().map(|s| s.admitted).sum();
         let admitted = home_admitted + self.cursor.spill_admitted;
@@ -586,7 +441,7 @@ impl FederationBroker {
     pub fn monitoring(&self) -> Vec<MonitoringReport> {
         let mut out = Vec::new();
         for (r, region) in self.regions.iter().enumerate() {
-            for report in region.orchestrator.monitoring() {
+            for report in region.orchestrator().monitoring() {
                 let mut m = report.clone();
                 m.domain = format!("r{r}/{}", m.domain);
                 out.push(m);
@@ -604,16 +459,7 @@ impl FederationBroker {
             backbone: self.backbone.export_state(),
             next_backbone_id: self.next_backbone_id,
             spill_routes: self.spill_routes.clone(),
-            regions: self
-                .regions
-                .iter()
-                .map(|r| ScenarioState {
-                    config: region_config(&self.config),
-                    orchestrator: r.orchestrator.export_state(),
-                    generator: r.generator.clone(),
-                    cursor: r.cursor.clone(),
-                })
-                .collect(),
+            regions: self.regions.iter().map(DemoScenario::export_state).collect(),
         }
     }
 
@@ -622,64 +468,13 @@ impl FederationBroker {
     pub fn from_state(state: &FederationState) -> FederationBroker {
         FederationBroker {
             config: state.config.clone(),
-            regions: state
-                .regions
-                .iter()
-                .map(|s| Region {
-                    orchestrator: Orchestrator::from_state(&s.orchestrator),
-                    generator: s.generator.clone(),
-                    cursor: s.cursor.clone(),
-                    last_report: None,
-                })
-                .collect(),
+            regions: state.regions.iter().map(DemoScenario::from_state).collect(),
             backbone: TransportController::from_state(&state.backbone),
             next_backbone_id: state.next_backbone_id,
             spill_routes: state.spill_routes.clone(),
             cursor: state.cursor.clone(),
         }
     }
-}
-
-/// The demo-scenario summary fold over one region (identical arithmetic to
-/// [`DemoScenario::summary`](crate::scenario::DemoScenario::summary)).
-fn region_summary(region: &Region) -> DemoSummary {
-    let zero = RunCursor::fresh(SimTime::ZERO);
-    let c = region.cursor.as_ref().unwrap_or(&zero);
-    let ledger = region.orchestrator.ledger();
-    DemoSummary {
-        submitted: c.submitted,
-        admitted: c.admitted,
-        rejected: c.submitted - c.admitted,
-        expired: region.orchestrator.count_in_state(SliceState::Expired) as u64,
-        epochs: c.epochs,
-        violations: c.violations,
-        slice_epochs: c.slice_epochs,
-        gross_income: ledger.gross_income(),
-        penalties: ledger.total_penalties(),
-        net_revenue: ledger.net(),
-        mean_savings: if c.busy_epochs > 0 {
-            c.savings_sum / c.busy_epochs as f64
-        } else {
-            0.0
-        },
-        mean_overbooking_factor: if c.busy_epochs > 0 {
-            c.ob_sum / c.busy_epochs as f64
-        } else {
-            0.0
-        },
-        peak_overbooking_factor: c.ob_peak,
-        mean_active: if c.epochs > 0 {
-            c.active_sum as f64 / c.epochs as f64
-        } else {
-            0.0
-        },
-    }
-}
-
-/// The per-region scenario config a federation's regions report in their
-/// exported states (all regions share it).
-pub fn region_scenario_config(config: &FederationConfig) -> ScenarioConfig {
-    region_config(config)
 }
 
 #[cfg(test)]

@@ -22,22 +22,28 @@
 //! * [`orchestrator`] — the event-driven composition of all of the above
 //!   over the three domain controllers.
 //! * [`control`] — the survivable REST boundary: health probes, monitoring
-//!   pushes, retry/backoff, and deterministic fault injection — carried
-//!   in-process (the deterministic oracle) or over framed TCP to per-domain
-//!   controller server tasks (`spawn_domain_control_servers`).
-//! * [`scenario`] — the demo testbed (Fig. 2) and heterogeneous tenant
-//!   request generators, plus the chaos-testing and substrate-fault
-//!   wrappers.
-//! * [`federation`] — region/edge-zone sharding: N regional orchestrators
-//!   under a [`FederationBroker`] that federates admission and inter-region
-//!   transport, runs shard epochs in parallel, and merges summaries in
-//!   deterministic shard order.
+//!   pushes, retry/backoff, and deterministic fault injection — over the
+//!   one [`ControlTransport`](ovnes_api::ControlTransport) seam: in-process
+//!   (the deterministic oracle) or framed TCP to per-domain controller
+//!   server tasks (`spawn_domain_control_servers`).
+//! * [`scenario`] — the one run loop: [`DemoScenario`] drives a world (by
+//!   default the Fig. 2 testbed) under heterogeneous tenant request
+//!   generators, epoch by epoch, resumably. Chaos is configuration, not a
+//!   wrapper: install a control-plane or substrate fault plan (or both) on
+//!   `orchestrator_mut()` and read `chaos_summary()` /
+//!   `substrate_summary()` off the same run.
+//! * [`federation`] — region/edge-zone sharding: a [`FederationBroker`]
+//!   holds one [`DemoScenario`] per region, federates admission and
+//!   inter-region transport between their arrival and epoch phases, runs
+//!   shard epochs in parallel, and merges summaries in deterministic shard
+//!   order.
 //! * [`snapshot`] — whole-world checkpoint/restore over a content-addressed
 //!   store, with manifest-chain bisection for divergence hunting.
 //! * [`supervise`] — process-level chaos with repair: a [`Supervisor`]
-//!   kills, hangs, and restarts the domain controller servers on a seeded
-//!   [`CrashPlan`](ovnes_api::CrashPlan) with no observable effect on the
-//!   run, plus the per-domain heartbeat health machine
+//!   fences, kills, hangs, and respawns the (stateless) domain control
+//!   servers on a seeded [`CrashPlan`](ovnes_api::CrashPlan) with no
+//!   observable effect on the run ([`run_supervised`] drives the same
+//!   [`DemoScenario`]), plus the per-domain heartbeat health machine
 //!   (Up → Suspect → Down → Resyncing → Up) the orchestrator layers over
 //!   its probe loop.
 
@@ -60,7 +66,7 @@ pub use control::{
 };
 pub use federation::{
     region_scenario_config, FederationBroker, FederationConfig, FederationCursor, FederationState,
-    FederationSummary, RegionWorld, SpillRoute,
+    FederationSummary, SpillRoute,
 };
 pub use lifecycle::{SliceRecord, SliceState};
 pub use orchestrator::{
@@ -71,8 +77,8 @@ pub use overbooking::{
     GainReport, OverbookingConfig, OverbookingEngine, OverbookingEngineState, SliceTrackerState,
 };
 pub use scenario::{
-    ChaosScenario, ChaosSummary, DemoScenario, DemoSummary, RequestGenerator, RequestMix,
-    RunCursor, ScenarioConfig, ScenarioState, SubstrateScenario, SubstrateSummary,
+    ChaosSummary, DemoScenario, DemoSummary, RegionWorld, RequestGenerator, RequestMix, RunCursor,
+    ScenarioConfig, ScenarioState, SubstrateSummary,
 };
 pub use sla::{SlaMonitor, SlaMonitorState, SlaVerdict};
 pub use snapshot::{replay_bisect, WorldSnapshot};

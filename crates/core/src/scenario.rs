@@ -1,9 +1,22 @@
-//! The demo scenario: the Fig. 2 testbed plus heterogeneous tenant request
-//! generators, runnable end-to-end to a summary — the programmatic
-//! equivalent of operating the demo's dashboard for a day.
+//! The one run loop: a world, its orchestrator, a tenant request generator
+//! and a resumable cursor, advanced one monitoring epoch at a time to a
+//! summary — the programmatic equivalent of operating the demo's dashboard
+//! for a day.
+//!
+//! [`DemoScenario`] is the only driver. [`DemoScenario::build`] wires the
+//! Fig. 2 testbed ([`RegionWorld::testbed`]); a
+//! [`FederationBroker`](crate::federation::FederationBroker) holds one per
+//! region and calls the same arrival delivery and epoch fold
+//! (`DemoScenario::deliver_arrivals`, `DemoScenario::run_epoch`) between
+//! its own spill phases, so a one-region federation *is* the demo. Chaos is
+//! not a different driver: a control-plane [`FaultPlan`](ovnes_api::FaultPlan)
+//! or a [`SubstrateFaultPlan`](ovnes_api::SubstrateFaultPlan) is installed
+//! on [`DemoScenario::orchestrator_mut`] (both travel inside the
+//! orchestrator state), and [`ChaosSummary`] / [`SubstrateSummary`] are read
+//! off the same run's counters.
 
 use crate::lifecycle::SliceState;
-use crate::orchestrator::{Orchestrator, OrchestratorConfig};
+use crate::orchestrator::{EpochReport, Orchestrator, OrchestratorConfig};
 use ovnes_cloud::host::HostCapacity;
 use ovnes_cloud::{CloudController, DataCenter, DcKind, PlacementStrategy};
 use ovnes_model::{
@@ -69,6 +82,26 @@ impl Default for ScenarioConfig {
             mean_duration: SimDuration::from_hours(2),
             horizon: SimDuration::from_hours(12),
             orchestrator: OrchestratorConfig::default(),
+        }
+    }
+}
+
+impl ScenarioConfig {
+    /// The instantaneous arrival rate at `now` (constant or diurnal).
+    fn arrival_rate_at(&self, now: SimTime) -> f64 {
+        if !self.diurnal_arrivals {
+            return self.arrivals_per_hour;
+        }
+        let day_fraction = (now.as_secs_f64() / 86_400.0).fract();
+        self.arrivals_per_hour * (1.0 + 0.6 * (std::f64::consts::TAU * day_fraction).sin())
+    }
+
+    /// Peak rate of the (possibly diurnal) arrival process, for thinning.
+    fn peak_rate(&self) -> f64 {
+        if self.diurnal_arrivals {
+            self.arrivals_per_hour * 1.6
+        } else {
+            self.arrivals_per_hour
         }
     }
 }
@@ -213,7 +246,7 @@ impl DemoSummary {
 /// Mid-run progress of a scenario: the epoch clock, the pending arrival,
 /// and every summary accumulator. Snapshotting the cursor (with the
 /// orchestrator and generator) is sufficient to resume a run bit-for-bit.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunCursor {
     /// The epoch clock (time of the last completed epoch).
     pub now: SimTime,
@@ -241,44 +274,26 @@ pub struct RunCursor {
     pub epochs: u64,
 }
 
-impl RunCursor {
-    /// A cursor at the start of a run, with the first arrival pending at
-    /// `next_arrival`.
-    pub(crate) fn fresh(next_arrival: SimTime) -> RunCursor {
-        RunCursor {
-            now: SimTime::ZERO,
-            next_arrival,
-            submitted: 0,
-            admitted: 0,
-            violations: 0,
-            slice_epochs: 0,
-            savings_sum: 0.0,
-            ob_sum: 0.0,
-            ob_peak: 0.0,
-            busy_epochs: 0,
-            active_sum: 0,
-            epochs: 0,
-        }
-    }
+/// The world one orchestrator runs: its three controllers and cell
+/// profile. [`FederationBroker::build_with_worlds`](crate::federation::FederationBroker::build_with_worlds)
+/// takes a constructor of these so benches can shard arbitrarily large
+/// worlds.
+pub struct RegionWorld {
+    /// The RAN controller (the world's cells).
+    pub ran: RanController,
+    /// The transport controller (the world's topology).
+    pub transport: TransportController,
+    /// The cloud controller (the world's DCs).
+    pub cloud: CloudController,
+    /// The cell profile shared by the world's eNBs.
+    pub cell: CellConfig,
 }
 
-/// A fully wired demo testbed run.
-pub struct DemoScenario {
-    config: ScenarioConfig,
-    orchestrator: Orchestrator,
-    generator: RequestGenerator,
-    /// Run progress; `None` until the first [`DemoScenario::step_epoch`]
-    /// (the cursor's initialization draws the first inter-arrival, so it is
-    /// deferred to keep [`DemoScenario::build`] draw-free).
-    cursor: Option<RunCursor>,
-}
-
-impl DemoScenario {
-    /// Build the Fig. 2 world: two 20 MHz MOCN eNBs, the wireless+wired
+impl RegionWorld {
+    /// The Fig. 2 testbed: two 20 MHz MOCN eNBs, the wireless+wired
     /// transport with the PF5240-class switch, one edge and one core
     /// OpenStack-style DC.
-    pub fn build(config: ScenarioConfig) -> DemoScenario {
-        let mut rng = SimRng::seed_from(config.seed);
+    pub fn testbed() -> RegionWorld {
         // The physical demo broadcasts at most 6 PLMNs per cell (the SIB1
         // limit), which caps it at 6 concurrent slices per eNB — fine for a
         // conference booth. Our experiments sweep dozens of concurrent
@@ -320,14 +335,50 @@ impl DemoScenario {
                 PlacementStrategy::WorstFit,
             ),
         ]);
-        let generator =
-            RequestGenerator::new(config.mix, config.mean_duration, rng.fork("requests"));
-        let orchestrator = Orchestrator::new(
-            config.orchestrator.clone(),
+        RegionWorld {
             ran,
             transport,
             cloud,
             cell,
+        }
+    }
+}
+
+/// One world under one orchestrator, driven epoch by epoch. See the module
+/// docs: this is the only run loop, held once by a demo run and once per
+/// region by a federation.
+pub struct DemoScenario {
+    config: ScenarioConfig,
+    orchestrator: Orchestrator,
+    generator: RequestGenerator,
+    /// Run progress; `None` until the first epoch (the cursor's
+    /// initialization draws the first inter-arrival, so it is deferred to
+    /// keep construction draw-free).
+    cursor: Option<RunCursor>,
+}
+
+impl DemoScenario {
+    /// Build the Fig. 2 world ([`RegionWorld::testbed`]) under `config`.
+    pub fn build(config: ScenarioConfig) -> DemoScenario {
+        let mut rng = SimRng::seed_from(config.seed);
+        DemoScenario::with_world(config, RegionWorld::testbed(), &mut rng)
+    }
+
+    /// Wire `world` under `config`, forking the `requests` and
+    /// `orchestrator` streams (in that order) off `rng`.
+    pub(crate) fn with_world(
+        config: ScenarioConfig,
+        world: RegionWorld,
+        rng: &mut SimRng,
+    ) -> DemoScenario {
+        let generator =
+            RequestGenerator::new(config.mix, config.mean_duration, rng.fork("requests"));
+        let orchestrator = Orchestrator::new(
+            config.orchestrator.clone(),
+            world.ran,
+            world.transport,
+            world.cloud,
+            world.cell,
             rng.fork("orchestrator"),
         );
         DemoScenario {
@@ -343,8 +394,9 @@ impl DemoScenario {
         &self.orchestrator
     }
 
-    /// Mutable access to the orchestrator (for pre-run configuration such
-    /// as installing a fault plan, and for mid-run fault injection).
+    /// Mutable access to the orchestrator: pre-run configuration (a fault
+    /// plan, a substrate plan, the socket control plane — any combination)
+    /// and mid-run fault injection.
     pub fn orchestrator_mut(&mut self) -> &mut Orchestrator {
         &mut self.orchestrator
     }
@@ -356,72 +408,54 @@ impl DemoScenario {
         self.cursor.as_ref().map_or(0, |c| c.epochs)
     }
 
-    /// Run the control plane over `socket` instead of in-process: every
-    /// health probe and monitoring push crosses framed TCP to controller
-    /// server tasks. The scenario's simulation draws are untouched, so a
-    /// run's summary is byte-identical to the in-process oracle's — the
-    /// determinism the `rpc_plane` suite asserts.
-    pub fn use_socket_control(&mut self, socket: ovnes_api::SocketBus) {
-        self.orchestrator.set_control_socket(socket);
+    /// The run cursor, initialized on first use by drawing the first
+    /// inter-arrival — the draw `run` made up front before the loop was
+    /// resumable, so draw order is unchanged. Takes the fields it needs so
+    /// callers keep the rest of the scenario borrowable.
+    fn started<'a>(
+        cursor: &'a mut Option<RunCursor>,
+        generator: &mut RequestGenerator,
+        peak: f64,
+    ) -> &'a mut RunCursor {
+        cursor.get_or_insert_with(|| RunCursor {
+            next_arrival: SimTime::ZERO + generator.next_interarrival(peak),
+            ..RunCursor::default()
+        })
     }
 
-    /// The instantaneous arrival rate at `now` (constant or diurnal).
-    fn arrival_rate_at(&self, now: SimTime) -> f64 {
-        if !self.config.diurnal_arrivals {
-            return self.config.arrivals_per_hour;
-        }
-        let day_fraction = (now.as_secs_f64() / 86_400.0).fract();
-        self.config.arrivals_per_hour * (1.0 + 0.6 * (std::f64::consts::TAU * day_fraction).sin())
-    }
-
-    /// Peak rate of the (possibly diurnal) arrival process, for thinning.
-    fn peak_rate(&self) -> f64 {
-        if self.config.diurnal_arrivals {
-            self.config.arrivals_per_hour * 1.6
-        } else {
-            self.config.arrivals_per_hour
-        }
-    }
-
-    /// Advance the run by one monitoring epoch: deliver every Poisson
-    /// arrival due before the next epoch boundary, run the epoch, fold the
-    /// report into the cursor. Returns `false` (without advancing) once the
-    /// horizon is reached. The first call initializes the cursor, drawing
-    /// the first inter-arrival — the draw `run` made up front before the
-    /// loop existed, so draw order is unchanged.
-    pub fn step_epoch(&mut self) -> bool {
-        let epoch = self.config.orchestrator.epoch;
-        let horizon = self.config.horizon;
-        let peak = self.peak_rate();
-        if self.cursor.is_none() {
-            let first = SimTime::ZERO + self.generator.next_interarrival(peak);
-            self.cursor = Some(RunCursor::fresh(first));
-        }
-        let mut cursor = self.cursor.take().expect("initialized above");
-        if cursor.now >= SimTime::ZERO + horizon {
-            self.cursor = Some(cursor);
-            return false;
-        }
-        cursor.now += epoch;
-        // Deliver all arrivals due before this epoch boundary. With a
-        // diurnal profile, candidate arrivals at the peak rate are
-        // thinned down to the instantaneous rate.
-        while cursor.next_arrival <= cursor.now {
-            let accept_p = self.arrival_rate_at(cursor.next_arrival) / peak;
+    /// Deliver every Poisson arrival due by the epoch boundary `now`, in
+    /// arrival order, and move the cursor's clock there. With a diurnal
+    /// profile, candidate arrivals at the peak rate are thinned down to the
+    /// instantaneous rate. `on_reject` receives each request the
+    /// orchestrator refused (a federation queues those as spills).
+    pub(crate) fn deliver_arrivals(
+        &mut self,
+        now: SimTime,
+        mut on_reject: impl FnMut(SliceRequest),
+    ) {
+        let peak = self.config.peak_rate();
+        let cursor = Self::started(&mut self.cursor, &mut self.generator, peak);
+        while cursor.next_arrival <= now {
+            let accept_p = self.config.arrival_rate_at(cursor.next_arrival) / peak;
             if self.generator.thin(accept_p) {
                 let request = self.generator.generate();
                 cursor.submitted += 1;
-                if self
-                    .orchestrator
-                    .submit(cursor.next_arrival, request)
-                    .is_ok()
-                {
-                    cursor.admitted += 1;
+                match self.orchestrator.submit(cursor.next_arrival, request.clone()) {
+                    Ok(_) => cursor.admitted += 1,
+                    Err(_) => on_reject(request),
                 }
             }
             cursor.next_arrival += self.generator.next_interarrival(peak);
         }
-        let report = self.orchestrator.run_epoch(cursor.now);
+        cursor.now = now;
+    }
+
+    /// Run the orchestrator's epoch closing at `now` and fold its report
+    /// into the cursor. Touches nothing outside this scenario, so a
+    /// federation runs its regions' epochs in parallel.
+    pub(crate) fn run_epoch(&mut self, now: SimTime) -> EpochReport {
+        let report = self.orchestrator.run_epoch(now);
+        let cursor = self.cursor.as_mut().expect("arrivals are delivered before the epoch runs");
         cursor.epochs += 1;
         cursor.slice_epochs += report.verdicts.len() as u64;
         cursor.violations += report.verdicts.iter().filter(|v| !v.met).count() as u64;
@@ -432,16 +466,32 @@ impl DemoScenario {
             cursor.ob_sum += report.gain.overbooking_factor;
             cursor.ob_peak = cursor.ob_peak.max(report.gain.overbooking_factor);
         }
-        self.cursor = Some(cursor);
+        report
+    }
+
+    /// Advance the run by one monitoring epoch: deliver every arrival due
+    /// before the next epoch boundary, run the epoch, fold the report into
+    /// the cursor. Returns `false` (without advancing) once the horizon is
+    /// reached.
+    pub fn step_epoch(&mut self) -> bool {
+        let peak = self.config.peak_rate();
+        let now = Self::started(&mut self.cursor, &mut self.generator, peak).now;
+        if now >= SimTime::ZERO + self.config.horizon {
+            return false;
+        }
+        let now = now + self.config.orchestrator.epoch;
+        self.deliver_arrivals(now, |_| {});
+        self.run_epoch(now);
         true
     }
 
     /// Summarize the run so far (the full-run summary once `step_epoch`
     /// returns `false`).
     pub fn summary(&self) -> DemoSummary {
-        let zero = RunCursor::fresh(SimTime::ZERO);
+        let zero = RunCursor::default();
         let c = self.cursor.as_ref().unwrap_or(&zero);
         let ledger = self.orchestrator.ledger();
+        let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
         DemoSummary {
             submitted: c.submitted,
             admitted: c.admitted,
@@ -453,22 +503,44 @@ impl DemoScenario {
             gross_income: ledger.gross_income(),
             penalties: ledger.total_penalties(),
             net_revenue: ledger.net(),
-            mean_savings: if c.busy_epochs > 0 {
-                c.savings_sum / c.busy_epochs as f64
-            } else {
-                0.0
-            },
-            mean_overbooking_factor: if c.busy_epochs > 0 {
-                c.ob_sum / c.busy_epochs as f64
-            } else {
-                0.0
-            },
+            mean_savings: mean(c.savings_sum, c.busy_epochs),
+            mean_overbooking_factor: mean(c.ob_sum, c.busy_epochs),
             peak_overbooking_factor: c.ob_peak,
-            mean_active: if c.epochs > 0 {
-                c.active_sum as f64 / c.epochs as f64
-            } else {
-                0.0
-            },
+            mean_active: mean(c.active_sum as f64, c.epochs),
+        }
+    }
+
+    /// A run-lifetime orchestrator counter (0 if it never moved).
+    fn counter(&self, name: &str) -> u64 {
+        self.orchestrator.metrics().counter_value(name).unwrap_or(0)
+    }
+
+    /// The run so far plus what the control plane went through — the
+    /// summary of a run under a [`FaultPlan`](ovnes_api::FaultPlan).
+    pub fn chaos_summary(&self) -> ChaosSummary {
+        ChaosSummary {
+            demo: self.summary(),
+            control_calls: self.counter("control.calls"),
+            control_retries: self.counter("control.retries"),
+            control_failures: self.counter("control.failures"),
+            degradations: self.counter("orchestrator.degraded"),
+            restorations: self.counter("orchestrator.restored"),
+        }
+    }
+
+    /// The run so far plus what the self-healing pipeline did — the summary
+    /// of a run under a [`SubstrateFaultPlan`](ovnes_api::SubstrateFaultPlan).
+    pub fn substrate_summary(&self) -> SubstrateSummary {
+        SubstrateSummary {
+            demo: self.summary(),
+            element_failures: self.counter("substrate.element_failures"),
+            element_recoveries: self.counter("substrate.element_recoveries"),
+            reroutes: self.counter("substrate.reroutes"),
+            reattaches: self.counter("substrate.reattaches"),
+            replacements: self.counter("substrate.replacements"),
+            degraded: self.counter("substrate.degraded"),
+            repaired: self.counter("substrate.repaired"),
+            restored: self.counter("substrate.restored"),
         }
     }
 
@@ -480,8 +552,8 @@ impl DemoScenario {
     }
 
     /// The scenario's complete serializable state: config, orchestrator
-    /// (every controller, forecaster, and RNG stream), request generator,
-    /// and run cursor.
+    /// (every controller, forecaster, RNG stream, and any installed fault
+    /// plan), request generator, and run cursor.
     pub fn export_state(&self) -> ScenarioState {
         ScenarioState {
             config: self.config.clone(),
@@ -503,9 +575,8 @@ impl DemoScenario {
     }
 }
 
-/// Serializable state of a [`DemoScenario`] (also the state of the
-/// [`ChaosScenario`] / [`SubstrateScenario`] wrappers — their fault plans
-/// live inside the orchestrator state).
+/// Serializable state of a [`DemoScenario`] (fault plans live inside the
+/// orchestrator state).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioState {
     /// Scenario parameters.
@@ -519,7 +590,7 @@ pub struct ScenarioState {
 }
 
 /// Aggregate result of a chaos run: the demo summary plus what the control
-/// plane went through.
+/// plane went through. Deterministic per `(config.seed, plan.seed())` pair.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChaosSummary {
     /// The plain scenario summary.
@@ -536,85 +607,9 @@ pub struct ChaosSummary {
     pub restorations: u64,
 }
 
-/// A [`DemoScenario`] run under an active control-plane [`FaultPlan`] —
-/// the chaos-testing entry point. Deterministic per `(config.seed,
-/// plan.seed())` pair.
-pub struct ChaosScenario {
-    inner: DemoScenario,
-}
-
-impl ChaosScenario {
-    /// Build the demo world and install `plan` on its control plane.
-    pub fn build(config: ScenarioConfig, plan: ovnes_api::FaultPlan) -> ChaosScenario {
-        let mut inner = DemoScenario::build(config);
-        inner.orchestrator_mut().set_fault_plan(plan);
-        ChaosScenario { inner }
-    }
-
-    /// The orchestrator under test.
-    pub fn orchestrator(&self) -> &Orchestrator {
-        self.inner.orchestrator()
-    }
-
-    /// Mutable access to the orchestrator (for layering further pre-run
-    /// configuration, e.g. a substrate fault plan on top of the control-
-    /// plane faults).
-    pub fn orchestrator_mut(&mut self) -> &mut Orchestrator {
-        self.inner.orchestrator_mut()
-    }
-
-    /// Run the chaos control plane over sockets (see
-    /// [`DemoScenario::use_socket_control`]): decided drops and outages are
-    /// then *realized* as physical connection teardowns on the wire.
-    pub fn use_socket_control(&mut self, socket: ovnes_api::SocketBus) {
-        self.inner.use_socket_control(socket);
-    }
-
-    /// Advance by one monitoring epoch; `false` once the horizon is reached.
-    pub fn step_epoch(&mut self) -> bool {
-        self.inner.step_epoch()
-    }
-
-    /// Epochs stepped so far (see [`DemoScenario::epochs_completed`]).
-    pub fn epochs_completed(&self) -> u64 {
-        self.inner.epochs_completed()
-    }
-
-    /// Summarize the run so far, including control-plane fallout.
-    pub fn summary(&self) -> ChaosSummary {
-        let m = self.inner.orchestrator().metrics();
-        ChaosSummary {
-            demo: self.inner.summary(),
-            control_calls: m.counter_value("control.calls").unwrap_or(0),
-            control_retries: m.counter_value("control.retries").unwrap_or(0),
-            control_failures: m.counter_value("control.failures").unwrap_or(0),
-            degradations: m.counter_value("orchestrator.degraded").unwrap_or(0),
-            restorations: m.counter_value("orchestrator.restored").unwrap_or(0),
-        }
-    }
-
-    /// Run to the horizon and summarize, including control-plane fallout.
-    pub fn run(&mut self) -> ChaosSummary {
-        while self.step_epoch() {}
-        self.summary()
-    }
-
-    /// The scenario's complete serializable state (the fault plan travels
-    /// inside the orchestrator state).
-    pub fn export_state(&self) -> ScenarioState {
-        self.inner.export_state()
-    }
-
-    /// A chaos scenario resumed from [`ChaosScenario::export_state`].
-    pub fn from_state(state: &ScenarioState) -> ChaosScenario {
-        ChaosScenario {
-            inner: DemoScenario::from_state(state),
-        }
-    }
-}
-
 /// Aggregate result of a substrate-fault run: the demo summary plus what
 /// the self-healing pipeline did about the injected element outages.
+/// Deterministic per `(config.seed, plan.seed())` pair.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SubstrateSummary {
     /// The plain scenario summary.
@@ -638,85 +633,6 @@ pub struct SubstrateSummary {
     pub restored: u64,
 }
 
-/// A [`DemoScenario`] run under an active [`SubstrateFaultPlan`] — the
-/// physical-failure counterpart of [`ChaosScenario`]. Deterministic per
-/// `(config.seed, plan.seed())` pair.
-pub struct SubstrateScenario {
-    inner: DemoScenario,
-}
-
-impl SubstrateScenario {
-    /// Build the demo world and install `plan` on its orchestrator.
-    pub fn build(config: ScenarioConfig, plan: ovnes_api::SubstrateFaultPlan) -> SubstrateScenario {
-        let mut inner = DemoScenario::build(config);
-        inner.orchestrator_mut().set_substrate_plan(plan);
-        SubstrateScenario { inner }
-    }
-
-    /// The orchestrator under test.
-    pub fn orchestrator(&self) -> &Orchestrator {
-        self.inner.orchestrator()
-    }
-
-    /// Mutable access to the orchestrator (for pre-run configuration such
-    /// as toggling the route cache).
-    pub fn orchestrator_mut(&mut self) -> &mut Orchestrator {
-        self.inner.orchestrator_mut()
-    }
-
-    /// Run the control plane over sockets (see
-    /// [`DemoScenario::use_socket_control`]).
-    pub fn use_socket_control(&mut self, socket: ovnes_api::SocketBus) {
-        self.inner.use_socket_control(socket);
-    }
-
-    /// Advance by one monitoring epoch; `false` once the horizon is reached.
-    pub fn step_epoch(&mut self) -> bool {
-        self.inner.step_epoch()
-    }
-
-    /// Epochs stepped so far (see [`DemoScenario::epochs_completed`]).
-    pub fn epochs_completed(&self) -> u64 {
-        self.inner.epochs_completed()
-    }
-
-    /// Summarize the run so far, including repair-pipeline fallout.
-    pub fn summary(&self) -> SubstrateSummary {
-        let m = self.inner.orchestrator().metrics();
-        let c = |name: &str| m.counter_value(name).unwrap_or(0);
-        SubstrateSummary {
-            demo: self.inner.summary(),
-            element_failures: c("substrate.element_failures"),
-            element_recoveries: c("substrate.element_recoveries"),
-            reroutes: c("substrate.reroutes"),
-            reattaches: c("substrate.reattaches"),
-            replacements: c("substrate.replacements"),
-            degraded: c("substrate.degraded"),
-            repaired: c("substrate.repaired"),
-            restored: c("substrate.restored"),
-        }
-    }
-
-    /// Run to the horizon and summarize, including repair-pipeline fallout.
-    pub fn run(&mut self) -> SubstrateSummary {
-        while self.step_epoch() {}
-        self.summary()
-    }
-
-    /// The scenario's complete serializable state (the substrate plan
-    /// travels inside the orchestrator state).
-    pub fn export_state(&self) -> ScenarioState {
-        self.inner.export_state()
-    }
-
-    /// A substrate scenario resumed from [`SubstrateScenario::export_state`].
-    pub fn from_state(state: &ScenarioState) -> SubstrateScenario {
-        SubstrateScenario {
-            inner: DemoScenario::from_state(state),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,6 +647,24 @@ mod tests {
             mean_duration: SimDuration::from_mins(60),
             ..ScenarioConfig::default()
         }
+    }
+
+    fn chaos(config: ScenarioConfig, plan: FaultPlan) -> DemoScenario {
+        let mut s = DemoScenario::build(config);
+        s.orchestrator_mut().set_fault_plan(plan);
+        s
+    }
+
+    fn substrate(config: ScenarioConfig, plan: SubstrateFaultPlan) -> DemoScenario {
+        let mut s = DemoScenario::build(config);
+        s.orchestrator_mut().set_substrate_plan(plan);
+        s
+    }
+
+    fn run_chaos(config: ScenarioConfig, plan: FaultPlan) -> ChaosSummary {
+        let mut s = chaos(config, plan);
+        s.run();
+        s.chaos_summary()
     }
 
     #[test]
@@ -919,9 +853,9 @@ mod tests {
     #[test]
     fn chaos_with_quiet_plan_matches_plain_run() {
         // A fault plan that injects nothing must leave the run
-        // byte-identical to the unwrapped scenario.
+        // byte-identical to the plan-free scenario.
         let plain = DemoScenario::build(quick_config(21)).run();
-        let chaos = ChaosScenario::build(quick_config(21), FaultPlan::new(999)).run();
+        let chaos = run_chaos(quick_config(21), FaultPlan::new(999));
         assert_eq!(chaos.demo, plain);
         assert_eq!(chaos.control_retries, 0);
         assert_eq!(chaos.control_failures, 0);
@@ -933,7 +867,7 @@ mod tests {
         let run = || {
             let plan = FaultPlan::new(77)
                 .with_endpoint("ran/health", EndpointFaults::none().with_drop(0.3));
-            ChaosScenario::build(quick_config(4), plan).run()
+            run_chaos(quick_config(4), plan)
         };
         assert_eq!(run(), run());
     }
@@ -941,10 +875,11 @@ mod tests {
     #[test]
     fn substrate_with_quiet_plan_matches_plain_run() {
         // A substrate plan that schedules nothing must leave the run
-        // byte-identical to the unwrapped scenario.
+        // byte-identical to the plan-free scenario.
         let plain = DemoScenario::build(quick_config(21)).run();
-        let mut s = SubstrateScenario::build(quick_config(21), SubstrateFaultPlan::new(999));
-        let summary = s.run();
+        let mut s = substrate(quick_config(21), SubstrateFaultPlan::new(999));
+        s.run();
+        let summary = s.substrate_summary();
         assert_eq!(summary.demo, plain);
         assert_eq!(summary.element_failures, 0);
         assert_eq!(summary.degraded, 0);
@@ -964,7 +899,9 @@ mod tests {
                 SimDuration::from_mins(10),
                 SimDuration::from_hours(3),
             );
-            SubstrateScenario::build(quick_config(4), plan).run()
+            let mut s = substrate(quick_config(4), plan);
+            s.run();
+            s.substrate_summary()
         };
         assert_eq!(run(), run());
     }
@@ -979,8 +916,9 @@ mod tests {
             SimTime::ZERO + SimDuration::from_mins(60),
             SimTime::ZERO + SimDuration::from_mins(90),
         );
-        let mut s = SubstrateScenario::build(quick_config(6), plan);
-        let summary = s.run();
+        let mut s = substrate(quick_config(6), plan);
+        s.run();
+        let summary = s.substrate_summary();
         assert_eq!(summary.element_failures, 1, "{summary:?}");
         assert_eq!(summary.element_recoveries, 1, "{summary:?}");
         assert!(
@@ -1031,22 +969,23 @@ mod tests {
                 .with_endpoint("transport/health", EndpointFaults::none().with_drop(0.4))
                 .with_endpoint("ran/health", EndpointFaults::none().with_error(0.2))
         };
-        let reference = ChaosScenario::build(quick_config(4), plan()).run();
+        let reference = run_chaos(quick_config(4), plan());
 
-        let mut first = ChaosScenario::build(quick_config(4), plan());
+        let mut first = chaos(quick_config(4), plan());
         for _ in 0..11 {
             assert!(first.step_epoch());
         }
         let state = first.export_state();
-        let mut resumed = ChaosScenario::from_state(&state);
-        assert_eq!(resumed.run(), reference);
+        let mut resumed = DemoScenario::from_state(&state);
+        resumed.run();
+        assert_eq!(resumed.chaos_summary(), reference);
     }
 
     #[test]
     fn chaos_drops_surface_as_retries() {
         let plan = FaultPlan::new(13)
             .with_endpoint("transport/health", EndpointFaults::none().with_drop(0.3));
-        let s = ChaosScenario::build(quick_config(6), plan).run();
+        let s = run_chaos(quick_config(6), plan);
         assert!(s.control_retries > 0, "{s:?}");
         assert!(s.control_calls > 0);
         // Retries mask most 30% drops (p(fail) ≈ 0.8%), so the run itself

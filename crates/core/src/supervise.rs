@@ -32,8 +32,9 @@
 
 use crate::orchestrator::Orchestrator;
 use crate::scenario::{DemoScenario, DemoSummary};
-use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer};
-use ovnes_api::{CrashEvent, CrashPlan, ProcessFault};
+use ovnes_api::{
+    register_control_endpoints, CrashEvent, CrashPlan, ProcessFault, Router, RpcServer,
+};
 use ovnes_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -41,9 +42,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Heartbeat health of one domain controller, as the orchestrator sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HealthState {
     /// Probes succeed.
+    #[default]
     Up,
     /// One failed probe: not yet declared down (a single miss is routinely
     /// a transient under chaos plans).
@@ -83,8 +85,9 @@ pub enum HealthTransition {
     },
 }
 
-/// The per-domain heartbeat health machine (see [`HealthState`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// The per-domain heartbeat health machine (see [`HealthState`]). The
+/// default is a healthy machine with no history.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DomainHealth {
     /// Current classification.
     pub state: HealthState,
@@ -99,30 +102,13 @@ pub struct DomainHealth {
     pub repairs: u64,
 }
 
-impl Default for DomainHealth {
-    fn default() -> Self {
-        DomainHealth::new()
-    }
-}
-
 impl DomainHealth {
-    /// A healthy machine with no history.
-    pub fn new() -> DomainHealth {
-        DomainHealth {
-            state: HealthState::Up,
-            since: SimTime::ZERO,
-            failed_probes: 0,
-            incidents: 0,
-            repairs: 0,
-        }
-    }
-
     /// One fresh machine per known domain, keyed by name — the
     /// orchestrator's initial supervision map.
     pub fn tracking_all() -> BTreeMap<String, DomainHealth> {
         crate::control::DOMAINS
             .iter()
-            .map(|d| ((*d).to_owned(), DomainHealth::new()))
+            .map(|d| ((*d).to_owned(), DomainHealth::default()))
             .collect()
     }
 
@@ -395,7 +381,7 @@ mod tests {
 
     #[test]
     fn domain_health_machine_transitions() {
-        let mut h = DomainHealth::new();
+        let mut h = DomainHealth::default();
         assert_eq!(h.state, HealthState::Up);
         assert_eq!(h.observe(minute(1), true), None);
 
@@ -452,7 +438,7 @@ mod tests {
         // Supervised: socket control plane, every domain hit.
         let mut scenario = DemoScenario::build(config);
         let (servers, socket) = spawn_domain_control_servers().unwrap();
-        scenario.use_socket_control(socket);
+        scenario.orchestrator_mut().set_control_socket(socket);
         let plan = CrashPlan::new(9)
             .with_crash("ran", 3)
             .with_crash_mid_request("cloud", 7)

@@ -161,7 +161,7 @@ impl FeedState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer};
+    use ovnes_api::{register_control_endpoints, Router, RpcServer};
     use ovnes_api::{encode, SocketBus};
     use ovnes_sim::SimTime;
 

@@ -1,300 +1,49 @@
-//! The RAN controller as a server task: the domain's REST surface behind a
-//! real socket (see `ovnes_api::rpc`).
-//!
-//! Two surfaces, matching the two ways the orchestrator talks to a domain:
-//!
-//! * [`control_router`] — just `ran/health` + `ran/monitoring` with the
-//!   canonical shared handlers, byte-identical to the in-process control
-//!   plane's registrations. This is what the deterministic scenario runs
-//!   against over RPC.
-//! * [`command_router`] — a full stateful domain server: `ran/command`
-//!   decodes [`RanCommand`]s and drives a real [`RanController`] (install /
-//!   resize / release), and `ran/monitoring` publishes the controller's
-//!   live metric snapshot instead of echoing.
+//! The RAN controller as a domain server: its side of the REST contract.
+//! Everything around the command `match` — the router, `ran/monitoring`,
+//! `ran/resync`, `serve`, `serve_resumed` — is generic in
+//! `ovnes_api::domain`; the conformance suite (`tests/domain_conformance.rs`)
+//! drives all three domains through it over a real socket.
 
 use crate::{RanController, RanControllerState};
-use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer, ServerStats};
-use ovnes_api::{decode, encode, MonitoringReport, RanCommand, RanReply, Response, ResyncReport};
-use ovnes_sim::SimTime;
-use std::io;
-use std::sync::{Arc, Mutex};
+use ovnes_api::{DomainController, RanCommand, RanReply};
+use ovnes_sim::MetricRegistry;
 
-/// The endpoint prefix this domain serves under.
-pub const DOMAIN: &str = "ran";
+impl DomainController for RanController {
+    const DOMAIN: &'static str = "ran";
+    type Command = RanCommand;
+    type Reply = RanReply;
+    type State = RanControllerState;
 
-/// The control-plane surface (`ran/health`, `ran/monitoring`) with the
-/// canonical shared handlers.
-pub fn control_router() -> Router {
-    let mut router = Router::new();
-    register_control_endpoints(&mut router, DOMAIN);
-    router
-}
-
-/// Serve [`control_router`] on a loopback server task.
-pub fn serve_control() -> io::Result<RpcServer> {
-    RpcServer::spawn(control_router())
-}
-
-/// A full domain router: the control surface plus `ran/command` driving
-/// `controller`, `ran/monitoring` reporting its live metrics, and
-/// `ran/resync` exporting its complete state for a restarted incarnation.
-pub fn command_router(controller: RanController) -> Router {
-    command_router_incarnation(controller, 1)
-}
-
-/// [`command_router`] serving as incarnation `term` — the term is baked
-/// into every `ran/resync` report so a supervisor can prove which
-/// incarnation's state it replayed.
-pub fn command_router_incarnation(controller: RanController, term: u64) -> Router {
-    let controller = Arc::new(Mutex::new(controller));
-    let mut router = control_router();
-
-    let ran = controller.clone();
-    router.register("ran/command", move |req| {
-        let cmd: RanCommand = match decode(&req.body) {
-            Ok(c) => c,
-            Err(e) => return Response::error(req.id, &e.to_string()),
-        };
-        let mut ran = ran.lock().unwrap_or_else(|p| p.into_inner());
-        let result = match cmd {
+    fn apply(&mut self, command: RanCommand) -> Result<RanReply, String> {
+        match command {
             RanCommand::InstallPlmn {
                 enb,
                 slice,
                 plmn,
                 reserved,
                 nominal,
-            } => ran
+            } => self
                 .install(enb, slice, plmn, reserved, nominal)
                 .map(|()| RanReply::Done),
             RanCommand::Resize { slice, reserved } => {
-                ran.resize(slice, reserved).map(|()| RanReply::Done)
+                self.resize(slice, reserved).map(|()| RanReply::Done)
             }
-            RanCommand::Release { slice } => ran.release(slice).map(|r| RanReply::Released {
+            RanCommand::Release { slice } => self.release(slice).map(|r| RanReply::Released {
                 freed: r.reserved,
             }),
-        };
-        match result {
-            Ok(reply) => Response::ok(req.id, encode(&reply).expect("encodable")),
-            Err(e) => Response::rejected(req.id, e.to_string().into_bytes()),
         }
-    });
-
-    let ran = controller.clone();
-    router.register("ran/monitoring", move |req| {
-        let scalars = ran
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .metrics()
-            .scalar_snapshot();
-        let report = MonitoringReport {
-            domain: DOMAIN.into(),
-            at: SimTime::ZERO,
-            scalars,
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
-
-    let ran = controller;
-    router.register("ran/resync", move |req| {
-        let ran = ran.lock().unwrap_or_else(|p| p.into_inner());
-        let report = ResyncReport {
-            domain: DOMAIN.into(),
-            term,
-            state: encode(&ran.export_state()).expect("encodable"),
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
-    router
-}
-
-/// Serve [`command_router`] on a loopback server task, taking ownership of
-/// the controller (it now lives behind the socket, as in the testbed).
-pub fn serve(controller: RanController) -> io::Result<RpcServer> {
-    RpcServer::spawn(command_router(controller))
-}
-
-/// Restart the command server from a resynced state: a fresh incarnation
-/// serving `term`, seeded from `state` and resuming `carry`'s lifetime
-/// counters. This is the supervision layer's restore path for a stateful
-/// domain server.
-pub fn serve_resumed(
-    state: &RanControllerState,
-    term: u64,
-    carry: ServerStats,
-) -> io::Result<RpcServer> {
-    RpcServer::spawn_incarnation(
-        command_router_incarnation(RanController::from_state(state), term),
-        term,
-        carry,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{CellConfig, Enb};
-    use ovnes_api::{SocketBus, Status};
-    use ovnes_model::{EnbId, PlmnId, Prbs, SliceId};
-
-    fn testbed_ran() -> RanController {
-        RanController::new(vec![
-            Enb::new(EnbId::new(0), CellConfig::default_20mhz()),
-            Enb::new(EnbId::new(1), CellConfig::default_20mhz()),
-        ])
+        .map_err(|e| e.to_string())
     }
 
-    #[test]
-    fn install_resize_release_over_the_socket() {
-        let server = serve(testbed_ran()).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-
-        let call = |bus: &mut SocketBus, cmd: &RanCommand| {
-            bus.call("ran/command", encode(cmd).unwrap()).unwrap()
-        };
-
-        // Install fills 60 of 100 PRBs; a second 60-PRB slice is rejected.
-        let resp = call(
-            &mut bus,
-            &RanCommand::InstallPlmn {
-                enb: EnbId::new(0),
-                slice: SliceId::new(1),
-                plmn: PlmnId::test_slice_plmn(0),
-                reserved: Prbs::new(60),
-                nominal: Prbs::new(60),
-            },
-        );
-        assert_eq!(resp.status, Status::Ok);
-        assert_eq!(decode::<RanReply>(&resp.body).unwrap(), RanReply::Done);
-
-        let resp = call(
-            &mut bus,
-            &RanCommand::InstallPlmn {
-                enb: EnbId::new(0),
-                slice: SliceId::new(2),
-                plmn: PlmnId::test_slice_plmn(1),
-                reserved: Prbs::new(60),
-                nominal: Prbs::new(60),
-            },
-        );
-        assert_eq!(resp.status, Status::Rejected);
-
-        // Overbooking reconfiguration makes room; the retry fits.
-        let resp = call(
-            &mut bus,
-            &RanCommand::Resize {
-                slice: SliceId::new(1),
-                reserved: Prbs::new(35),
-            },
-        );
-        assert_eq!(resp.status, Status::Ok);
-        let resp = call(
-            &mut bus,
-            &RanCommand::InstallPlmn {
-                enb: EnbId::new(0),
-                slice: SliceId::new(2),
-                plmn: PlmnId::test_slice_plmn(1),
-                reserved: Prbs::new(60),
-                nominal: Prbs::new(60),
-            },
-        );
-        assert_eq!(resp.status, Status::Ok);
-
-        let resp = call(&mut bus, &RanCommand::Release { slice: SliceId::new(1) });
-        assert_eq!(resp.status, Status::Ok);
-        assert_eq!(
-            decode::<RanReply>(&resp.body).unwrap(),
-            RanReply::Released {
-                freed: Prbs::new(35)
-            }
-        );
+    fn metrics(&self) -> &MetricRegistry {
+        RanController::metrics(self)
     }
 
-    #[test]
-    fn monitoring_reports_live_controller_metrics() {
-        let server = serve(testbed_ran()).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-        bus.call(
-            "ran/command",
-            encode(&RanCommand::InstallPlmn {
-                enb: EnbId::new(0),
-                slice: SliceId::new(1),
-                plmn: PlmnId::test_slice_plmn(0),
-                reserved: Prbs::new(10),
-                nominal: Prbs::new(10),
-            })
-            .unwrap(),
-        )
-        .unwrap();
-        let resp = bus.call("ran/monitoring", Vec::new()).unwrap();
-        let report: MonitoringReport = decode(&resp.body).unwrap();
-        assert_eq!(report.domain, "ran");
-        assert!(!report.scalars.is_empty());
+    fn export_state(&self) -> RanControllerState {
+        RanController::export_state(self)
     }
 
-    #[test]
-    fn undecodable_command_is_an_error_status() {
-        let server = serve(testbed_ran()).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-        let resp = bus.call("ran/command", b"garbage".to_vec()).unwrap();
-        assert_eq!(resp.status, Status::Error);
-    }
-
-    #[test]
-    fn resync_round_trip_restores_state_in_a_new_incarnation() {
-        let mut server = serve(testbed_ran()).unwrap();
-        assert_eq!(server.term(), 1);
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-
-        // Fill 60 of 100 PRBs on eNB 0.
-        let resp = bus
-            .call(
-                "ran/command",
-                encode(&RanCommand::InstallPlmn {
-                    enb: EnbId::new(0),
-                    slice: SliceId::new(1),
-                    plmn: PlmnId::test_slice_plmn(0),
-                    reserved: Prbs::new(60),
-                    nominal: Prbs::new(60),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
-
-        // Pull the controller's state over the wire, then kill the server.
-        let resp = bus.call("ran/resync", Vec::new()).unwrap();
-        let report: ResyncReport = decode(&resp.body).unwrap();
-        assert_eq!(report.domain, "ran");
-        assert_eq!(report.term, 1);
-        let state: crate::RanControllerState = decode(&report.state).unwrap();
-        let carry = server.stats();
-        server.shutdown();
-        drop(server);
-
-        // A fresh incarnation seeded from the resync report remembers the
-        // install: a second 60-PRB slice still does not fit.
-        let restarted = serve_resumed(&state, 2, carry).unwrap();
-        assert_eq!(restarted.term(), 2);
-        assert!(restarted.stats().connections >= carry.connections);
-        bus.attach(&restarted);
-        bus.fence("ran", 2);
-        let resp = bus
-            .call(
-                "ran/command",
-                encode(&RanCommand::InstallPlmn {
-                    enb: EnbId::new(0),
-                    slice: SliceId::new(2),
-                    plmn: PlmnId::test_slice_plmn(1),
-                    reserved: Prbs::new(60),
-                    nominal: Prbs::new(60),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Rejected, "capacity was not restored");
+    fn from_state(state: &RanControllerState) -> RanController {
+        RanController::from_state(state.clone())
     }
 }

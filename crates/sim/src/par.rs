@@ -12,9 +12,9 @@
 //! - the closure is `Fn` (stateless across items), so a chunk boundary
 //!   moving with the thread count cannot change any per-item output.
 //!
-//! Thread count is therefore a pure throughput knob: `OVNES_THREADS` (or
-//! `RAYON_NUM_THREADS`, honoured for familiarity) picks the worker count,
-//! and tests/benches can pin it in-process via [`set_thread_override`].
+//! Thread count is therefore a pure throughput knob: `OVNES_THREADS` picks
+//! the worker count, and tests/benches can pin it in-process via
+//! [`set_thread_override`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -27,14 +27,10 @@ static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 
 fn env_threads() -> usize {
     *ENV_THREADS.get_or_init(|| {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        };
-        parse("OVNES_THREADS")
-            .or_else(|| parse("RAYON_NUM_THREADS"))
+        std::env::var("OVNES_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             })

@@ -108,7 +108,7 @@ impl TransportController {
     /// A controller over `topo` with per-switch flow tables of
     /// `flow_table_capacity` rules.
     pub fn new(topo: Topology, flow_table_capacity: usize) -> TransportController {
-        let usage = topo
+        let usage: Vec<LinkUsage> = topo
             .links()
             .iter()
             .map(|l| LinkUsage::new(l.capacity))

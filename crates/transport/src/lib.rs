@@ -19,8 +19,10 @@
 //! * [`controller`] — the transport domain controller: allocate/release
 //!   slice paths, install flow rules, degrade/restore links (mmWave rain
 //!   fade), reroute affected slices, publish telemetry.
-//! * [`rpc`] — the controller as a *server task* behind framed TCP (the
-//!   testbed's OpenFlow-controller process boundary).
+//! * [`rpc`] — the controller's side of the REST contract
+//!   (`impl ovnes_api::DomainController`), served behind framed TCP by
+//!   `ovnes_api::serve` (the testbed's OpenFlow-controller process
+//!   boundary).
 
 //! ## Example: allocate a constrained slice path on the Fig. 2 testbed
 //!

@@ -1,252 +1,50 @@
-//! The transport controller as a server task (see `ovnes_api::rpc` and the
-//! RAN twin in `ovnes_ran`): the control surface with the canonical shared
-//! handlers, plus `transport/command` driving a real [`TransportController`]
-//! behind the socket.
+//! The transport controller as a domain server: its side of the REST
+//! contract (see `ovnes_api::domain` for everything around the command
+//! `match`).
 
 use crate::{TransportController, TransportControllerState};
-use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer, ServerStats};
-use ovnes_api::{
-    decode, encode, MonitoringReport, Response, ResyncReport, TransportCommand, TransportReply,
-};
-use ovnes_sim::SimTime;
-use std::io;
-use std::sync::{Arc, Mutex};
+use ovnes_api::{DomainController, TransportCommand, TransportReply};
+use ovnes_sim::MetricRegistry;
 
-/// The endpoint prefix this domain serves under.
-pub const DOMAIN: &str = "transport";
+impl DomainController for TransportController {
+    const DOMAIN: &'static str = "transport";
+    type Command = TransportCommand;
+    type Reply = TransportReply;
+    type State = TransportControllerState;
 
-/// The control-plane surface (`transport/health`, `transport/monitoring`)
-/// with the canonical shared handlers.
-pub fn control_router() -> Router {
-    let mut router = Router::new();
-    register_control_endpoints(&mut router, DOMAIN);
-    router
-}
-
-/// Serve [`control_router`] on a loopback server task.
-pub fn serve_control() -> io::Result<RpcServer> {
-    RpcServer::spawn(control_router())
-}
-
-/// A full domain router: the control surface plus `transport/command`
-/// driving `controller`, `transport/monitoring` reporting its live
-/// metrics, and `transport/resync` exporting its complete state.
-pub fn command_router(controller: TransportController) -> Router {
-    command_router_incarnation(controller, 1)
-}
-
-/// [`command_router`] serving as incarnation `term` (baked into every
-/// `transport/resync` report).
-pub fn command_router_incarnation(controller: TransportController, term: u64) -> Router {
-    let controller = Arc::new(Mutex::new(controller));
-    let mut router = control_router();
-
-    let tn = controller.clone();
-    router.register("transport/command", move |req| {
-        let cmd: TransportCommand = match decode(&req.body) {
-            Ok(c) => c,
-            Err(e) => return Response::error(req.id, &e.to_string()),
-        };
-        let mut tn = tn.lock().unwrap_or_else(|p| p.into_inner());
-        let result = match cmd {
+    fn apply(&mut self, command: TransportCommand) -> Result<TransportReply, String> {
+        match command {
             TransportCommand::AllocatePath {
                 slice,
                 src,
                 dst,
                 bandwidth,
                 max_delay,
-            } => tn
+            } => self
                 .allocate(slice, src, dst, bandwidth, max_delay)
                 .map(|a| TransportReply::PathAllocated {
                     hops: a.reservation.path.hops(),
                     delay: a.delay_at_allocation,
                 }),
             TransportCommand::Resize { slice, bandwidth } => {
-                tn.resize(slice, bandwidth).map(|()| TransportReply::Done)
+                self.resize(slice, bandwidth).map(|()| TransportReply::Done)
             }
             TransportCommand::Release { slice } => {
-                tn.release(slice).map(|_| TransportReply::Done)
+                self.release(slice).map(|_| TransportReply::Done)
             }
-        };
-        match result {
-            Ok(reply) => Response::ok(req.id, encode(&reply).expect("encodable")),
-            Err(e) => Response::rejected(req.id, e.to_string().into_bytes()),
         }
-    });
-
-    let tn = controller.clone();
-    router.register("transport/monitoring", move |req| {
-        let scalars = tn
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .metrics()
-            .scalar_snapshot();
-        let report = MonitoringReport {
-            domain: DOMAIN.into(),
-            at: SimTime::ZERO,
-            scalars,
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
-
-    let tn = controller;
-    router.register("transport/resync", move |req| {
-        let tn = tn.lock().unwrap_or_else(|p| p.into_inner());
-        let report = ResyncReport {
-            domain: DOMAIN.into(),
-            term,
-            state: encode(&tn.export_state()).expect("encodable"),
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
-    router
-}
-
-/// Serve [`command_router`] on a loopback server task, taking ownership of
-/// the controller.
-pub fn serve(controller: TransportController) -> io::Result<RpcServer> {
-    RpcServer::spawn(command_router(controller))
-}
-
-/// Restart the command server from a resynced state: a fresh incarnation
-/// serving `term`, seeded from `state` and resuming `carry`'s lifetime
-/// counters.
-pub fn serve_resumed(
-    state: &TransportControllerState,
-    term: u64,
-    carry: ServerStats,
-) -> io::Result<RpcServer> {
-    RpcServer::spawn_incarnation(
-        command_router_incarnation(TransportController::from_state(state), term),
-        term,
-        carry,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Topology;
-    use ovnes_api::{SocketBus, Status};
-    use ovnes_model::{DcId, EnbId, Latency, RateMbps, SliceId};
-
-    #[test]
-    fn allocate_resize_release_over_the_socket() {
-        let controller = TransportController::new(Topology::testbed(), 1024);
-        let src = controller.topology().radio_site(EnbId::new(0)).unwrap();
-        let dst = controller.topology().dc_node(DcId::new(0)).unwrap();
-        let server = serve(controller).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
-
-        let resp = bus
-            .call(
-                "transport/command",
-                encode(&TransportCommand::AllocatePath {
-                    slice: SliceId::new(1),
-                    src,
-                    dst,
-                    bandwidth: RateMbps::new(100.0),
-                    max_delay: Latency::new(3.0),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        match decode::<TransportReply>(&resp.body).unwrap() {
-            TransportReply::PathAllocated { hops, delay } => {
-                assert!(hops >= 1);
-                assert!(delay.value() <= 3.0);
-            }
-            other => panic!("expected PathAllocated, got {other:?}"),
-        }
-
-        // A second allocation for the same slice is a domain rejection.
-        let resp = bus
-            .call(
-                "transport/command",
-                encode(&TransportCommand::AllocatePath {
-                    slice: SliceId::new(1),
-                    src,
-                    dst,
-                    bandwidth: RateMbps::new(1.0),
-                    max_delay: Latency::new(10.0),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Rejected);
-
-        for cmd in [
-            TransportCommand::Resize {
-                slice: SliceId::new(1),
-                bandwidth: RateMbps::new(50.0),
-            },
-            TransportCommand::Release {
-                slice: SliceId::new(1),
-            },
-        ] {
-            let resp = bus
-                .call("transport/command", encode(&cmd).unwrap())
-                .unwrap();
-            assert_eq!(resp.status, Status::Ok, "{cmd:?}");
-        }
+        .map_err(|e| e.to_string())
     }
 
-    #[test]
-    fn resync_round_trip_restores_state_in_a_new_incarnation() {
-        let controller = TransportController::new(Topology::testbed(), 1024);
-        let src = controller.topology().radio_site(EnbId::new(0)).unwrap();
-        let dst = controller.topology().dc_node(DcId::new(0)).unwrap();
-        let mut server = serve(controller).unwrap();
-        let mut bus = SocketBus::new();
-        bus.attach(&server);
+    fn metrics(&self) -> &MetricRegistry {
+        TransportController::metrics(self)
+    }
 
-        let resp = bus
-            .call(
-                "transport/command",
-                encode(&TransportCommand::AllocatePath {
-                    slice: SliceId::new(1),
-                    src,
-                    dst,
-                    bandwidth: RateMbps::new(100.0),
-                    max_delay: Latency::new(3.0),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Ok);
+    fn export_state(&self) -> TransportControllerState {
+        TransportController::export_state(self)
+    }
 
-        // Pull the state over the wire, kill the server, restart seeded.
-        let resp = bus.call("transport/resync", Vec::new()).unwrap();
-        let report: ResyncReport = decode(&resp.body).unwrap();
-        assert_eq!(report.domain, "transport");
-        assert_eq!(report.term, 1);
-        let state: TransportControllerState = decode(&report.state).unwrap();
-        let carry = server.stats();
-        server.shutdown();
-        drop(server);
-
-        let restarted = serve_resumed(&state, 2, carry).unwrap();
-        assert_eq!(restarted.term(), 2);
-        bus.attach(&restarted);
-        bus.fence("transport", 2);
-
-        // The restarted incarnation remembers slice 1's reservation: a
-        // second allocation for it is still a domain rejection.
-        let resp = bus
-            .call(
-                "transport/command",
-                encode(&TransportCommand::AllocatePath {
-                    slice: SliceId::new(1),
-                    src,
-                    dst,
-                    bandwidth: RateMbps::new(1.0),
-                    max_delay: Latency::new(10.0),
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(resp.status, Status::Rejected, "reservation was not restored");
+    fn from_state(state: &TransportControllerState) -> TransportController {
+        TransportController::from_state(state)
     }
 }

@@ -1,67 +1,31 @@
 //! The hierarchical controller architecture of §2, explicitly: the RAN
-//! controller lives behind a REST-like endpoint on the message bus, and an
-//! "orchestrator side" drives it purely through JSON commands — every byte
-//! crosses the wire format, exactly as the testbed's REST APIs did.
+//! controller lives behind its REST-like endpoints on a real loopback socket
+//! (the one generic domain server, `ovnes_api::serve`), and an "orchestrator
+//! side" drives it purely through JSON commands — every byte crosses the
+//! wire format, exactly as the testbed's REST APIs did.
 //!
 //! Run with: `cargo run --example rest_controllers`
 
-use ovnes_api::{decode, encode, MessageBus, MonitoringReport, RanCommand, RanReply, Response, Status};
+use ovnes_api::{decode, encode, serve, MonitoringReport, RanCommand, RanReply, SocketBus, Status};
 use ovnes_model::{EnbId, PlmnId, Prbs, SliceId};
 use ovnes_ran::{CellConfig, Enb, RanController};
-use ovnes_sim::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn main() {
-    // The RAN controller, owned by its "REST server".
-    let ran = Rc::new(RefCell::new(RanController::new(vec![
+    // The RAN controller, owned by its server task: `ran/command` decodes →
+    // executes → encodes, `ran/monitoring` reports its live metrics.
+    let server = serve(RanController::new(vec![
         Enb::new(EnbId::new(0), CellConfig::default_20mhz()),
         Enb::new(EnbId::new(1), CellConfig::default_20mhz()),
-    ])));
-
-    let mut bus = MessageBus::new();
-
-    // Command endpoint: decode → execute → encode.
-    let ran_cmd = ran.clone();
-    bus.register("ran/command", move |req| {
-        let cmd: RanCommand = match decode(&req.body) {
-            Ok(c) => c,
-            Err(e) => return Response::error(req.id, &e.to_string()),
-        };
-        let mut ran = ran_cmd.borrow_mut();
-        let result = match cmd {
-            RanCommand::InstallPlmn { enb, slice, plmn, reserved, nominal } => ran
-                .install(enb, slice, plmn, reserved, nominal)
-                .map(|()| RanReply::Done),
-            RanCommand::Resize { slice, reserved } => {
-                ran.resize(slice, reserved).map(|()| RanReply::Done)
-            }
-            RanCommand::Release { slice } => ran.release(slice).map(|r| RanReply::Released {
-                freed: r.reserved,
-            }),
-        };
-        match result {
-            Ok(reply) => Response::ok(req.id, encode(&reply).expect("encodable")),
-            Err(e) => Response::rejected(req.id, e.to_string().into_bytes()),
-        }
-    });
-
-    // Monitoring endpoint: the periodic report the orchestrator polls.
-    let ran_mon = ran.clone();
-    bus.register("ran/monitoring", move |req| {
-        let report = MonitoringReport {
-            domain: "ran".into(),
-            at: SimTime::ZERO,
-            scalars: ran_mon.borrow().metrics().scalar_snapshot(),
-        };
-        Response::ok(req.id, encode(&report).expect("encodable"))
-    });
+    ]))
+    .expect("bind a loopback port");
+    let mut bus = SocketBus::new();
+    bus.attach(&server);
 
     // --- the orchestrator side: pure JSON in, JSON out -------------------
-    let call = |bus: &mut MessageBus, cmd: &RanCommand| -> (Status, String) {
+    let call = |bus: &mut SocketBus, cmd: &RanCommand| -> (Status, String) {
         let resp = bus
             .call("ran/command", encode(cmd).expect("encodable"))
-            .expect("endpoint registered");
+            .expect("server reachable");
         let detail = match resp.status {
             Status::Ok => format!("{:?}", decode::<RanReply>(&resp.body).expect("reply")),
             _ => String::from_utf8_lossy(&resp.body).into_owned(),
@@ -113,7 +77,7 @@ fn main() {
     println!("  -> {status}: {detail}");
 
     // Monitoring poll.
-    let resp = bus.call("ran/monitoring", Vec::new()).expect("registered");
+    let resp = bus.call("ran/monitoring", Vec::new()).expect("server reachable");
     let report: MonitoringReport = decode(&resp.body).expect("report");
     println!("\nmonitoring report ({} scalars):", report.scalars.len());
     for (k, v) in &report.scalars {

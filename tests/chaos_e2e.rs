@@ -8,7 +8,7 @@
 use ovnes_api::{EndpointFaults, FaultPlan, SubstrateElement, SubstrateFaultPlan};
 use ovnes_dashboard::DashboardView;
 use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
-use ovnes_orchestrator::{ChaosScenario, ChaosSummary, ScenarioConfig, SliceState, SubstrateScenario};
+use ovnes_orchestrator::{ChaosSummary, DemoScenario, ScenarioConfig, SliceState};
 use ovnes_sim::{SimDuration, SimTime};
 
 fn config(seed: u64) -> ScenarioConfig {
@@ -47,17 +47,33 @@ fn plan(seed: u64) -> FaultPlan {
         )
 }
 
+/// A demo run under a control-plane fault plan.
+fn chaos(config: ScenarioConfig, plan: FaultPlan) -> DemoScenario {
+    let mut s = DemoScenario::build(config);
+    s.orchestrator_mut().set_fault_plan(plan);
+    s
+}
+
+/// A demo run under a substrate fault plan.
+fn substrate(config: ScenarioConfig, plan: SubstrateFaultPlan) -> DemoScenario {
+    let mut s = DemoScenario::build(config);
+    s.orchestrator_mut().set_substrate_plan(plan);
+    s
+}
+
 fn run(seed: u64) -> (ChaosSummary, String) {
-    let mut s = ChaosScenario::build(config(seed), plan(seed ^ 0xFA11));
-    let summary = s.run();
+    let mut s = chaos(config(seed), plan(seed ^ 0xFA11));
+    s.run();
+    let summary = s.chaos_summary();
     let dashboard = DashboardView::capture(s.orchestrator()).render();
     (summary, dashboard)
 }
 
 #[test]
 fn chaos_run_survives_and_serves() {
-    let mut s = ChaosScenario::build(config(31), plan(31));
-    let summary = s.run();
+    let mut s = chaos(config(31), plan(31));
+    s.run();
+    let summary = s.chaos_summary();
 
     // The run completed (we got here) and slices were admitted and served.
     assert!(summary.demo.admitted > 0, "{summary:?}");
@@ -86,8 +102,9 @@ fn chaos_run_survives_and_serves() {
 
 #[test]
 fn chaos_counters_match_the_plan() {
-    let mut s = ChaosScenario::build(config(32), plan(32));
-    let summary = s.run();
+    let mut s = chaos(config(32), plan(32));
+    s.run();
+    let summary = s.chaos_summary();
 
     // Drops/errors at these rates must provoke retries but, outside the
     // outage, almost never exhaust them.
@@ -153,8 +170,9 @@ fn substrate_plan(seed: u64) -> SubstrateFaultPlan {
 
 #[test]
 fn substrate_faults_survive_and_account() {
-    let mut s = SubstrateScenario::build(config(41), substrate_plan(41));
-    let summary = s.run();
+    let mut s = substrate(config(41), substrate_plan(41));
+    s.run();
+    let summary = s.substrate_summary();
 
     // The run completed and kept serving through four element outages.
     assert!(summary.demo.admitted > 0, "{summary:?}");
@@ -192,8 +210,9 @@ fn substrate_faults_survive_and_account() {
 #[test]
 fn substrate_runs_are_bit_for_bit_reproducible() {
     let run = || {
-        let mut s = SubstrateScenario::build(config(42), substrate_plan(4242));
-        let summary = s.run();
+        let mut s = substrate(config(42), substrate_plan(4242));
+        s.run();
+        let summary = s.substrate_summary();
         let dashboard = DashboardView::capture(s.orchestrator()).render();
         (summary, dashboard)
     };
@@ -207,13 +226,14 @@ fn substrate_runs_are_bit_for_bit_reproducible() {
 #[test]
 fn quiet_substrate_plan_is_a_no_op_end_to_end() {
     let plain = {
-        let mut s = ovnes_orchestrator::DemoScenario::build(config(43));
+        let mut s = DemoScenario::build(config(43));
         let summary = s.run();
         (summary, DashboardView::capture(s.orchestrator()).render())
     };
     let quiet = {
-        let mut s = SubstrateScenario::build(config(43), SubstrateFaultPlan::new(5678));
-        let summary = s.run();
+        let mut s = substrate(config(43), SubstrateFaultPlan::new(5678));
+        s.run();
+        let summary = s.substrate_summary();
         (summary.demo.clone(), DashboardView::capture(s.orchestrator()).render())
     };
     assert_eq!(plain.0, quiet.0);
@@ -233,9 +253,10 @@ fn combined_control_and_substrate_chaos_is_survivable_and_reproducible() {
     // must wait for domain connectivity, the repair path keeps working, and
     // the whole thing stays deterministic.
     let run = || {
-        let mut s = ChaosScenario::build(config(44), plan(44));
+        let mut s = chaos(config(44), plan(44));
         s.orchestrator_mut().set_substrate_plan(substrate_plan(44));
-        let summary = s.run();
+        s.run();
+        let summary = s.chaos_summary();
         let dashboard = DashboardView::capture(s.orchestrator()).render();
         (summary, dashboard)
     };
@@ -250,13 +271,14 @@ fn combined_control_and_substrate_chaos_is_survivable_and_reproducible() {
 #[test]
 fn empty_plan_is_a_no_op_end_to_end() {
     let plain = {
-        let mut s = ovnes_orchestrator::DemoScenario::build(config(35));
+        let mut s = DemoScenario::build(config(35));
         let summary = s.run();
         (summary, DashboardView::capture(s.orchestrator()).render())
     };
     let quiet = {
-        let mut s = ChaosScenario::build(config(35), FaultPlan::new(1234));
-        let summary = s.run();
+        let mut s = chaos(config(35), FaultPlan::new(1234));
+        s.run();
+        let summary = s.chaos_summary();
         (summary.demo.clone(), DashboardView::capture(s.orchestrator()).render())
     };
     assert_eq!(plain.0, quiet.0);

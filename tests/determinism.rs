@@ -5,7 +5,7 @@ use ovnes_api::{EndpointFaults, FaultPlan, SubstrateElement, SubstrateFaultPlan}
 use ovnes_dashboard::DashboardView;
 use ovnes_model::{EnbId, LinkId};
 use ovnes_orchestrator::{
-    ChaosScenario, DemoScenario, ScenarioConfig, SubstrateScenario, WorldSnapshot,
+    DemoScenario, ScenarioConfig, WorldSnapshot,
 };
 use ovnes_sim::{SimDuration, SimRng, SimTime};
 use std::path::PathBuf;
@@ -29,6 +29,20 @@ fn config(seed: u64) -> ScenarioConfig {
         horizon: SimDuration::from_hours(4),
         ..ScenarioConfig::default()
     }
+}
+
+/// A demo run under a control-plane fault plan.
+fn chaos(config: ScenarioConfig, plan: FaultPlan) -> DemoScenario {
+    let mut s = DemoScenario::build(config);
+    s.orchestrator_mut().set_fault_plan(plan);
+    s
+}
+
+/// A demo run under a substrate fault plan.
+fn substrate(config: ScenarioConfig, plan: SubstrateFaultPlan) -> DemoScenario {
+    let mut s = DemoScenario::build(config);
+    s.orchestrator_mut().set_substrate_plan(plan);
+    s
 }
 
 #[test]
@@ -85,8 +99,9 @@ fn same_seed_identical_under_active_fault_plan() {
                     SimTime::ZERO + SimDuration::from_mins(75),
                 ),
             );
-        let mut s = ChaosScenario::build(config(321), plan);
-        let summary = s.run();
+        let mut s = chaos(config(321), plan);
+        s.run();
+        let summary = s.chaos_summary();
         let dashboard = DashboardView::capture(s.orchestrator()).render();
         let stats = s.orchestrator().control().fault_stats().cloned();
         (summary, dashboard, stats)
@@ -122,8 +137,9 @@ fn substrate_panel_identical_across_fresh_runs() {
     // byte-identical SUBSTRATE panel (and whole dashboard): the detect →
     // assess → repair pipeline draws no randomness of its own.
     let capture = || {
-        let mut s = SubstrateScenario::build(config(606), stormy_substrate_plan(17));
-        let summary = s.run();
+        let mut s = substrate(config(606), stormy_substrate_plan(17));
+        s.run();
+        let summary = s.substrate_summary();
         let view = DashboardView::capture(s.orchestrator());
         let panel = view
             .sections()
@@ -149,11 +165,12 @@ fn substrate_runs_identical_across_thread_counts_and_cache() {
     // elements fail and slices are rerouted/re-attached mid-run.
     let run = |threads: usize, cached: bool| {
         ovnes_sim::par::set_thread_override(Some(threads));
-        let mut s = SubstrateScenario::build(config(909), stormy_substrate_plan(23));
+        let mut s = substrate(config(909), stormy_substrate_plan(23));
         s.orchestrator_mut()
             .transport_mut()
             .set_route_cache_enabled(cached);
-        let summary = s.run();
+        s.run();
+        let summary = s.substrate_summary();
         let dashboard = DashboardView::capture(s.orchestrator()).render();
         let monitoring: Vec<String> = s
             .orchestrator()
@@ -303,14 +320,15 @@ fn restored_world_matches_uninterrupted_under_combined_chaos() {
             .with_endpoint("transport/health", EndpointFaults::none().with_error(0.15))
     };
     let build = || {
-        let mut s = ChaosScenario::build(config(321), plan());
+        let mut s = chaos(config(321), plan());
         s.orchestrator_mut()
             .set_substrate_plan(stormy_substrate_plan(17));
         s
     };
     let (reference, ref_dash, ref_monitoring) = {
         let mut s = build();
-        let summary = s.run();
+        s.run();
+        let summary = s.chaos_summary();
         let dash = DashboardView::capture(s.orchestrator()).render();
         let monitoring: Vec<String> = s
             .orchestrator()
@@ -333,9 +351,13 @@ fn restored_world_matches_uninterrupted_under_combined_chaos() {
 
     let (epoch, state) = world.restore_latest().unwrap().unwrap();
     assert_eq!(epoch as usize, cut);
-    let mut resumed = ChaosScenario::from_state(&state);
-    let summary = resumed.run();
-    assert_eq!(summary, reference, "summary diverged after restore");
+    let mut resumed = DemoScenario::from_state(&state);
+    resumed.run();
+    assert_eq!(
+        resumed.chaos_summary(),
+        reference,
+        "summary diverged after restore"
+    );
     assert_eq!(
         DashboardView::capture(resumed.orchestrator()).render(),
         ref_dash,
@@ -357,14 +379,15 @@ fn restored_world_matches_uninterrupted_under_combined_chaos() {
 
 #[test]
 fn restored_substrate_run_matches_final_substrate_summary() {
-    // Satellite of the same contract for the physical-fault wrapper: the
+    // Satellite of the same contract for physical faults: the
     // SubstrateSummary (repair-pipeline counters included) of a restored
     // run equals the uninterrupted one.
     let reference = {
-        let mut s = SubstrateScenario::build(config(606), stormy_substrate_plan(17));
-        s.run()
+        let mut s = substrate(config(606), stormy_substrate_plan(17));
+        s.run();
+        s.substrate_summary()
     };
-    let mut live = SubstrateScenario::build(config(606), stormy_substrate_plan(17));
+    let mut live = substrate(config(606), stormy_substrate_plan(17));
     for _ in 0..33 {
         assert!(live.step_epoch());
     }
@@ -372,8 +395,9 @@ fn restored_substrate_run_matches_final_substrate_summary() {
     world.snapshot(&live.export_state()).unwrap();
     drop(live);
     let (_, state) = world.restore_latest().unwrap().unwrap();
-    let mut resumed = SubstrateScenario::from_state(&state);
-    let summary = resumed.run();
+    let mut resumed = DemoScenario::from_state(&state);
+    resumed.run();
+    let summary = resumed.substrate_summary();
     assert_eq!(summary, reference);
     assert!(summary.element_failures > 0, "{summary:?}");
 }

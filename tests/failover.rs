@@ -9,7 +9,7 @@
 //! walk the orchestrator's heartbeat health machine and book repair
 //! telemetry.
 
-use ovnes_api::rpc::{register_control_endpoints, Router, RpcServer};
+use ovnes_api::{register_control_endpoints, Router, RpcServer};
 use ovnes_api::CrashPlan;
 use ovnes_dashboard::DashboardView;
 use ovnes_orchestrator::{
@@ -55,7 +55,7 @@ fn crash_storm_is_byte_invisible_at_every_worker_count() {
         ovnes_sim::par::set_thread_override(Some(threads));
         let (servers, socket) = spawn_domain_control_servers().unwrap();
         let mut s = DemoScenario::build(config(404));
-        s.use_socket_control(socket);
+        s.orchestrator_mut().set_control_socket(socket);
         // Every controller killed and restarted twice, the first ran crash
         // landing mid-request, all drawn from the plan's own seed.
         let plan =
@@ -103,7 +103,7 @@ fn hung_servers_stay_invisible_within_the_read_deadline() {
 
     let (servers, socket) = spawn_domain_control_servers().unwrap();
     let mut s = DemoScenario::build(config(505));
-    s.use_socket_control(socket);
+    s.orchestrator_mut().set_control_socket(socket);
     // Each domain hangs for 50 ms — well under the client read deadline,
     // so every probe in the window just takes longer and still succeeds.
     let plan = CrashPlan::new(505)
@@ -134,7 +134,7 @@ fn unsupervised_outage_walks_the_health_machine() {
         horizon: SimDuration::from_hours(1),
         ..ScenarioConfig::default()
     });
-    s.use_socket_control(socket);
+    s.orchestrator_mut().set_control_socket(socket);
 
     for _ in 0..5 {
         assert!(s.step_epoch());

@@ -6,15 +6,19 @@
 //! chaos inside every region — produces byte-identical summaries,
 //! monitoring feeds, and dashboards at 1, 2, and 8 workers per shard, and
 //! a federation snapshot cut mid-run under one worker count resumes
-//! bit-for-bit under another. CI runs this suite with
-//! `RAYON_NUM_THREADS=2` as the 2-workers-per-shard determinism gate.
+//! bit-for-bit under another; and a one-region federation *is* the demo
+//! scenario, bitwise, even under combined chaos. CI runs this suite at
+//! `OVNES_THREADS=1` and `=2` (the 2-workers-per-shard determinism gate).
 
 use ovnes_api::{EndpointFaults, FaultPlan, SubstrateElement, SubstrateFaultPlan};
 use ovnes_dashboard::{DashboardView, RegionsPanel};
 use ovnes_model::LinkId;
-use ovnes_orchestrator::{FederationBroker, FederationConfig, FederationSummary, WorldSnapshot};
+use ovnes_orchestrator::{
+    region_scenario_config, DemoScenario, FederationBroker, FederationConfig, FederationSummary,
+    Orchestrator, WorldSnapshot,
+};
 use ovnes_sim::par::set_thread_override;
-use ovnes_sim::SimDuration;
+use ovnes_sim::{SimDuration, SimTime};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -105,6 +109,56 @@ fn chaotic_federation_stays_byte_identical_across_worker_counts() {
     let reference = run_at(1);
     assert_eq!(reference, run_at(2), "chaos, 1 vs 2 workers per shard");
     assert_eq!(reference, run_at(8), "chaos, 1 vs 8 workers per shard");
+}
+
+#[test]
+fn one_region_federation_is_the_demo_scenario_bitwise_under_combined_chaos() {
+    // The cell the scenario wrappers used to hide: the broker and the demo
+    // are the same run loop, so with the same control-plane *and* substrate
+    // plans installed a one-region federation must reproduce the demo's
+    // summary, dashboard, and monitoring JSON byte for byte.
+    let install = |o: &mut Orchestrator| {
+        o.set_fault_plan(
+            FaultPlan::new(300)
+                .with_endpoint("ran/health", EndpointFaults::none().with_drop(0.3))
+                .with_endpoint("cloud/health", EndpointFaults::none().with_error(0.2)),
+        );
+        o.set_substrate_plan(SubstrateFaultPlan::new(400).with_outage(
+            SubstrateElement::Link(LinkId::new(0)),
+            SimTime::ZERO + SimDuration::from_mins(30),
+            SimTime::ZERO + SimDuration::from_mins(60),
+        ));
+    };
+    let monitoring_json = |o: &Orchestrator| -> Vec<String> {
+        o.monitoring()
+            .iter()
+            .map(|m| serde_json::to_string(m).unwrap())
+            .collect()
+    };
+
+    let mut demo = DemoScenario::build(region_scenario_config(&config(1905, 1)));
+    install(demo.orchestrator_mut());
+    demo.run();
+
+    let mut fed = FederationBroker::build(config(1905, 1));
+    install(fed.orchestrator_mut(0));
+    let summary = fed.run();
+
+    assert_eq!(summary.regions, vec![demo.summary()]);
+    assert_eq!(summary.spill_admitted, 0, "nowhere to spill to");
+    assert_eq!(
+        DashboardView::capture(fed.orchestrator(0)).render(),
+        DashboardView::capture(demo.orchestrator()).render(),
+    );
+    assert_eq!(
+        monitoring_json(fed.orchestrator(0)),
+        monitoring_json(demo.orchestrator())
+    );
+    // Both fault families actually bit.
+    let chaos = demo.chaos_summary();
+    assert!(chaos.control_retries > 0, "{chaos:?}");
+    let substrate = demo.substrate_summary();
+    assert!(substrate.element_failures > 0, "{substrate:?}");
 }
 
 #[test]

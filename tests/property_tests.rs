@@ -2,8 +2,8 @@
 //! cross-crate invariants.
 
 use ovnes_api::{
-    FaultInjector, FaultPlan, MessageBus, Response, RetryPolicy, SubstrateElement,
-    SubstrateFaultPlan,
+    ControlTransport, FaultInjector, FaultPlan, MessageBus, Response, RetryPolicy,
+    SubstrateElement, SubstrateFaultPlan,
 };
 use ovnes_forecast::{Naive, QuantileProvisioner, ResidualWindow};
 use ovnes_model::{DcId, EnbId, Latency, LinkId, Money, Prbs, RateMbps, SliceId, UeId};
@@ -719,7 +719,7 @@ proptest! {
         let echo_bus = || {
             let mut bus = MessageBus::new();
             bus.register("echo", |req| Response::ok(req.id, req.body));
-            bus
+            ControlTransport::InProcess(bus)
         };
         let mut plain = echo_bus();
         let mut wrapped = echo_bus();

@@ -13,8 +13,7 @@ use ovnes_api::{EndpointFaults, FaultPlan, SubstrateElement, SubstrateFaultPlan}
 use ovnes_dashboard::DashboardView;
 use ovnes_model::{EnbId, LinkId};
 use ovnes_orchestrator::{
-    spawn_domain_control_servers, ChaosScenario, ChaosSummary, DemoScenario, DemoSummary,
-    ScenarioConfig,
+    spawn_domain_control_servers, ChaosSummary, DemoScenario, DemoSummary, ScenarioConfig,
 };
 use ovnes_sim::{SimDuration, SimTime};
 
@@ -55,7 +54,7 @@ fn socket_control_matches_in_process_at_every_worker_count() {
         ovnes_sim::par::set_thread_override(Some(threads));
         let (servers, socket) = spawn_domain_control_servers().unwrap();
         let mut s = DemoScenario::build(config(2024));
-        s.use_socket_control(socket);
+        s.orchestrator_mut().set_control_socket(socket);
         let summary: DemoSummary = s.run();
         let (dash, monitoring) = artifacts(s.orchestrator());
         ovnes_sim::par::set_thread_override(None);
@@ -114,24 +113,26 @@ fn socket_chaos_run_matches_in_process_and_the_faults_are_physical() {
     // on the client; over sockets each drop is additionally *realized* as a
     // server-side connection teardown the client must survive.
     let build = || {
-        let mut s = ChaosScenario::build(config(321), control_plan());
+        let mut s = DemoScenario::build(config(321));
+        s.orchestrator_mut().set_fault_plan(control_plan());
         s.orchestrator_mut().set_substrate_plan(substrate_plan());
         s
     };
 
     let (reference, ref_dash, ref_monitoring) = {
         let mut s = build();
-        let summary = s.run();
+        s.run();
         let (dash, monitoring) = artifacts(s.orchestrator());
-        (summary, dash, monitoring)
+        (s.chaos_summary(), dash, monitoring)
     };
     // The plan actually bit in the oracle run.
     assert!(reference.control_retries > 0, "{reference:?}");
 
     let (servers, socket) = spawn_domain_control_servers().unwrap();
     let mut s = build();
-    s.use_socket_control(socket);
-    let summary: ChaosSummary = s.run();
+    s.orchestrator_mut().set_control_socket(socket);
+    s.run();
+    let summary: ChaosSummary = s.chaos_summary();
     let (dash, monitoring) = artifacts(s.orchestrator());
 
     assert_eq!(summary, reference, "over-RPC chaos summary diverged");

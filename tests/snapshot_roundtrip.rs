@@ -4,7 +4,7 @@
 //! uninterrupted one's.
 
 use ovnes_api::{EndpointFaults, FaultPlan};
-use ovnes_orchestrator::{ChaosScenario, DemoScenario, RequestMix, ScenarioConfig, WorldSnapshot};
+use ovnes_orchestrator::{DemoScenario, RequestMix, ScenarioConfig, WorldSnapshot};
 use ovnes_sim::SimDuration;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -94,14 +94,15 @@ proptest! {
         let plan = FaultPlan::new(seed ^ 0xFA17)
             .with_endpoint("ran/health", EndpointFaults::none().with_drop(drop_p))
             .with_endpoint("cloud/health", EndpointFaults::none().with_error(0.1));
-        let mut uninterrupted = ChaosScenario::build(config(seed, 20.0, 0.5), plan);
+        let mut uninterrupted = DemoScenario::build(config(seed, 20.0, 0.5));
+        uninterrupted.orchestrator_mut().set_fault_plan(plan);
         for _ in 0..cut {
             prop_assert!(uninterrupted.step_epoch());
         }
         let world = WorldSnapshot::open(scratch("chaos")).unwrap();
         world.snapshot(&uninterrupted.export_state()).unwrap();
         let (_, state) = world.restore_latest().unwrap().unwrap();
-        let mut restored = ChaosScenario::from_state(&state);
+        let mut restored = DemoScenario::from_state(&state);
 
         for _ in 0..3 {
             prop_assert_eq!(uninterrupted.step_epoch(), restored.step_epoch());
