@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ovnes_model::{Latency, LinkId, RateMbps};
 use ovnes_sim::SimRng;
 use ovnes_transport::{
-    cspf, dijkstra, dijkstra_base_with, dijkstra_nested_with, dijkstra_with, k_shortest_paths,
-    random_mesh, RoutingScratch, Topology,
+    cspf, dijkstra, dijkstra_over_rows, dijkstra_with, k_shortest_paths, random_mesh,
+    RoutingScratch, Topology,
 };
 use std::hint::black_box;
 
@@ -69,12 +69,9 @@ fn bench_routing(c: &mut Criterion) {
     group.finish();
 }
 
-/// CSR flat walk vs. the retained nested-adjacency oracle, on meshes large
-/// enough that memory layout dominates (the E19 speedup claim, measured
-/// under Criterion). Three variants share one scratch: the nested oracle
-/// (per-row `Vec` hops + delay closure), the CSR walk with the same
-/// closure, and the packed-base-delay walk that never touches the links
-/// table.
+/// CSR flat walk vs. the same loop over nested adjacency rows, on meshes
+/// large enough that memory layout dominates. Both variants share one
+/// scratch and one delay closure; only the neighbour source differs.
 fn bench_csr_vs_nested(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing_csr");
     group.sample_size(20);
@@ -82,23 +79,20 @@ fn bench_csr_vs_nested(c: &mut Criterion) {
         let topo = mesh(n, 19);
         let s = topo.nodes()[0].id;
         let t = topo.nodes()[n / 2].id;
+        let rows = topo.adjacency_rows();
         let mut scratch = RoutingScratch::new();
-        group.bench_with_input(
-            BenchmarkId::new("nested_oracle", n),
-            &topo,
-            |b, topo| {
-                b.iter(|| {
-                    black_box(dijkstra_nested_with(
-                        &mut scratch,
-                        topo,
-                        s,
-                        t,
-                        |_| true,
-                        |l| topo.link(l).delay,
-                    ))
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("nested_rows", n), &topo, |b, topo| {
+            b.iter(|| {
+                black_box(dijkstra_over_rows(
+                    &mut scratch,
+                    &rows,
+                    s,
+                    t,
+                    |_| true,
+                    |l| topo.link(l).delay,
+                ))
+            })
+        });
         group.bench_with_input(BenchmarkId::new("csr_closure", n), &topo, |b, topo| {
             b.iter(|| {
                 black_box(dijkstra_with(
@@ -110,9 +104,6 @@ fn bench_csr_vs_nested(c: &mut Criterion) {
                     |l| topo.link(l).delay,
                 ))
             })
-        });
-        group.bench_with_input(BenchmarkId::new("csr_packed", n), &topo, |b, topo| {
-            b.iter(|| black_box(dijkstra_base_with(&mut scratch, topo, s, t)))
         });
     }
     group.finish();

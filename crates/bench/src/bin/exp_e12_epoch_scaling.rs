@@ -10,12 +10,14 @@
 //! This harness proves both halves of that claim on a scaled-up world
 //! (16 cells / ~90 slices / ~10k UEs by default): it sweeps the worker
 //! count, reports epochs/sec and speedup vs. serial, and asserts that the
-//! serialized monitoring reports of every run are byte-identical.
+//! dashboard and the serialized monitoring reports of every run
+//! (`identity::Observed`) are byte-identical.
 //!
 //! `--smoke` shrinks the world to a CI-sized single-epoch check (threads
 //! 1 and 2, determinism still asserted, no speedup expectation).
 
-use ovnes_bench::{embb_request, report_header, report_kv, scaling_orchestrator};
+use ovnes_bench::identity::Observed;
+use ovnes_bench::{prefill, report_header, report_kv, scaling_orchestrator};
 use ovnes_orchestrator::{Orchestrator, OrchestratorConfig, PolicyKind};
 use ovnes_sim::{par, SimDuration, SimTime};
 use std::time::Instant;
@@ -56,20 +58,14 @@ fn build(shape: &Shape) -> (Orchestrator, usize) {
         ..OrchestratorConfig::default()
     };
     let mut orch = scaling_orchestrator(shape.cells, config, 42);
-    let mut admitted = 0usize;
-    for t in 0..shape.slices {
-        let tp = 3.0 + (t % 5) as f64 * 0.5;
-        if orch.submit(SimTime::ZERO, embb_request(t, tp)).is_ok() {
-            admitted += 1;
-        }
-    }
+    let admitted = prefill(&mut orch, shape.slices);
     (orch, admitted)
 }
 
 /// One full run at a fixed worker count: returns (epochs/sec over the
-/// timed window, digest of every monitoring report, slices admitted).
-fn run_once(shape: &Shape, threads: usize) -> (f64, String, usize) {
-    par::set_thread_override(Some(threads));
+/// timed window, the artefacts the run shows, slices admitted).
+fn run_once(shape: &Shape, threads: usize) -> (f64, Observed, usize) {
+    let _pin = par::pin_threads(threads);
     let (mut orch, admitted) = build(shape);
     let minute = |m: u64| SimTime::ZERO + SimDuration::from_mins(m);
     // Warmup: vEPC deployment (~14 s) completes and UEs attach, so the
@@ -82,14 +78,11 @@ fn run_once(shape: &Shape, threads: usize) -> (f64, String, usize) {
         orch.run_epoch(minute(1 + shape.warmup_epochs + e));
     }
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let digest: String = orch
-        .monitoring()
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("reports serialize"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    par::set_thread_override(None);
-    (shape.timed_epochs as f64 / secs, digest, admitted)
+    (
+        shape.timed_epochs as f64 / secs,
+        Observed::of(&orch),
+        admitted,
+    )
 }
 
 fn main() {
@@ -118,9 +111,9 @@ fn main() {
     );
 
     let mut serial_rate = 0.0;
-    let mut serial_digest = String::new();
+    let mut serial = None;
     for (i, &threads) in shape.threads.iter().enumerate() {
-        let (rate, digest, admitted) = run_once(shape, threads);
+        let (rate, observed, admitted) = run_once(shape, threads);
         if i == 0 {
             if (admitted as u64) < shape.slices {
                 println!(
@@ -129,14 +122,17 @@ fn main() {
                 );
             }
             serial_rate = rate;
-            serial_digest = digest.clone();
         }
         // The whole point: worker count is a throughput knob, not a
         // semantics knob. Byte-compare against the serial run.
-        assert_eq!(
-            digest, serial_digest,
-            "{threads}-worker run diverged from serial output"
-        );
+        match &serial {
+            None => serial = Some(observed),
+            Some(serial) => assert_eq!(
+                serial.first_difference(&observed),
+                None,
+                "{threads}-worker run diverged from serial output"
+            ),
+        }
         println!(
             "{:<10} {:>12.2} {:>9.2}x {:>14}",
             threads,

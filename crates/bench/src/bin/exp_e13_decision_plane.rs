@@ -14,8 +14,9 @@
 //! * **route cache** — a steady-state allocate/release churn and a
 //!   post-fade reroute storm on the scaling world, cache on vs. off:
 //!   byte-identical allocation digests, hit rates reported.
-//! * **end-to-end** — a full `DemoScenario` run with the cache on vs. off
-//!   must produce byte-identical monitoring JSON and dashboards.
+//! * **end-to-end** — a full demo run with the cache on vs. off
+//!   (`identity::observe` on the matrix's `cache-off` cells) must produce a
+//!   byte-identical summary, dashboard and monitoring JSON.
 //!
 //! Results land in `BENCH_e13.json` at the working directory (the repo
 //! root in CI, which archives it to track the perf trajectory).
@@ -23,12 +24,11 @@
 //! `--smoke` shrinks every sweep to CI size; correctness and hit-rate
 //! assertions still run, wall-clock expectations do not.
 
-use ovnes_bench::{report_header, report_json, report_kv, scaling_world};
-use ovnes_dashboard::DashboardView;
+use ovnes_bench::identity::{observe, Cell};
+use ovnes_bench::{report_header, report_kv, report_results, scaling_world};
 use ovnes_forecast::ResidualWindow;
 use ovnes_model::{DcId, EnbId, Latency, LinkId, RateMbps, SliceId};
-use ovnes_orchestrator::{DemoScenario, ScenarioConfig};
-use ovnes_sim::{SimDuration, SimRng, SimTime, TimeSeries};
+use ovnes_sim::{SimRng, SimTime, TimeSeries};
 use ovnes_transport::{RouteCacheStats, TransportController};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -96,7 +96,7 @@ fn quantile_bench(window: usize, iters: usize) -> (f64, f64) {
         }
     }
 
-    let mut run = |reference: bool| {
+    let run = |reference: bool| {
         let mut w = ResidualWindow::new(window);
         for &v in &values[..window] {
             w.push(v);
@@ -284,33 +284,31 @@ fn reroute_storm(shape: &Shape) -> f64 {
     (after.hits - before.hits) as f64 / queries as f64
 }
 
-/// Full scenario, cache on vs. off: monitoring JSON and the rendered
-/// dashboard must be byte-identical.
+/// Full scenario, cache on vs. off: summary, dashboard and monitoring JSON
+/// must be byte-identical, and only the cached run may consult the cache.
 fn demo_identity(shape: &Shape) {
-    let run = |cached: bool| {
-        let mut s = DemoScenario::build(ScenarioConfig {
-            seed: 4242,
-            arrivals_per_hour: 25.0,
-            horizon: SimDuration::from_mins(shape.demo_minutes),
-            ..ScenarioConfig::default()
-        });
-        s.orchestrator_mut()
-            .transport_mut()
-            .set_route_cache_enabled(cached);
-        s.run();
-        let monitoring: Vec<String> = s
-            .orchestrator()
-            .monitoring()
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("reports serialize"))
-            .collect();
-        let dashboard = DashboardView::capture(s.orchestrator()).render();
-        (monitoring, dashboard)
+    let cached = Cell {
+        seed: 4242,
+        horizon_mins: shape.demo_minutes,
+        ..Cell::CALM
     };
+    let (on, on_witness) = observe(&cached);
+    let (off, off_witness) = observe(&Cell {
+        route_cache: false,
+        ..cached
+    });
     assert_eq!(
-        run(true),
-        run(false),
+        on.first_difference(&off),
+        None,
         "orchestrator output moved with the route cache"
+    );
+    assert!(
+        on_witness.route_cache_queries > 0,
+        "cached run never consulted the cache"
+    );
+    assert_eq!(
+        off_witness.route_cache_queries, 0,
+        "disabled cache must stay cold"
     );
 }
 
@@ -322,8 +320,7 @@ fn main() {
         "incremental decision plane",
         "streaming quantiles, O(1) aggregates, generation-stamped route cache",
     );
-    let mut results: Vec<(&str, String)> =
-        vec![("mode", if smoke { "smoke".into() } else { "full".into() })];
+    let mut results: Vec<(&str, String)> = Vec::new();
 
     println!();
     println!("{:<28} {:>12} {:>12} {:>10}", "quantile window", "stream s", "sort s", "speedup");
@@ -390,7 +387,7 @@ fn main() {
 
     demo_identity(shape);
     println!();
-    println!("end-to-end: monitoring + dashboard byte-identical, cache on vs off (asserted)");
+    println!("end-to-end: summary + dashboard + monitoring byte-identical, cache on vs off (asserted)");
     results.push(("e2e_identical", "true".into()));
 
     assert!(
@@ -408,7 +405,5 @@ fn main() {
         }
     }
 
-    report_json("BENCH_e13.json", &results).expect("write BENCH_e13.json");
-    println!();
-    println!("wrote BENCH_e13.json");
+    report_results("e13", smoke, &results);
 }

@@ -14,9 +14,9 @@
 //! * **no silent reservations** — after every run, no `Active` slice holds
 //!   a reservation on a dead link, a dead cell, or a degraded stack
 //!   (asserted; the visible exception path is `Degraded`).
-//! * **determinism** — one stormy configuration repeated at 1/2/8 workers
-//!   and with the route cache on/off must be byte-identical: summary,
-//!   monitoring JSON, and the rendered dashboard.
+//! * **determinism** — the matrix's stormy substrate cell repeated at 1/2/8
+//!   workers and with the route cache on/off (`identity::observe`) must be
+//!   byte-identical: summary, monitoring JSON, and the rendered dashboard.
 //!
 //! Results land in `BENCH_e14.json` at the working directory (the repo root
 //! in CI, which archives it alongside `BENCH_e13.json`).
@@ -24,14 +24,13 @@
 //! `--smoke` shrinks the sweep to CI size; every assertion still runs.
 
 use ovnes_api::{SubstrateElement, SubstrateFaultPlan};
-use ovnes_bench::{report_header, report_json, report_kv};
-use ovnes_cloud::StackState;
-use ovnes_dashboard::DashboardView;
-use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
-use ovnes_orchestrator::{
-    DemoScenario, Orchestrator, ScenarioConfig, SliceState, SubstrateSummary,
+use ovnes_bench::identity::{observe, Cell, Perturbation};
+use ovnes_bench::{
+    assert_no_silent_reservations, percentile, report_header, report_kv, report_results,
 };
-use ovnes_sim::{par, SimDuration};
+use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
+use ovnes_orchestrator::{DemoScenario, ScenarioConfig, SubstrateSummary};
+use ovnes_sim::SimDuration;
 
 struct Shape {
     rates: &'static [f64],
@@ -92,35 +91,7 @@ fn plan_for(shape: &Shape, rate: f64, horizon: SimDuration) -> SubstrateFaultPla
     )
 }
 
-/// No `Active` slice may silently hold a reservation through a dead
-/// element — the only sanctioned way to sit on one is the `Degraded` state,
-/// which books a penalty every epoch.
-fn assert_no_silent_reservations(o: &Orchestrator) {
-    for r in o.records().filter(|r| r.state == SliceState::Active) {
-        if let Some(res) = o.transport().reservation(r.id) {
-            for &link in &res.path.links {
-                assert!(
-                    o.transport().link_is_up(link),
-                    "{} is Active on dead {link}",
-                    r.id
-                );
-            }
-        }
-        if let Some(enb) = o.ran().placement(r.id) {
-            assert!(o.ran().cell_is_up(enb), "{} is Active on dead {enb}", r.id);
-        }
-        if let Some(stack) = o.cloud().stack_for_slice(r.id) {
-            assert!(
-                stack.state != StackState::Degraded,
-                "{} is Active on a degraded stack",
-                r.id
-            );
-        }
-    }
-}
-
 struct RateRow {
-    rate: f64,
     summary: SubstrateSummary,
     mean_availability: f64,
     worst_availability: f64,
@@ -164,18 +135,10 @@ fn sweep_rate(shape: &Shape, rate: f64) -> RateRow {
     } else {
         ttr.iter().sum::<f64>() / ttr.len() as f64
     };
-    let quantile = |q: f64| -> f64 {
-        if ttr.is_empty() {
-            0.0
-        } else {
-            ttr[((ttr.len() - 1) as f64 * q).round() as usize]
-        }
-    };
-    let ttr_p95 = quantile(0.95);
+    let ttr_p95 = percentile(&ttr, 95.0);
     let ttr_max = ttr.last().copied().unwrap_or(0.0);
 
     RateRow {
-        rate,
         summary,
         mean_availability,
         worst_availability,
@@ -190,38 +153,34 @@ fn sweep_rate(shape: &Shape, rate: f64) -> RateRow {
 /// off: the summary, the monitoring JSON, and the dashboard must all be
 /// byte-identical.
 fn identity_check(shape: &Shape) {
-    let horizon = SimDuration::from_mins(shape.identity_minutes);
-    let run = |threads: usize, cached: bool| {
-        par::set_thread_override(Some(threads));
-        let mut s = DemoScenario::build(config(shape, horizon));
-        s.orchestrator_mut()
-            .set_substrate_plan(plan_for(shape, 2.0, horizon));
-        s.orchestrator_mut()
-            .transport_mut()
-            .set_route_cache_enabled(cached);
-        s.run();
-        let summary = s.substrate_summary();
-        let o = s.orchestrator();
-        let monitoring: Vec<String> = o
-            .monitoring()
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("reports serialize"))
-            .collect();
-        let dashboard = DashboardView::capture(o).render();
-        par::set_thread_override(None);
-        (summary, monitoring, dashboard)
+    let stormy = Cell {
+        seed: 1414,
+        arrivals_per_hour: shape.arrivals_per_hour,
+        mean_duration_mins: 60,
+        horizon_mins: shape.identity_minutes,
+        perturbation: Perturbation::Substrate,
+        workers: shape.identity_threads[0],
+        ..Cell::CALM
     };
-    let baseline = run(shape.identity_threads[0], true);
-    for &threads in &shape.identity_threads[1..] {
+    let (baseline, witness) = observe(&stormy);
+    assert!(
+        witness.element_failures > 0,
+        "the storm never bit: {witness:?}"
+    );
+    for &workers in &shape.identity_threads[1..] {
         assert_eq!(
-            baseline,
-            run(threads, true),
-            "substrate run moved with the worker count ({threads})"
+            baseline.first_difference(&observe(&Cell { workers, ..stormy }).0),
+            None,
+            "substrate run moved with the worker count ({workers})"
         );
     }
+    let uncached = Cell {
+        route_cache: false,
+        ..stormy
+    };
     assert_eq!(
-        baseline,
-        run(shape.identity_threads[0], false),
+        baseline.first_difference(&observe(&uncached).0),
+        None,
         "substrate run moved with the route cache"
     );
 }
@@ -234,8 +193,7 @@ fn main() {
         "substrate faults and self-healing",
         "availability, time-to-repair, and gain-vs-penalty across element failure rates",
     );
-    let mut results: Vec<(&str, String)> =
-        vec![("mode", if smoke { "smoke".into() } else { "full".into() })];
+    let mut results: Vec<(&str, String)> = Vec::new();
 
     println!();
     println!(
@@ -320,7 +278,5 @@ fn main() {
     ]);
     results.push(("identity_across_workers", "true".into()));
 
-    report_json("BENCH_e14.json", &results).expect("write BENCH_e14.json");
-    println!();
-    println!("wrote BENCH_e14.json");
+    report_results("e14", smoke, &results);
 }

@@ -27,7 +27,8 @@
 //! `--smoke` shrinks the sweep to CI size; identity and zero-allocation
 //! assertions still run, wall-clock expectations do not.
 
-use ovnes_bench::{embb_request, report_header, report_json, report_kv, testbed_orchestrator};
+use ovnes_bench::identity::Observed;
+use ovnes_bench::{embb_request, report_header, report_kv, report_results, testbed_orchestrator};
 use ovnes_model::{Prbs, RateMbps, UeId};
 use ovnes_orchestrator::OrchestratorConfig;
 use ovnes_ran::{CellConfig, Cqi, PfScratch, PfState, UeChannel, UeShare};
@@ -219,11 +220,11 @@ fn sweep(shape: &Shape, ues: usize) -> SweepRow {
 }
 
 /// Full orchestrator with fairness tracking at 1, 2 and 8 workers: the
-/// monitoring JSON and every per-slice fairness series must be
-/// byte-identical, whatever the worker count.
+/// dashboard, the monitoring JSON and every per-slice fairness series must
+/// be byte-identical, whatever the worker count.
 fn worker_identity(shape: &Shape) {
-    let digest = |threads: usize| -> String {
-        ovnes_sim::par::set_thread_override(Some(threads));
+    let digest = |threads: usize| -> (Observed, String) {
+        let _pin = ovnes_sim::par::pin_threads(threads);
         let mut o = testbed_orchestrator(
             OrchestratorConfig {
                 ue_fairness_tracking: true,
@@ -242,9 +243,6 @@ fn worker_identity(shape: &Shape) {
             o.run_epoch(SimTime::from_secs(e * 60));
         }
         let mut d = String::new();
-        for report in o.monitoring() {
-            d.push_str(&serde_json::to_string(report).expect("reports serialize"));
-        }
         for id in &ids {
             let series = o
                 .metrics()
@@ -254,8 +252,7 @@ fn worker_identity(shape: &Shape) {
                 let _ = write!(d, "{t:?}={};", v.to_bits());
             }
         }
-        ovnes_sim::par::set_thread_override(None);
-        d
+        (Observed::of(&o), d)
     };
     let one = digest(1);
     assert_eq!(one, digest(2), "2 workers diverged from 1");
@@ -270,8 +267,7 @@ fn main() {
         "UE-plane scale",
         "heap PF over dense slabs vs. the per-PRB oracle, 100 → 100k UEs",
     );
-    let mut results: Vec<(&str, String)> =
-        vec![("mode", if smoke { "smoke".into() } else { "full".into() })];
+    let mut results: Vec<(&str, String)> = Vec::new();
     results.push(("prbs_per_epoch", shape.prbs.to_string()));
 
     println!();
@@ -365,7 +361,5 @@ fn main() {
     ]);
     results.push(("workers_identical", "true".into()));
 
-    report_json("BENCH_e15.json", &results).expect("write BENCH_e15.json");
-    println!();
-    println!("wrote BENCH_e15.json");
+    report_results("e15", smoke, &results);
 }

@@ -8,9 +8,9 @@
 //! the latest on-disk checkpoint. The soak asserts the end-to-end contract
 //! from the determinism suite at experiment scale:
 //!
-//! * **identity** — the twice-killed, twice-restored run finishes with a
-//!   summary identical to an uninterrupted reference run, and its final
-//!   monitoring JSON is byte-equal.
+//! * **identity** — the twice-killed, twice-restored run finishes showing
+//!   byte for byte what `identity::observe` shows for the same cell run
+//!   uninterrupted: summary, dashboard, monitoring JSON.
 //! * **chains agree** — the reference run checkpoints into its own store on
 //!   the same epochs; `replay_bisect` across the two chains must find no
 //!   divergence.
@@ -23,11 +23,8 @@
 //! root in CI, which archives it). `--smoke` shrinks the horizon to CI
 //! size; the identity and bisect assertions still run.
 
-use ovnes_api::{EndpointFaults, FaultPlan};
-use ovnes_orchestrator::{
-    replay_bisect, DemoScenario, ScenarioConfig, ScenarioState, WorldSnapshot,
-};
-use ovnes_sim::SimDuration;
+use ovnes_bench::identity::{observe, Cell, Observed, Perturbation};
+use ovnes_orchestrator::{replay_bisect, DemoScenario, ScenarioState, WorldSnapshot};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -54,41 +51,22 @@ const SMOKE: Shape = Shape {
     kill_points: [23, 47],
 };
 
-fn config(shape: &Shape) -> ScenarioConfig {
-    ScenarioConfig {
+/// The soak's world: the demo testbed under the seed-4242 control plan.
+fn cell(shape: &Shape) -> Cell {
+    Cell {
         seed: 1616,
         arrivals_per_hour: shape.arrivals_per_hour,
-        horizon: SimDuration::from_hours(shape.horizon_hours),
-        mean_duration: SimDuration::from_mins(50),
-        ..ScenarioConfig::default()
+        mean_duration_mins: 50,
+        horizon_mins: shape.horizon_hours * 60,
+        perturbation: Perturbation::Control,
+        ..Cell::CALM
     }
-}
-
-fn plan() -> FaultPlan {
-    FaultPlan::new(616)
-        .with_endpoint("ran/health", EndpointFaults::none().with_drop(0.15))
-        .with_endpoint("transport/health", EndpointFaults::none().with_error(0.1))
 }
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ovnes-e16-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// The soak's world: the demo testbed under the control-plane fault plan.
-fn chaos_scenario(shape: &Shape) -> DemoScenario {
-    let mut s = DemoScenario::build(config(shape));
-    s.orchestrator_mut().set_fault_plan(plan());
-    s
-}
-
-fn monitoring_json(s: &DemoScenario) -> Vec<String> {
-    s.orchestrator()
-        .monitoring()
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("reports serialize"))
-        .collect()
 }
 
 #[derive(Default)]
@@ -125,10 +103,14 @@ fn main() {
         "kill the overbooked run twice, resume from disk, finish identical",
     );
 
-    // Uninterrupted reference, checkpointing on the same cadence into its
-    // own store so the two manifest chains can be bisected afterwards.
+    // The oracle: the same cell, uninterrupted and never checkpointed.
+    let cell = cell(shape);
+    let (oracle, witness) = observe(&cell);
+
+    // An uninterrupted run checkpointing on the soak's cadence into its own
+    // store, so the two manifest chains can be bisected afterwards.
     let ref_world = WorldSnapshot::open(scratch("reference")).expect("open reference store");
-    let mut reference = chaos_scenario(shape);
+    let mut reference = cell.demo();
     let mut ref_costs = Costs::default();
     let mut epoch = 0u64;
     while reference.step_epoch() {
@@ -137,15 +119,13 @@ fn main() {
             checkpoint(&ref_world, &reference.export_state(), &mut ref_costs);
         }
     }
-    let ref_summary = reference.chaos_summary();
-    let ref_monitoring = monitoring_json(&reference);
     let total_epochs = epoch;
 
     // The soak run: same scenario, same checkpoint cadence, but the live
     // world is dropped at each kill point and rebuilt from the store.
     let world = WorldSnapshot::open(scratch("soak")).expect("open soak store");
     let mut costs = Costs::default();
-    let mut live = chaos_scenario(shape);
+    let mut live = cell.demo();
     let mut restores = 0u32;
     let mut epoch = 0u64;
     loop {
@@ -178,16 +158,14 @@ fn main() {
 
     // Identity: the twice-restored run finished exactly where the
     // uninterrupted one did.
-    let summary = live.chaos_summary();
-    assert_eq!(summary, ref_summary, "soak summary diverged from reference");
     assert_eq!(
-        monitoring_json(&live),
-        ref_monitoring,
-        "soak monitoring JSON diverged from reference"
+        oracle.first_difference(&Observed::of_demo(&live)),
+        None,
+        "soak diverged from the uninterrupted oracle"
     );
     assert!(
-        summary.demo.admitted > 0 && summary.control_retries > 0,
-        "soak must exercise a real overbooked chaos run: {summary:?}"
+        witness.admitted > 0 && witness.control_retries > 0,
+        "soak must exercise a real overbooked chaos run: {witness:?}"
     );
 
     // Chains agree: no divergence anywhere across the common checkpoints.
@@ -206,50 +184,7 @@ fn main() {
         "content addressing must beat naive storage: {stored} vs {naive}"
     );
 
-    println!();
-    ovnes_bench::report_kv(&[
-        ("epochs", total_epochs.to_string()),
-        ("checkpoints", checkpoints.to_string()),
-        ("kills+restores", restores.to_string()),
-        (
-            "snapshot mean ms",
-            format!("{:.3}", mean(&costs.snapshot_s) * 1e3),
-        ),
-        (
-            "snapshot peak ms",
-            format!("{:.3}", peak(&costs.snapshot_s) * 1e3),
-        ),
-        (
-            "restore mean ms",
-            format!("{:.3}", mean(&costs.restore_s) * 1e3),
-        ),
-        ("world size (bytes)", costs.state_bytes.to_string()),
-        ("store size (bytes)", stored.to_string()),
-        ("store objects", objects.to_string()),
-        ("naive size (bytes)", naive.to_string()),
-        (
-            "dedup ratio",
-            format!("{:.2}", naive as f64 / stored as f64),
-        ),
-        (
-            "identity",
-            "kill×2 + restore == uninterrupted (asserted)".into(),
-        ),
-        (
-            "bisect",
-            "reference vs soak chains: no divergence (asserted)".into(),
-        ),
-    ]);
-
-    let results = vec![
-        (
-            "mode",
-            if smoke {
-                "smoke".to_string()
-            } else {
-                "full".to_string()
-            },
-        ),
+    let results = [
         ("epochs", total_epochs.to_string()),
         ("checkpoints", checkpoints.to_string()),
         ("restores", restores.to_string()),
@@ -276,7 +211,7 @@ fn main() {
         ("identity_after_two_restores", "true".to_string()),
         ("chains_bisect_clean", "true".to_string()),
     ];
-    ovnes_bench::report_json("BENCH_e16.json", &results).expect("write BENCH_e16.json");
     println!();
-    println!("wrote BENCH_e16.json");
+    ovnes_bench::report_kv(&results);
+    ovnes_bench::report_results("e16", smoke, &results);
 }

@@ -13,7 +13,8 @@
 //!   responses by correlation id). The framed protocol must buy ≥2×
 //!   throughput from pipelining alone — that is an assertion, not a plot.
 //! * **identity** — a full overbooked demo run over the socket plane
-//!   finishes with the byte-identical summary and monitoring JSON as the
+//!   (`identity::observe` on the matrix's `socket-workers` cells) finishes
+//!   with the byte-identical summary, dashboard and monitoring JSON as the
 //!   same seed on the in-process bus (the deterministic oracle), while a
 //!   subscribed telemetry feed receives the run's monitoring pushes instead
 //!   of polling for them.
@@ -22,9 +23,10 @@
 //! in CI, which archives it). `--smoke` shrinks the sample counts and the
 //! horizon to CI size; every assertion still runs.
 
+use ovnes_bench::identity::{observe, observe_with, Cell, Control};
+use ovnes_bench::percentile;
 use ovnes_dashboard::{FeedState, TelemetryFeed};
-use ovnes_orchestrator::{spawn_domain_control_servers, DemoScenario, ScenarioConfig};
-use ovnes_sim::SimDuration;
+use ovnes_orchestrator::spawn_domain_control_servers;
 use std::time::{Duration, Instant};
 
 struct Shape {
@@ -44,31 +46,6 @@ const SMOKE: Shape = Shape {
     batch: 400,
     horizon_hours: 1,
 };
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn config(shape: &Shape) -> ScenarioConfig {
-    ScenarioConfig {
-        seed: 1717,
-        arrivals_per_hour: 25.0,
-        horizon: SimDuration::from_hours(shape.horizon_hours),
-        ..ScenarioConfig::default()
-    }
-}
-
-fn monitoring_json(s: &DemoScenario) -> Vec<String> {
-    s.orchestrator()
-        .monitoring()
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("reports serialize"))
-        .collect()
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -125,19 +102,22 @@ fn main() {
     drop(servers);
 
     // ---- identity: over-RPC run == in-process oracle, pushes flowing ------
-    let (ref_summary, ref_monitoring) = {
-        let mut s = DemoScenario::build(config(shape));
-        let summary = s.run();
-        let monitoring = monitoring_json(&s);
-        (summary, monitoring)
+    let in_process = Cell {
+        seed: 1717,
+        horizon_mins: shape.horizon_hours * 60,
+        ..Cell::CALM
     };
+    let (oracle, _) = observe(&in_process);
 
-    let (servers, socket) = spawn_domain_control_servers().expect("spawn control servers");
     // The dashboard side: one feed per domain server, subscribed to its
     // monitoring topic before the run starts.
-    let mut feeds: Vec<TelemetryFeed> = servers
-        .iter()
-        .map(|server| {
+    let mut feeds: Vec<TelemetryFeed> = Vec::new();
+    let over_rpc = Cell {
+        control: Control::Socket,
+        ..in_process
+    };
+    let (observed, witness) = observe_with(&over_rpc, |servers| {
+        for server in servers {
             let mut feed = TelemetryFeed::connect(server.addr()).expect("feed connects");
             let topic = server
                 .endpoints()
@@ -145,28 +125,25 @@ fn main() {
                 .find(|e| e.ends_with("/monitoring"))
                 .expect("every domain server exposes monitoring");
             feed.subscribe(topic).expect("subscribe");
-            feed
-        })
-        .collect();
-
-    let mut s = DemoScenario::build(config(shape));
-    s.orchestrator_mut().set_control_socket(socket);
-    let summary = s.run();
+            feeds.push(feed);
+        }
+    });
     assert_eq!(
-        summary, ref_summary,
-        "over-RPC summary diverged from the in-process oracle"
+        oracle.first_difference(&observed),
+        None,
+        "over-RPC run diverged from the in-process oracle"
     );
-    assert_eq!(
-        monitoring_json(&s),
-        ref_monitoring,
-        "over-RPC monitoring JSON diverged from the in-process oracle"
+    assert!(witness.admitted > 0, "the run must be a real workload");
+    assert!(
+        witness.socket_requests > 0,
+        "no request ever crossed a socket"
     );
-    assert!(summary.admitted > 0, "the run must be a real workload");
 
-    // Drain the feeds: the run's monitoring traffic arrived as pushes.
+    // Drain the feeds (until quiet, or closed behind the finished run): the
+    // run's monitoring traffic arrived as pushes.
     let mut feed_state = FeedState::new();
     for feed in &mut feeds {
-        while let Some((_, body)) = feed.poll(Duration::from_millis(200)).expect("poll") {
+        while let Ok(Some((_, body))) = feed.poll(Duration::from_millis(200)) {
             feed_state.apply_push(&body).expect("pushed report decodes");
         }
     }
@@ -174,36 +151,8 @@ fn main() {
         feed_state.updates() > 0,
         "subscribed feeds must receive monitoring pushes"
     );
-    let pushes_sent: u64 = servers.iter().map(|srv| srv.stats().pushes).sum();
 
-    println!();
-    ovnes_bench::report_kv(&[
-        ("probe RTT p50 µs", format!("{p50:.1}")),
-        ("probe RTT p95 µs", format!("{p95:.1}")),
-        ("probe RTT p99 µs", format!("{p99:.1}")),
-        ("serial probes/s", format!("{serial_rate:.0}")),
-        ("pipelined probes/s", format!("{pipelined_rate:.0}")),
-        ("pipelining speedup", format!("{speedup:.2}×")),
-        (
-            "identity",
-            "over-RPC run == in-process oracle (asserted)".into(),
-        ),
-        ("monitoring pushes received", feed_state.updates().to_string()),
-        (
-            "domains heard from",
-            feed_state.domains().join(", "),
-        ),
-    ]);
-
-    let results = vec![
-        (
-            "mode",
-            if smoke {
-                "smoke".to_string()
-            } else {
-                "full".to_string()
-            },
-        ),
+    let results = [
         ("rtt_samples", shape.rtt_samples.to_string()),
         ("rtt_p50_us", format!("{p50:.2}")),
         ("rtt_p95_us", format!("{p95:.2}")),
@@ -213,10 +162,14 @@ fn main() {
         ("pipelined_calls_per_s", format!("{pipelined_rate:.1}")),
         ("pipelining_speedup", format!("{speedup:.3}")),
         ("identity_in_process_vs_rpc", "true".to_string()),
-        ("monitoring_pushes_received", feed_state.updates().to_string()),
-        ("monitoring_pushes_sent", pushes_sent.to_string()),
+        (
+            "monitoring_pushes_received",
+            feed_state.updates().to_string(),
+        ),
+        ("monitoring_pushes_sent", witness.socket_pushes.to_string()),
     ];
-    ovnes_bench::report_json("BENCH_e17.json", &results).expect("write BENCH_e17.json");
     println!();
-    println!("wrote BENCH_e17.json");
+    ovnes_bench::report_kv(&results);
+    ovnes_bench::report_kv(&[("domains heard from", feed_state.domains().join(", "))]);
+    ovnes_bench::report_results("e17", smoke, &results);
 }

@@ -7,8 +7,9 @@
 //! * **invisibility** — a seeded crash storm (every controller killed and
 //!   restarted `crashes_per_domain` times, the first crash landing
 //!   mid-request so a zombie response is provably generated and fenced)
-//!   leaves the run summary and monitoring JSON byte-identical to an
-//!   undisturbed in-process run. That is an assertion, not a plot.
+//!   leaves the run summary, dashboard and monitoring JSON byte-identical
+//!   to an undisturbed in-process run (`identity::observe` on the matrix's
+//!   `storm-workers` cells). That is an assertion, not a plot.
 //! * **MTTR** — the wall-clock distribution (p50/p95/max) of one supervised
 //!   kill-and-restart cycle: fence, resync, shutdown, fresh incarnation on a
 //!   new port, reroute.
@@ -24,11 +25,11 @@
 //! in CI, which archives it). `--smoke` shrinks the horizon and the storm to
 //! CI size; every assertion still runs.
 
-use ovnes_api::{register_control_endpoints, Router, RpcServer};
-use ovnes_api::{BusDeadlines, BusError, CrashPlan};
+use ovnes_api::{BusDeadlines, BusError};
+use ovnes_bench::identity::{observe, Cell, Control, ProcessFaults};
+use ovnes_bench::percentile;
 use ovnes_orchestrator::{
-    run_supervised, spawn_domain_control_servers, DemoScenario, HealthState, ScenarioConfig,
-    Supervisor, DOMAINS,
+    spawn_domain_control_servers, DemoScenario, HealthState, ScenarioConfig, DOMAINS,
 };
 use ovnes_sim::SimDuration;
 use std::time::{Duration, Instant};
@@ -48,14 +49,6 @@ const SMOKE: Shape = Shape {
     crashes_per_domain: 2,
 };
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn config(shape: &Shape) -> ScenarioConfig {
     ScenarioConfig {
         seed: 1818,
@@ -63,14 +56,6 @@ fn config(shape: &Shape) -> ScenarioConfig {
         horizon: SimDuration::from_hours(shape.horizon_hours),
         ..ScenarioConfig::default()
     }
-}
-
-fn monitoring_json(s: &DemoScenario) -> Vec<String> {
-    s.orchestrator()
-        .monitoring()
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("reports serialize"))
-        .collect()
 }
 
 fn main() {
@@ -84,55 +69,43 @@ fn main() {
     );
 
     // ---- the oracle: one undisturbed in-process run -----------------------
-    let (ref_summary, ref_monitoring) = {
-        let mut s = DemoScenario::build(config(shape));
-        let summary = s.run();
-        let monitoring = monitoring_json(&s);
-        (summary, monitoring)
+    let undisturbed = Cell {
+        seed: 1818,
+        horizon_mins: horizon_epochs,
+        ..Cell::CALM
     };
-    assert!(ref_summary.admitted > 0, "the run must be a real workload");
+    let (oracle, oracle_witness) = observe(&undisturbed);
+    assert!(
+        oracle_witness.admitted > 0,
+        "the run must be a real workload"
+    );
 
     // ---- arm 1: supervised crash storm is byte-invisible ------------------
-    let (servers, socket) = spawn_domain_control_servers().expect("spawn control servers");
-    let mut s = DemoScenario::build(config(shape));
-    s.orchestrator_mut().set_control_socket(socket);
-    let plan = CrashPlan::new(1818).with_random_storm(
-        &DOMAINS,
-        shape.crashes_per_domain,
-        5,
-        horizon_epochs - 20,
-    );
-    let mut supervisor = Supervisor::new(servers, plan);
-    let summary = run_supervised(&mut s, &mut supervisor);
-
+    let (stormed, witness) = observe(&Cell {
+        control: Control::Socket,
+        process: ProcessFaults::CrashStorm(shape.crashes_per_domain),
+        ..undisturbed
+    });
     assert_eq!(
-        summary, ref_summary,
-        "crash-storm summary diverged from the undisturbed oracle"
+        oracle.first_difference(&stormed),
+        None,
+        "crash-storm run diverged from the undisturbed oracle"
     );
     assert_eq!(
-        monitoring_json(&s),
-        ref_monitoring,
-        "crash-storm monitoring JSON diverged from the undisturbed oracle"
+        witness.crashes,
+        DOMAINS.len() as u64 * shape.crashes_per_domain as u64
     );
-    let crashes = supervisor.crashes();
-    let mid_request_crashes = supervisor.mid_request_crashes();
-    assert_eq!(crashes, DOMAINS.len() as u64 * shape.crashes_per_domain as u64);
-    assert!(mid_request_crashes >= 1);
-    let stale_rejections = s.orchestrator().control().stale_rejections();
+    assert!(witness.mid_request_crashes >= 1);
     assert!(
-        supervisor.stale_rejections_provoked() >= 1 && stale_rejections >= 1,
+        witness.stale_provoked >= 1 && witness.stale_rejections >= 1,
         "no zombie response was generated and fenced"
     );
-    for domain in DOMAINS {
-        let health = s.orchestrator().domain_health(domain).expect("tracked");
-        assert_eq!(health.state, HealthState::Up, "{domain}");
-        assert_eq!(
-            health.incidents, 0,
-            "{domain}: a supervised restart must never trip the health machine"
-        );
-    }
-    let mut mttr_ms: Vec<f64> = supervisor
-        .mttr_wall_secs()
+    assert_eq!(
+        witness.health_incidents, 0,
+        "a supervised restart must never trip the health machine"
+    );
+    let mut mttr_ms: Vec<f64> = witness
+        .mttr_wall_secs
         .iter()
         .map(|secs| secs * 1e3)
         .collect();
@@ -142,7 +115,6 @@ fn main() {
         percentile(&mttr_ms, 95.0),
         mttr_ms.last().copied().unwrap_or(0.0),
     );
-    drop(supervisor);
 
     // ---- arm 2: the same outage unsupervised costs availability -----------
     // Kill the RAN server with nobody watching; repair it by hand five
@@ -161,34 +133,26 @@ fn main() {
             ran.shutdown();
         }
         if epoch == repair_at {
-            let mut router = Router::new();
-            register_control_endpoints(&mut router, "ran");
-            let restarted =
-                RpcServer::spawn_incarnation(router, 2, carry.take().expect("killed first"))
-                    .expect("restart");
-            let bus = s
-                .orchestrator_mut()
-                .control_mut()
-                .socket_mut()
-                .expect("socket control plane");
-            bus.attach(&restarted);
-            bus.fence("ran", 2);
-            s.orchestrator_mut().mark_resyncing("ran");
+            let carry = carry.take().expect("killed first");
+            let restarted = ovnes_bench::repair_by_hand(s.orchestrator_mut(), "ran", 2, carry);
             servers.push(restarted);
         }
         if !s.step_epoch() {
             break;
         }
         epochs += 1;
-        let degraded = DOMAINS.iter().any(|d| {
-            s.orchestrator().domain_health(d).expect("tracked").state != HealthState::Up
-        });
+        let degraded = DOMAINS
+            .iter()
+            .any(|d| s.orchestrator().domain_health(d).expect("tracked").state != HealthState::Up);
         if degraded {
             degraded_epochs += 1;
         }
     }
     let health = s.orchestrator().domain_health("ran").expect("tracked");
-    assert_eq!(health.incidents, 1, "the outage must trip the health machine");
+    assert_eq!(
+        health.incidents, 1,
+        "the outage must trip the health machine"
+    );
     assert_eq!(health.repairs, 1, "the manual repair must be booked");
     assert!(degraded_epochs > 0);
     let unsupervised_availability = 1.0 - degraded_epochs as f64 / epochs as f64;
@@ -222,34 +186,14 @@ fn main() {
     drop(socket);
     drop(servers);
 
-    println!();
-    ovnes_bench::report_kv(&[
-        ("crashes survived", crashes.to_string()),
-        ("stale responses fenced", stale_rejections.to_string()),
-        ("MTTR p50 ms", format!("{mttr_p50:.2}")),
-        ("MTTR p95 ms", format!("{mttr_p95:.2}")),
-        ("MTTR max ms", format!("{mttr_max:.2}")),
-        ("supervised availability", "1.000 (identity asserted)".into()),
-        (
-            "unsupervised availability",
-            format!("{unsupervised_availability:.3} ({degraded_epochs} degraded epochs)"),
-        ),
-        ("hung-server call latency ms", format!("{hung_ms:.0}")),
-    ]);
-
-    let results = vec![
-        (
-            "mode",
-            if smoke {
-                "smoke".to_string()
-            } else {
-                "full".to_string()
-            },
-        ),
+    let results = [
         ("horizon_epochs", horizon_epochs.to_string()),
-        ("crashes", crashes.to_string()),
-        ("mid_request_crashes", mid_request_crashes.to_string()),
-        ("stale_rejections", stale_rejections.to_string()),
+        ("crashes", witness.crashes.to_string()),
+        (
+            "mid_request_crashes",
+            witness.mid_request_crashes.to_string(),
+        ),
+        ("stale_rejections", witness.stale_rejections.to_string()),
         ("mttr_p50_ms", format!("{mttr_p50:.3}")),
         ("mttr_p95_ms", format!("{mttr_p95:.3}")),
         ("mttr_max_ms", format!("{mttr_max:.3}")),
@@ -262,7 +206,7 @@ fn main() {
         ("hung_call_latency_ms", format!("{hung_ms:.1}")),
         ("identity_storm_vs_oracle", "true".to_string()),
     ];
-    ovnes_bench::report_json("BENCH_e18.json", &results).expect("write BENCH_e18.json");
     println!();
-    println!("wrote BENCH_e18.json");
+    ovnes_bench::report_kv(&results);
+    ovnes_bench::report_results("e18", smoke, &results);
 }

@@ -1,15 +1,14 @@
 //! E19 — shard the world: multi-region federation to 1M+ UEs on a CSR
 //! transport graph.
 //!
-//! Two perf claims from the federation PR, measured and asserted:
+//! Two perf measurements from the federation PR:
 //!
-//! * **CSR routing** — `Topology` adjacency is flattened to CSR (offsets +
-//!   packed `(LinkId, NodeId)` pairs + packed integer-µs base delays), so
-//!   Dijkstra walks contiguous memory. The nested per-node rows survive as
-//!   the bitwise oracle (`dijkstra_nested_with`); this harness runs both
-//!   over a ≥10k-node random mesh, asserts every path bit-identical, and
-//!   asserts the packed CSR walk (`dijkstra_base_with`) is ≥1.5× faster
-//!   than the oracle in full mode.
+//! * **CSR routing** — `Topology` adjacency is one CSR flattening (offsets
+//!   and packed `(LinkId, NodeId)` pairs), so Dijkstra walks contiguous
+//!   memory. This harness runs the same loop over the CSR and over nested
+//!   per-node rows (`Topology::adjacency_rows`, `dijkstra_over_rows`) on a
+//!   ≥10k-node random mesh, asserts every path bit-identical, and reports
+//!   the ratio.
 //! * **Shard scaling** — a `FederationBroker` over R identical regional
 //!   worlds (16 cells, ~90 slices, 1500 UEs/slice each) runs its shard
 //!   epochs in parallel via `par_map`. The sweep R = 1/2/4/8 reaches
@@ -18,21 +17,21 @@
 //!   time should barely move as shards are added).
 //!
 //! A third check runs a spill-heavy 2-region federation at 1 and 2 workers
-//! per shard and byte-compares summaries and the region-prefixed
-//! monitoring feed — the worker count must be a pure throughput knob.
+//! per shard through `identity::observe` and byte-compares summaries,
+//! dashboards and monitoring — the worker count must be a pure throughput
+//! knob.
 //!
 //! Results land in `BENCH_e19.json`. `--smoke` shrinks the mesh and the
 //! sweep to CI size (assertions on identity still run; wall-clock
 //! expectations do not).
 
-use ovnes_bench::{embb_request, report_header, report_json, report_kv, scaling_world};
+use ovnes_bench::identity::{observe, Cell, Regions};
+use ovnes_bench::{prefill, report_header, report_kv, report_results, scaling_world};
 use ovnes_model::RateMbps;
 use ovnes_orchestrator::{FederationBroker, FederationConfig, RegionWorld};
 use ovnes_orchestrator::{OrchestratorConfig, PolicyKind};
-use ovnes_sim::{par, SimDuration, SimRng, SimTime};
-use ovnes_transport::{
-    dijkstra_base_with, dijkstra_nested_with, dijkstra_with, random_mesh, RoutingScratch,
-};
+use ovnes_sim::{SimDuration, SimRng};
+use ovnes_transport::{dijkstra_over_rows, dijkstra_with, random_mesh, RoutingScratch};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -76,9 +75,9 @@ const SMOKE: Shape = Shape {
 };
 
 /// CSR-vs-nested routing phase: identical paths asserted pair by pair,
-/// then wall-time over the same pair set. Returns (packed speedup,
-/// closure-CSR speedup) over the nested oracle.
-fn csr_phase(shape: &Shape) -> (f64, f64) {
+/// then wall-time over the same pair set. Returns the CSR walk's speedup
+/// over the same loop on nested rows.
+fn csr_phase(shape: &Shape) -> f64 {
     let mut rng = SimRng::seed_from(1900);
     let topo = random_mesh(
         shape.mesh_nodes,
@@ -86,6 +85,7 @@ fn csr_phase(shape: &Shape) -> (f64, f64) {
         RateMbps::new(10_000.0),
         &mut rng,
     );
+    let rows = topo.adjacency_rows();
     let nodes = topo.nodes();
     let pairs: Vec<_> = (0..shape.mesh_pairs)
         .map(|i| {
@@ -94,17 +94,14 @@ fn csr_phase(shape: &Shape) -> (f64, f64) {
             (s, t)
         })
         .collect();
+    let delay = |l| topo.link(l).delay;
 
     let mut scratch = RoutingScratch::new();
-    // Identity first: the three walks must agree bitwise on every pair.
+    // Identity first: the two walks must agree bitwise on every pair.
     for &(s, t) in &pairs {
-        let oracle = dijkstra_nested_with(&mut scratch, &topo, s, t, |_| true, |l| {
-            topo.link(l).delay
-        });
-        let csr = dijkstra_with(&mut scratch, &topo, s, t, |_| true, |l| topo.link(l).delay);
-        let packed = dijkstra_base_with(&mut scratch, &topo, s, t);
-        assert_eq!(oracle, csr, "CSR closure walk diverged from the oracle");
-        assert_eq!(oracle, packed, "packed CSR walk diverged from the oracle");
+        let nested = dijkstra_over_rows(&mut scratch, &rows, s, t, |_| true, delay);
+        let csr = dijkstra_with(&mut scratch, &topo, s, t, |_| true, delay);
+        assert_eq!(nested, csr, "CSR walk diverged from the nested rows");
     }
 
     fn timed(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -116,26 +113,23 @@ fn csr_phase(shape: &Shape) -> (f64, f64) {
     }
     let nested_s = timed(shape.mesh_reps, || {
         for &(s, t) in &pairs {
-            black_box(dijkstra_nested_with(&mut scratch, &topo, s, t, |_| true, |l| {
-                topo.link(l).delay
-            }));
+            black_box(dijkstra_over_rows(
+                &mut scratch,
+                &rows,
+                s,
+                t,
+                |_| true,
+                delay,
+            ));
         }
     });
     let mut scratch = RoutingScratch::new();
-    let closure_s = timed(shape.mesh_reps, || {
+    let csr_s = timed(shape.mesh_reps, || {
         for &(s, t) in &pairs {
-            black_box(dijkstra_with(&mut scratch, &topo, s, t, |_| true, |l| {
-                topo.link(l).delay
-            }));
+            black_box(dijkstra_with(&mut scratch, &topo, s, t, |_| true, delay));
         }
     });
-    let mut scratch = RoutingScratch::new();
-    let packed_s = timed(shape.mesh_reps, || {
-        for &(s, t) in &pairs {
-            black_box(dijkstra_base_with(&mut scratch, &topo, s, t));
-        }
-    });
-    (nested_s / packed_s, nested_s / closure_s)
+    nested_s / csr_s
 }
 
 /// Build an R-shard federation of identical scaling worlds, prefilled with
@@ -166,24 +160,10 @@ fn build_federation(shape: &Shape, shards: usize) -> (FederationBroker, usize) {
             cell,
         }
     });
-    let mut admitted_first = 0usize;
-    for r in 0..shards {
-        let mut admitted = 0usize;
-        for t in 0..shape.slices_per_shard {
-            let tp = 3.0 + (t % 5) as f64 * 0.5;
-            if fed
-                .orchestrator_mut(r)
-                .submit(SimTime::ZERO, embb_request(t, tp))
-                .is_ok()
-            {
-                admitted += 1;
-            }
-        }
-        if r == 0 {
-            admitted_first = admitted;
-        }
-    }
-    (fed, admitted_first)
+    let admitted: Vec<usize> = (0..shards)
+        .map(|r| prefill(fed.orchestrator_mut(r), shape.slices_per_shard))
+        .collect();
+    (fed, admitted[0])
 }
 
 struct SweepRow {
@@ -215,25 +195,17 @@ fn sweep(shape: &Shape, shards: usize) -> (SweepRow, usize) {
     )
 }
 
-/// Spill-heavy 2-region federation at a fixed worker count: returns the
-/// serialized summary plus the region-prefixed monitoring feed.
-fn identity_digest(shape: &Shape, threads: usize) -> String {
-    par::set_thread_override(Some(threads));
-    let mut fed = FederationBroker::build(FederationConfig {
+/// The spill-heavy 2-region federation phase 3 runs at 1 and 2 workers.
+fn identity_cell(shape: &Shape, workers: usize) -> Cell {
+    Cell {
         seed: 19,
-        regions: 2,
+        regions: Regions::Federated(2),
         arrivals_per_hour: 60.0,
-        horizon: SimDuration::from_mins(shape.identity_horizon_mins),
-        mean_duration: SimDuration::from_mins(45),
-        ..FederationConfig::default()
-    });
-    let summary = fed.run();
-    let mut digest = serde_json::to_string(&summary).expect("summary serializes");
-    for report in fed.monitoring() {
-        digest.push_str(&serde_json::to_string(&report).expect("reports serialize"));
+        mean_duration_mins: 45,
+        horizon_mins: shape.identity_horizon_mins,
+        workers,
+        ..Cell::CALM
     }
-    par::set_thread_override(None);
-    digest
 }
 
 fn main() {
@@ -245,36 +217,19 @@ fn main() {
         "multi-region federation + CSR transport graph",
         "shard epochs across regions via par_map; route on packed CSR adjacency",
     );
-    let mut results: Vec<(&str, String)> =
-        vec![("mode", if smoke { "smoke".into() } else { "full".into() })];
+    let mut results: Vec<(&str, String)> = Vec::new();
     results.push(("cores", cores.to_string()));
 
-    // Phase 1: CSR routing speedup on a big mesh.
-    let (packed_speedup, closure_speedup) = csr_phase(shape);
+    // Phase 1: CSR routing on a big mesh.
+    let csr_speedup = csr_phase(shape);
     println!();
     report_kv(&[
         ("mesh nodes", shape.mesh_nodes.to_string()),
-        (
-            "CSR packed vs nested oracle",
-            format!("{packed_speedup:.2}x"),
-        ),
-        (
-            "CSR closure vs nested oracle",
-            format!("{closure_speedup:.2}x"),
-        ),
-        ("paths", "bit-identical across all three walks (asserted)".into()),
+        ("CSR vs nested rows", format!("{csr_speedup:.2}x")),
+        ("paths", "bit-identical across both walks (asserted)".into()),
     ]);
     results.push(("mesh_nodes", shape.mesh_nodes.to_string()));
-    results.push(("csr_packed_speedup", format!("{packed_speedup:.2}")));
-    results.push(("csr_closure_speedup", format!("{closure_speedup:.2}")));
-    if !smoke {
-        assert!(
-            packed_speedup >= 1.5,
-            "packed CSR walk {packed_speedup:.2}x below the 1.5x target on a \
-             {}-node mesh",
-            shape.mesh_nodes
-        );
-    }
+    results.push(("csr_closure_speedup", format!("{csr_speedup:.2}")));
 
     // Phase 2: shard sweep, 100k → 1M+ UEs.
     println!();
@@ -332,20 +287,22 @@ fn main() {
     }
 
     // Phase 3: worker-count identity on a spill-heavy federation.
-    let one = identity_digest(shape, 1);
+    let (one, witness) = observe(&identity_cell(shape, 1));
+    let (two, _) = observe(&identity_cell(shape, 2));
     assert_eq!(
-        one,
-        identity_digest(shape, 2),
+        one.first_difference(&two),
+        None,
         "2-workers-per-shard run diverged from 1"
     );
     println!();
     report_kv(&[(
         "workers",
-        "1- and 2-worker federated runs byte-identical, spills on (asserted)".into(),
+        format!(
+            "1- and 2-worker federated runs byte-identical, {} spills (asserted)",
+            witness.spilled
+        ),
     )]);
     results.push(("workers_identical", "true".into()));
 
-    report_json("BENCH_e19.json", &results).expect("write BENCH_e19.json");
-    println!();
-    println!("wrote BENCH_e19.json");
+    report_results("e19", smoke, &results);
 }

@@ -5,7 +5,7 @@
 //! PLMN activation and flow installation, per class. Also reports the UE
 //! attach latency as the hosting DC fills up.
 
-use ovnes_bench::{report_header, testbed_orchestrator};
+use ovnes_bench::{percentile, report_header, testbed_orchestrator};
 use ovnes_cloud::attach_latency;
 use ovnes_model::{Money, RateMbps, SliceClass, SliceRequest, TenantId};
 use ovnes_orchestrator::OrchestratorConfig;
@@ -19,14 +19,6 @@ fn request(tenant: u64, class: SliceClass, tp: f64) -> SliceRequest {
         .penalty(Money::from_units(2))
         .build()
         .expect("positive parameters")
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -69,8 +61,8 @@ fn main() {
             class.label(),
             times.len(),
             times[0],
-            percentile(&times, 0.50),
-            percentile(&times, 0.95),
+            percentile(&times, 50.0),
+            percentile(&times, 95.0),
             times[times.len() - 1],
         );
     }

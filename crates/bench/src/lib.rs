@@ -14,8 +14,10 @@ use ovnes_model::{
 };
 use ovnes_orchestrator::{Orchestrator, OrchestratorConfig};
 use ovnes_ran::{CellConfig, Enb, RanController};
-use ovnes_sim::{SimDuration, SimRng};
+use ovnes_sim::{SimDuration, SimRng, SimTime};
 use ovnes_transport::{LinkKind, NodeKind, Topology, TransportController};
+
+pub mod identity;
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count {
@@ -197,6 +199,18 @@ pub fn embb_request(tenant: u64, tp: f64) -> SliceRequest {
         .expect("positive parameters")
 }
 
+/// Submit `slices` eMBB requests of 3–5 Mbps at time zero — the prefilled,
+/// arrival-free world the scaling sweeps (E12, E19) time. Returns how many
+/// were admitted.
+pub fn prefill(orchestrator: &mut Orchestrator, slices: u64) -> usize {
+    let mut admitted = 0;
+    for t in 0..slices {
+        let request = embb_request(t, 3.0 + (t % 5) as f64 * 0.5);
+        admitted += orchestrator.submit(SimTime::ZERO, request).is_ok() as usize;
+    }
+    admitted
+}
+
 /// A standard URLLC request (automotive/e-health class).
 pub fn urllc_request(tenant: u64) -> SliceRequest {
     SliceRequest::builder(TenantId::new(tenant), SliceClass::Urllc)
@@ -206,6 +220,64 @@ pub fn urllc_request(tenant: u64) -> SliceRequest {
         .penalty(Money::from_units(8))
         .build()
         .expect("positive parameters")
+}
+
+/// The `p`-th percentile (0–100, nearest rank) of an ascending slice; 0 when
+/// empty.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// What an operator does about a dead, unsupervised controller of `domain`:
+/// a fresh incarnation (`term`) of its control surface on a new port with
+/// the dead server's counters carried over, the orchestrator's socket bus
+/// re-routed and fenced to it, and the resync marked on the health machine.
+pub fn repair_by_hand(
+    orchestrator: &mut Orchestrator,
+    domain: &str,
+    term: u64,
+    carry: ovnes_api::ServerStats,
+) -> ovnes_api::RpcServer {
+    let mut router = ovnes_api::Router::new();
+    ovnes_api::register_control_endpoints(&mut router, domain);
+    let restarted = ovnes_api::RpcServer::spawn_incarnation(router, term, carry).expect("restart");
+    let control = orchestrator.control_mut();
+    let bus = control.socket_mut().expect("socket control plane");
+    bus.attach(&restarted);
+    bus.fence(domain, term);
+    orchestrator.mark_resyncing(domain);
+    restarted
+}
+
+/// No `Active` slice may silently hold a reservation through a dead
+/// element — the only sanctioned way to sit on one is the `Degraded` state,
+/// which books a penalty every epoch.
+pub fn assert_no_silent_reservations(o: &Orchestrator) {
+    for r in o.records().filter(|r| r.state == ovnes_orchestrator::SliceState::Active) {
+        if let Some(res) = o.transport().reservation(r.id) {
+            for &link in &res.path.links {
+                assert!(
+                    o.transport().link_is_up(link),
+                    "{} is Active on dead {link}",
+                    r.id
+                );
+            }
+        }
+        if let Some(enb) = o.ran().placement(r.id) {
+            assert!(o.ran().cell_is_up(enb), "{} is Active on dead {enb}", r.id);
+        }
+        if let Some(stack) = o.cloud().stack_for_slice(r.id) {
+            assert!(
+                stack.state != ovnes_cloud::StackState::Degraded,
+                "{} is Active on a degraded stack",
+                r.id
+            );
+        }
+    }
 }
 
 /// Print the standard experiment header.
@@ -242,6 +314,18 @@ pub fn report_json(path: &str, pairs: &[(&str, String)]) -> std::io::Result<()> 
         .expect("maps of strings/numbers always serialize");
     body.push('\n');
     std::fs::write(path, body)
+}
+
+/// Close an experiment: write `pairs`, led by the run mode, as
+/// `BENCH_{id}.json` in the working directory (the repo root in CI, which
+/// archives it) and say so.
+pub fn report_results(id: &str, smoke: bool, pairs: &[(&str, String)]) {
+    let mut all = vec![("mode", if smoke { "smoke" } else { "full" }.to_string())];
+    all.extend_from_slice(pairs);
+    let path = format!("BENCH_{id}.json");
+    report_json(&path, &all).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!();
+    println!("wrote {path}");
 }
 
 #[cfg(test)]

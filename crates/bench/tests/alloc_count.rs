@@ -72,7 +72,7 @@ fn slice_schedule_epoch_into_steady_state_allocates_nothing() {
 fn ran_controller_epoch_steady_state_allocates_nothing() {
     // One worker: the whole epoch runs on this thread, so the thread-local
     // counter sees every allocation the epoch would make.
-    ovnes_sim::par::set_thread_override(Some(1));
+    let _pin = ovnes_sim::par::pin_threads(1);
     let cell = CellConfig::default_20mhz();
     let mut ran = RanController::new(vec![
         Enb::new(EnbId::new(0), cell),
@@ -103,6 +103,5 @@ fn ran_controller_epoch_steady_state_allocates_nothing() {
             ran.run_epoch_into(SimTime::from_secs(e * 60), &offered, &mut out);
         }
     });
-    ovnes_sim::par::set_thread_override(None);
     assert_eq!(allocs, 0, "steady-state RAN epochs allocated");
 }

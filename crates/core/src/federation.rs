@@ -482,12 +482,7 @@ mod tests {
     use super::*;
     use crate::scenario::{DemoScenario, ScenarioConfig};
     use ovnes_api::{EndpointFaults, FaultPlan, SubstrateElement, SubstrateFaultPlan};
-    use ovnes_sim::par::{current_threads, set_thread_override};
-    use std::sync::Mutex;
-
-    /// `set_thread_override` is process-global; tests that touch it hold
-    /// this lock (mirrors the par module's own test discipline).
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+    use ovnes_sim::par::{current_threads, pin_threads};
 
     fn quick_config(seed: u64, regions: usize) -> FederationConfig {
         FederationConfig {
@@ -528,12 +523,9 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_run() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
         let run_at = |threads: usize| {
-            set_thread_override(Some(threads));
-            let out = FederationBroker::build(quick_config(11, 4)).run();
-            set_thread_override(None);
-            out
+            let _pin = pin_threads(threads);
+            FederationBroker::build(quick_config(11, 4)).run()
         };
         let one = run_at(1);
         let two = run_at(2);
@@ -607,9 +599,8 @@ mod tests {
 
     #[test]
     fn chaos_per_region_stays_deterministic_across_worker_counts() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
         let run_at = |threads: usize| {
-            set_thread_override(Some(threads));
+            let _pin = pin_threads(threads);
             let mut fed = FederationBroker::build(quick_config(4, 2));
             for r in 0..fed.region_count() {
                 fed.orchestrator_mut(r).set_fault_plan(
@@ -625,9 +616,7 @@ mod tests {
                     ),
                 );
             }
-            let out = fed.run();
-            set_thread_override(None);
-            out
+            fed.run()
         };
         let one = run_at(1);
         assert_eq!(one, run_at(2), "combined chaos, 1 vs 2 workers");
@@ -636,16 +625,13 @@ mod tests {
 
     #[test]
     fn monitoring_feed_is_region_prefixed_and_worker_invariant() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
         let feed_at = |threads: usize| {
-            set_thread_override(Some(threads));
+            let _pin = pin_threads(threads);
             let mut fed = FederationBroker::build(quick_config(9, 3));
             for _ in 0..20 {
                 assert!(fed.step_epoch());
             }
-            let feed = fed.monitoring();
-            set_thread_override(None);
-            feed
+            fed.monitoring()
         };
         let feed = feed_at(1);
         assert!(!feed.is_empty());

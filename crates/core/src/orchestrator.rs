@@ -2312,7 +2312,7 @@ mod tests {
         // bit-for-bit independent of the worker count, including the
         // fairness channel sampling and the per-slice RNG streams.
         let run = |threads: usize| {
-            ovnes_sim::par::set_thread_override(Some(threads));
+            let _pin = ovnes_sim::par::pin_threads(threads);
             let mut o = orchestrator(OrchestratorConfig {
                 ue_fairness_tracking: true,
                 ..OrchestratorConfig::default()
@@ -2333,7 +2333,6 @@ mod tests {
                         .map(|s| s.points().to_vec())
                 })
                 .collect();
-            ovnes_sim::par::set_thread_override(None);
             (reports, fairness)
         };
         let serial = run(1);

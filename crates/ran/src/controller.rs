@@ -576,7 +576,7 @@ mod tests {
         // Eight cells, three slices each; outcomes and telemetry must be
         // identical whether cells are scheduled serially or in parallel.
         let run = |threads: usize| {
-            ovnes_sim::par::set_thread_override(Some(threads));
+            let _pin = ovnes_sim::par::pin_threads(threads);
             let mut c = RanController::new(
                 (0..8)
                     .map(|i| Enb::new(EnbId::new(i), CellConfig::default_20mhz()))
@@ -609,7 +609,6 @@ mod tests {
                         .1
                 })
                 .collect();
-            ovnes_sim::par::set_thread_override(None);
             (outs, utils)
         };
         let serial = run(1);

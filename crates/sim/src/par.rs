@@ -13,11 +13,11 @@
 //!   moving with the thread count cannot change any per-item output.
 //!
 //! Thread count is therefore a pure throughput knob: `OVNES_THREADS` picks
-//! the worker count, and tests/benches can pin it in-process via
-//! [`set_thread_override`].
+//! the worker count, and tests/benches pin it in-process with
+//! [`pin_threads`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// In-process override used by tests and the scaling bench; `0` means unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -37,11 +37,41 @@ fn env_threads() -> usize {
     })
 }
 
+/// Serializes [`pin_threads`] holders: the override is one process-global
+/// atomic and libtest runs a binary's tests on parallel threads.
+static PIN_LOCK: Mutex<()> = Mutex::new(());
+
 /// Pin (or unpin, with `None`) the worker count for this process, taking
-/// precedence over the environment. Intended for determinism tests and the
-/// thread-scaling bench; results never depend on the value chosen.
+/// precedence over the environment. Unsynchronized: a caller that shares
+/// the process with other pinners wants [`pin_threads`] instead.
 pub fn set_thread_override(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
+}
+
+/// The worker count stays pinned for as long as this lives; dropping it
+/// (also on unwind) restores the previous override and lets the next
+/// pinner in.
+pub struct ThreadPin {
+    previous: usize,
+    _exclusive: MutexGuard<'static, ()>,
+}
+
+/// Pin the worker count to `threads` until the returned guard drops. Holds
+/// one process-wide lock (poison-tolerant), so concurrent pinners run one
+/// after the other and each sees its own count for its whole critical
+/// section. Not reentrant: drop one pin before taking the next.
+pub fn pin_threads(threads: usize) -> ThreadPin {
+    let exclusive = PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    ThreadPin {
+        previous: THREAD_OVERRIDE.swap(threads, Ordering::SeqCst),
+        _exclusive: exclusive,
+    }
+}
+
+impl Drop for ThreadPin {
+    fn drop(&mut self) {
+        THREAD_OVERRIDE.store(self.previous, Ordering::SeqCst);
+    }
 }
 
 /// The worker count `par_map` will use right now.
@@ -125,85 +155,93 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // The override is process-global and libtest runs tests concurrently, so
-    // every test that sets it holds this lock for its whole body.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn preserves_input_order_at_every_thread_count() {
-        let _guard = lock();
         let input: Vec<u64> = (0..103).collect();
         let expect: Vec<u64> = input.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
-            set_thread_override(Some(threads));
+            let _pin = pin_threads(threads);
             assert_eq!(par_map(input.clone(), |x| x * 3 + 1), expect, "threads={threads}");
         }
-        set_thread_override(None);
     }
 
     #[test]
     fn handles_empty_and_singleton_inputs() {
-        let _guard = lock();
-        set_thread_override(Some(4));
+        let _pin = pin_threads(4);
         assert_eq!(par_map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(vec![7u32], |x| x + 1), vec![8]);
-        set_thread_override(None);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let _guard = lock();
-        set_thread_override(Some(32));
+        let _pin = pin_threads(32);
         assert_eq!(par_map(vec![1, 2, 3], |x| x * x), vec![1, 4, 9]);
-        set_thread_override(None);
     }
 
     #[test]
-    fn override_takes_precedence_and_clears() {
-        let _guard = lock();
-        set_thread_override(Some(5));
+    fn pin_takes_precedence_and_restores_on_drop_and_on_unwind() {
+        let pin = pin_threads(5);
         assert_eq!(current_threads(), 5);
-        set_thread_override(None);
-        assert!(current_threads() >= 1);
+        let previous = pin.previous;
+        drop(pin);
+        let unwound = std::panic::catch_unwind(|| {
+            let _pin = pin_threads(9);
+            panic!("an assertion fails while pinned");
+        });
+        assert!(unwound.is_err());
+        // Neither a dropped nor an unwound pin leaks into the next holder.
+        assert_eq!(pin_threads(6).previous, previous);
+    }
+
+    #[test]
+    fn concurrent_pinners_each_see_their_own_count() {
+        // Bare `set_thread_override` from two threads fails this: one
+        // thread's store lands inside the other's critical section.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for threads in [3usize, 7] {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        let _pin = pin_threads(threads);
+                        for _ in 0..50 {
+                            assert_eq!(current_threads(), threads);
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
     fn for_each_mut_visits_every_item_once_at_every_thread_count() {
-        let _guard = lock();
         for threads in [1, 2, 3, 8, 64] {
-            set_thread_override(Some(threads));
+            let _pin = pin_threads(threads);
             let mut cells: Vec<u64> = (0..103).collect();
             par_for_each_mut(&mut cells, |c| *c = *c * 3 + 1);
             let expect: Vec<u64> = (0..103).map(|x| x * 3 + 1).collect();
             assert_eq!(cells, expect, "threads={threads}");
         }
-        set_thread_override(None);
     }
 
     #[test]
     fn for_each_mut_handles_empty_and_singleton() {
-        let _guard = lock();
-        set_thread_override(Some(4));
+        let _pin = pin_threads(4);
         let mut empty: Vec<u32> = vec![];
         par_for_each_mut(&mut empty, |_| unreachable!());
         let mut one = vec![7u32];
         par_for_each_mut(&mut one, |x| *x += 1);
         assert_eq!(one, vec![8]);
-        set_thread_override(None);
     }
 
     #[test]
     fn workers_get_disjoint_mutable_state() {
         // The intended calling convention: each item owns (or exclusively
         // borrows) its state, so parallel mutation is race-free.
-        let _guard = lock();
-        set_thread_override(Some(4));
+        let _pin = pin_threads(4);
         let mut cells: Vec<u64> = vec![0; 50];
         let shards: Vec<(usize, &mut u64)> = cells.iter_mut().enumerate().collect();
         let out = par_map(shards, |(i, cell)| {
@@ -212,6 +250,5 @@ mod tests {
         });
         assert_eq!(out, (0..50).map(|i| (i + 1) * 2).collect::<Vec<u64>>());
         assert_eq!(cells, (1..=50).collect::<Vec<u64>>());
-        set_thread_override(None);
     }
 }

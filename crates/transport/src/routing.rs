@@ -9,8 +9,10 @@
 //!   capacity floor, then find the minimum-delay path and check it against a
 //!   delay bound. This is the allocation query of the demo ("dedicated paths
 //!   are selected to guarantee the required delay and capacity", §3).
-//! * [`k_shortest_paths`] — Yen's algorithm, used for reroute candidates
-//!   when a mmWave link degrades.
+//! * [`k_shortest_paths`] — Yen's algorithm. Nothing in the library calls
+//!   it: [`TransportController::reroute`](crate::TransportController::reroute)
+//!   asks the route cache for one CSPF path. It serves E6's path table, the
+//!   routing bench and the property tests.
 
 use crate::topology::Topology;
 use ovnes_model::{Latency, LinkId, NodeId};
@@ -124,7 +126,8 @@ pub fn dijkstra(
     dijkstra_with(&mut RoutingScratch::new(), topo, src, dst, usable, delay_of)
 }
 
-/// [`dijkstra`] reusing the caller's [`RoutingScratch`] (allocation-free).
+/// [`dijkstra`] reusing the caller's [`RoutingScratch`] (allocation-free),
+/// walking the topology's CSR adjacency.
 pub fn dijkstra_with(
     scratch: &mut RoutingScratch,
     topo: &Topology,
@@ -133,10 +136,40 @@ pub fn dijkstra_with(
     usable: impl Fn(LinkId) -> bool,
     delay_of: impl Fn(LinkId) -> Latency,
 ) -> Option<Path> {
-    let n = topo.node_count();
+    let (n, neighbors) = (topo.node_count(), |node| topo.neighbors(node));
+    shortest_path(scratch, n, neighbors, src, dst, usable, delay_of)
+}
+
+/// [`dijkstra_with`] over caller-held nested adjacency rows (row `i` is node
+/// `i`'s `(link, peer)` pairs, as [`Topology::adjacency_rows`] returns
+/// them). Same loop, different neighbour source: the reference tests pin
+/// the CSR walk against.
+pub fn dijkstra_over_rows(
+    scratch: &mut RoutingScratch,
+    rows: &[Vec<(LinkId, NodeId)>],
+    src: NodeId,
+    dst: NodeId,
+    usable: impl Fn(LinkId) -> bool,
+    delay_of: impl Fn(LinkId) -> Latency,
+) -> Option<Path> {
+    let neighbors = |node: NodeId| rows[node.value() as usize].as_slice();
+    shortest_path(scratch, rows.len(), neighbors, src, dst, usable, delay_of)
+}
+
+/// The one relaxation loop: minimum-delay path over whatever `neighbors`
+/// serves as a node's `(link, peer)` pairs.
+fn shortest_path<'a>(
+    scratch: &mut RoutingScratch,
+    node_count: usize,
+    neighbors: impl Fn(NodeId) -> &'a [(LinkId, NodeId)],
+    src: NodeId,
+    dst: NodeId,
+    usable: impl Fn(LinkId) -> bool,
+    delay_of: impl Fn(LinkId) -> Latency,
+) -> Option<Path> {
     let src_i = src.value() as usize;
     let dst_i = dst.value() as usize;
-    assert!(src_i < n && dst_i < n, "unknown endpoint");
+    assert!(src_i < node_count && dst_i < node_count, "unknown endpoint");
     if src == dst {
         return Some(Path {
             links: Vec::new(),
@@ -145,7 +178,7 @@ pub fn dijkstra_with(
     }
 
     // Distances in integer microseconds for exact comparisons.
-    scratch.begin(n);
+    scratch.begin(node_count);
     scratch.visit(src_i, 0, None);
     scratch.heap.push(QueueItem {
         cost_us: 0,
@@ -160,7 +193,7 @@ pub fn dijkstra_with(
         if node == dst {
             break;
         }
-        for &(link, peer) in topo.neighbors(node) {
+        for &(link, peer) in neighbors(node) {
             if !usable(link) {
                 continue;
             }
@@ -197,142 +230,6 @@ fn reconstruct(scratch: &RoutingScratch, src: NodeId, dst: NodeId) -> Path {
     links.reverse();
     nodes.reverse();
     Path { links, nodes }
-}
-
-/// [`dijkstra`] walking the retained nested adjacency rows instead of the
-/// CSR flattening — the bitwise routing oracle. Same weights, same
-/// tie-breaks, same reconstruction; only the neighbor representation
-/// differs, so tests pin the CSR walk against it and benches measure the
-/// CSR speedup over it.
-pub fn dijkstra_nested(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    usable: impl Fn(LinkId) -> bool,
-    delay_of: impl Fn(LinkId) -> Latency,
-) -> Option<Path> {
-    dijkstra_nested_with(&mut RoutingScratch::new(), topo, src, dst, usable, delay_of)
-}
-
-/// [`dijkstra_nested`] reusing the caller's [`RoutingScratch`].
-pub fn dijkstra_nested_with(
-    scratch: &mut RoutingScratch,
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    usable: impl Fn(LinkId) -> bool,
-    delay_of: impl Fn(LinkId) -> Latency,
-) -> Option<Path> {
-    let n = topo.node_count();
-    let src_i = src.value() as usize;
-    let dst_i = dst.value() as usize;
-    assert!(src_i < n && dst_i < n, "unknown endpoint");
-    if src == dst {
-        return Some(Path {
-            links: Vec::new(),
-            nodes: vec![src],
-        });
-    }
-
-    scratch.begin(n);
-    scratch.visit(src_i, 0, None);
-    scratch.heap.push(QueueItem {
-        cost_us: 0,
-        node: src,
-    });
-
-    while let Some(QueueItem { cost_us, node }) = scratch.heap.pop() {
-        let ni = node.value() as usize;
-        if cost_us > scratch.dist(ni) {
-            continue; // stale entry
-        }
-        if node == dst {
-            break;
-        }
-        for &(link, peer) in topo.neighbors_nested(node) {
-            if !usable(link) {
-                continue;
-            }
-            let w = delay_of(link).to_duration().as_micros();
-            let next = cost_us.saturating_add(w);
-            let pi = peer.value() as usize;
-            if next < scratch.dist(pi) {
-                scratch.visit(pi, next, Some((link, node)));
-                scratch.heap.push(QueueItem {
-                    cost_us: next,
-                    node: peer,
-                });
-            }
-        }
-    }
-
-    if scratch.dist(dst_i) == u64::MAX {
-        return None;
-    }
-    Some(reconstruct(scratch, src, dst))
-}
-
-/// Minimum *base-delay* path over the packed CSR arrays: each relaxation
-/// reads its `(link, peer)` pair and its integer-microsecond weight from
-/// two parallel contiguous slices and never touches the `links` table.
-/// Bitwise-equivalent to [`dijkstra`] with every link usable and
-/// `delay_of = |l| topo.link(l).delay` (the weights are precomputed with
-/// the exact same rounding at build time); the undegraded-graph fast path.
-pub fn dijkstra_base(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
-    dijkstra_base_with(&mut RoutingScratch::new(), topo, src, dst)
-}
-
-/// [`dijkstra_base`] reusing the caller's [`RoutingScratch`].
-pub fn dijkstra_base_with(
-    scratch: &mut RoutingScratch,
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-) -> Option<Path> {
-    let n = topo.node_count();
-    let src_i = src.value() as usize;
-    let dst_i = dst.value() as usize;
-    assert!(src_i < n && dst_i < n, "unknown endpoint");
-    if src == dst {
-        return Some(Path {
-            links: Vec::new(),
-            nodes: vec![src],
-        });
-    }
-
-    scratch.begin(n);
-    scratch.visit(src_i, 0, None);
-    scratch.heap.push(QueueItem {
-        cost_us: 0,
-        node: src,
-    });
-
-    while let Some(QueueItem { cost_us, node }) = scratch.heap.pop() {
-        let ni = node.value() as usize;
-        if cost_us > scratch.dist(ni) {
-            continue; // stale entry
-        }
-        if node == dst {
-            break;
-        }
-        let (pairs, weights) = topo.neighbors_with_base_delay(node);
-        for (&(link, peer), &w) in pairs.iter().zip(weights) {
-            let next = cost_us.saturating_add(w);
-            let pi = peer.value() as usize;
-            if next < scratch.dist(pi) {
-                scratch.visit(pi, next, Some((link, node)));
-                scratch.heap.push(QueueItem {
-                    cost_us: next,
-                    node: peer,
-                });
-            }
-        }
-    }
-
-    if scratch.dist(dst_i) == u64::MAX {
-        return None;
-    }
-    Some(reconstruct(scratch, src, dst))
 }
 
 /// Constrained shortest path first: the minimum-delay path among links whose
@@ -435,7 +332,8 @@ pub fn k_shortest_paths_with(
             // Nodes on the root (except the spur node) must not be revisited.
             let banned_nodes: Vec<NodeId> = root_nodes[..i].to_vec();
 
-            let spur = dijkstra(
+            let spur = dijkstra_with(
+                scratch,
                 topo,
                 spur_node,
                 dst,
@@ -636,23 +534,36 @@ mod tests {
 
     #[test]
     fn csr_nested_and_packed_walks_agree() {
+        // CSR vs the nested rows, unfiltered and filtered.
         let (topo, s, t) = diamond();
+        let rows = topo.adjacency_rows();
+        let mut scratch = RoutingScratch::new();
         for dst in [s, t] {
             for src_i in 0..topo.node_count() {
                 let src = topo.nodes()[src_i].id;
                 let csr = dijkstra(&topo, src, dst, |_| true, base_delay(&topo));
-                let nested = dijkstra_nested(&topo, src, dst, |_| true, base_delay(&topo));
-                let packed = dijkstra_base(&topo, src, dst);
+                let nested =
+                    dijkstra_over_rows(&mut scratch, &rows, src, dst, |_| true, base_delay(&topo));
                 assert_eq!(csr, nested);
-                assert_eq!(csr, packed);
             }
         }
-        // With a filter, the packed walk does not apply (all links usable
-        // only); CSR vs nested must still agree bit-for-bit.
-        let filtered_csr = dijkstra(&topo, s, t, |l| l != LinkId::new(0), base_delay(&topo));
+        let usable = |l| l != LinkId::new(0);
+        let filtered_csr = dijkstra(&topo, s, t, usable, base_delay(&topo));
         let filtered_nested =
-            dijkstra_nested(&topo, s, t, |l| l != LinkId::new(0), base_delay(&topo));
+            dijkstra_over_rows(&mut scratch, &rows, s, t, usable, base_delay(&topo));
         assert_eq!(filtered_csr, filtered_nested);
+    }
+
+    #[test]
+    fn yen_reuses_the_callers_scratch_for_spur_searches() {
+        // The spur searches used to run on a fresh scratch each: the
+        // caller's query epoch then moved once per call, not once per search.
+        let (topo, s, t) = diamond();
+        let mut scratch = RoutingScratch::new();
+        let paths =
+            k_shortest_paths_with(&mut scratch, &topo, s, t, 5, |_| true, base_delay(&topo));
+        assert_eq!(paths.len(), 3);
+        assert!(scratch.epoch > 1, "spur searches bypassed the scratch");
     }
 
     #[test]

@@ -102,42 +102,31 @@ impl Link {
 /// The transport graph. Construct with [`TopologyBuilder`] or
 /// [`Topology::testbed`].
 ///
-/// Adjacency is held twice: the nested per-node rows (the wire format and
-/// the bitwise routing oracle, see
-/// [`neighbors_nested`](Topology::neighbors_nested)) and a CSR flattening —
-/// one offsets array plus one packed `(link, peer)` array — that
-/// [`neighbors`](Topology::neighbors) serves so the routing hot loops walk
-/// contiguous memory. The CSR view is a pure function of the rows, rebuilt
-/// whenever the graph is (re)constructed: at [`TopologyBuilder::build`] and
-/// on deserialization. A built topology is immutable (links degrade through
-/// the controller's usage/health vectors, never by graph surgery), so there
-/// is no incremental CSR maintenance; any future growth event rebuilds the
-/// flattening wholesale under the route cache's generation stamp.
+/// Adjacency is held once, as a CSR flattening — one offsets array plus one
+/// packed `(link, peer)` array — that [`neighbors`](Topology::neighbors)
+/// serves so the routing hot loop walks contiguous memory. The wire format
+/// is still the nested per-node rows ([`adjacency_rows`](Topology::adjacency_rows)
+/// on the way out, re-flattened on the way in). A built topology is
+/// immutable (links degrade through the controller's usage/health vectors,
+/// never by graph surgery), so there is no incremental CSR maintenance; any
+/// future growth event rebuilds the flattening wholesale under the route
+/// cache's generation stamp.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(from = "TopologyWire", into = "TopologyWire")]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Outgoing (link, peer) pairs per node, in insertion order.
-    adjacency: Vec<Vec<(LinkId, NodeId)>>,
-    /// CSR row offsets: node `i`'s pairs live at
-    /// `csr_pairs[csr_offsets[i]..csr_offsets[i + 1]]`. Length
-    /// `nodes.len() + 1`.
+    /// CSR row offsets: node `i`'s outgoing (link, peer) pairs, in insertion
+    /// order, live at `csr_pairs[csr_offsets[i]..csr_offsets[i + 1]]`.
+    /// Length `nodes.len() + 1`.
     csr_offsets: Vec<u32>,
-    /// All adjacency pairs, concatenated in node order; element-wise
-    /// identical to the nested rows.
+    /// All adjacency pairs, concatenated in node order.
     csr_pairs: Vec<(LinkId, NodeId)>,
-    /// Base one-way delay of `csr_pairs[k].0` in integer microseconds — the
-    /// exact weight [`crate::routing::dijkstra`] computes for an undegraded
-    /// link, packed alongside the pairs so base-delay routing never touches
-    /// the `links` array in the hot loop.
-    csr_base_delay_us: Vec<u64>,
 }
 
 /// The serialized shape of [`Topology`]: nodes, links, and the nested
-/// adjacency rows only. The CSR flattening is derived state and is rebuilt
-/// on the way in, so snapshots taken before the flattening existed restore
-/// unchanged and the wire format stays stable.
+/// adjacency rows, so snapshots taken before the CSR flattening existed
+/// restore unchanged and the wire format stays stable.
 #[derive(Serialize, Deserialize)]
 struct TopologyWire {
     nodes: Vec<Node>,
@@ -154,9 +143,9 @@ impl From<TopologyWire> for Topology {
 impl From<Topology> for TopologyWire {
     fn from(topo: Topology) -> TopologyWire {
         TopologyWire {
+            adjacency: topo.adjacency_rows(),
             nodes: topo.nodes,
             links: topo.links,
-            adjacency: topo.adjacency,
         }
     }
 }
@@ -213,30 +202,18 @@ impl Topology {
         &self.csr_pairs[lo..hi]
     }
 
-    /// Neighbors of `node` from the retained nested adjacency rows — the
-    /// bitwise routing oracle. Element-wise identical to
-    /// [`neighbors`](Topology::neighbors); kept so tests and benches can
-    /// pin the CSR walk against the original representation.
-    #[inline]
-    pub fn neighbors_nested(&self, node: NodeId) -> &[(LinkId, NodeId)] {
-        &self.adjacency[node.value() as usize]
+    /// The adjacency as nested per-node rows — the wire shape, and the
+    /// reference representation tests route over. The single CSR→rows
+    /// conversion.
+    pub fn adjacency_rows(&self) -> Vec<Vec<(LinkId, NodeId)>> {
+        self.nodes
+            .iter()
+            .map(|n| self.neighbors(n.id).to_vec())
+            .collect()
     }
 
-    /// Neighbors of `node` plus each pair's base one-way delay in integer
-    /// microseconds, both served from the packed CSR arrays. The delay
-    /// slice is parallel to the pair slice and equals
-    /// `link.delay.to_duration().as_micros()` for the pair's link — the
-    /// weight base-delay routing computes, precomputed at build time.
-    #[inline]
-    pub fn neighbors_with_base_delay(&self, node: NodeId) -> (&[(LinkId, NodeId)], &[u64]) {
-        let i = node.value() as usize;
-        let lo = self.csr_offsets[i] as usize;
-        let hi = self.csr_offsets[i + 1] as usize;
-        (&self.csr_pairs[lo..hi], &self.csr_base_delay_us[lo..hi])
-    }
-
-    /// Rebuild from parts, deriving the CSR flattening from the nested
-    /// rows. Single construction path shared by the builder and deserialization.
+    /// Rebuild from parts, flattening the nested rows to CSR. Single
+    /// construction path shared by the builder and deserialization.
     fn from_rows(
         nodes: Vec<Node>,
         links: Vec<Link>,
@@ -249,23 +226,16 @@ impl Topology {
         );
         let mut csr_offsets = Vec::with_capacity(adjacency.len() + 1);
         let mut csr_pairs = Vec::with_capacity(total);
-        let mut csr_base_delay_us = Vec::with_capacity(total);
         csr_offsets.push(0u32);
         for row in &adjacency {
-            for &(link, peer) in row {
-                csr_pairs.push((link, peer));
-                csr_base_delay_us
-                    .push(links[link.value() as usize].delay.to_duration().as_micros());
-            }
+            csr_pairs.extend_from_slice(row);
             csr_offsets.push(csr_pairs.len() as u32);
         }
         Topology {
             nodes,
             links,
-            adjacency,
             csr_offsets,
             csr_pairs,
-            csr_base_delay_us,
         }
     }
 
@@ -385,7 +355,7 @@ impl TopologyBuilder {
     ///
     /// Adjacency rows are pre-reserved from a degree-counting pass (no
     /// reallocation while filling), and link insertion order is asserted to
-    /// match id order — the property the deterministic row/CSR layout (and
+    /// match id order — the property the deterministic CSR layout (and
     /// everything routing on it) relies on.
     pub fn build(self) -> Topology {
         let mut degree = vec![0usize; self.nodes.len()];
@@ -529,14 +499,28 @@ mod tests {
     #[test]
     fn csr_matches_nested_rows() {
         let t = Topology::testbed();
+        let rows = t.adjacency_rows();
+        assert_eq!(rows.len(), t.node_count());
         for node in t.nodes() {
-            assert_eq!(t.neighbors(node.id), t.neighbors_nested(node.id));
-            let (pairs, delays) = t.neighbors_with_base_delay(node.id);
-            assert_eq!(pairs, t.neighbors_nested(node.id));
-            for (&(link, _), &us) in pairs.iter().zip(delays) {
-                assert_eq!(us, t.link(link).delay.to_duration().as_micros());
-            }
+            assert_eq!(t.neighbors(node.id), rows[node.id.value() as usize]);
         }
+        // Rows → CSR → rows is the identity (the wire round trip).
+        let back = Topology::from_rows(t.nodes.clone(), t.links.clone(), rows.clone());
+        assert_eq!(back, t);
+        assert_eq!(back.adjacency_rows(), rows);
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // The exact JSON of the Fig. 2 testbed's adjacency: snapshot hashes
+        // and the benchmark's digests hang off these bytes.
+        let j = serde_json::to_string(&Topology::testbed()).unwrap();
+        assert!(
+            j.ends_with(
+                r#""adjacency":[[[0,2],[1,2]],[[2,2],[3,2]],[[0,0],[1,0],[2,1],[3,1],[4,4],[5,3]],[[5,2],[6,5]],[[4,2]],[[6,3]]]}"#
+            ),
+            "{j}"
+        );
     }
 
     #[test]

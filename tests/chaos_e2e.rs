@@ -2,76 +2,34 @@
 //! delays, corruption, and a scheduled controller outage — is injected into
 //! the control plane of a full demo run. The orchestrator must survive
 //! (no panics), keep serving slices (a control-plane fault is not a
-//! data-plane outage), surface the fallout in its counters, and reproduce
-//! the whole run bit-for-bit under the same seeds.
+//! data-plane outage) and surface the fallout in its counters. That the
+//! whole run reproduces bit-for-bit under the same seeds is the
+//! `acceptance-*` rows of `tests/identity_matrix.rs`, which run these same
+//! plans.
 
-use ovnes_api::{EndpointFaults, FaultPlan, SubstrateElement, SubstrateFaultPlan};
+use ovnes_api::{FaultPlan, SubstrateFaultPlan};
+use ovnes_bench::identity::{Cell, Perturbation, Plans};
 use ovnes_dashboard::DashboardView;
-use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
-use ovnes_orchestrator::{ChaosSummary, DemoScenario, ScenarioConfig, SliceState};
-use ovnes_sim::{SimDuration, SimTime};
+use ovnes_orchestrator::{DemoScenario, Orchestrator, SliceState};
 
-fn config(seed: u64) -> ScenarioConfig {
-    ScenarioConfig {
+/// The suite's world — 25 arrivals/h of hour-long slices over 4 h — under
+/// the acceptance plans at `plan_seed`, built by the identity matrix's own
+/// builder so both run the same thing.
+fn world(seed: u64, perturbation: Perturbation, plan_seed: u64) -> DemoScenario {
+    let plans = Plans::Acceptance(plan_seed, plan_seed);
+    let cell = Cell {
         seed,
-        arrivals_per_hour: 25.0,
-        horizon: SimDuration::from_hours(4),
-        mean_duration: SimDuration::from_mins(60),
-        ..ScenarioConfig::default()
-    }
-}
-
-/// The acceptance plan: ≤0.3 drop probability on every health probe, some
-/// transient 5xx and delay noise, response corruption on one monitoring
-/// endpoint, and the transport controller dark for minutes [60, 90).
-fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .with_endpoint("ran/health", EndpointFaults::none().with_drop(0.3))
-        .with_endpoint(
-            "transport/health",
-            EndpointFaults::none()
-                .with_drop(0.2)
-                .with_error(0.1)
-                .with_outage(
-                    SimTime::ZERO + SimDuration::from_mins(60),
-                    SimTime::ZERO + SimDuration::from_mins(90),
-                ),
-        )
-        .with_endpoint(
-            "cloud/health",
-            EndpointFaults::none().with_delay(0.2, SimDuration::from_millis(150)),
-        )
-        .with_endpoint(
-            "cloud/monitoring",
-            EndpointFaults::none().with_corrupt(0.2),
-        )
-}
-
-/// A demo run under a control-plane fault plan.
-fn chaos(config: ScenarioConfig, plan: FaultPlan) -> DemoScenario {
-    let mut s = DemoScenario::build(config);
-    s.orchestrator_mut().set_fault_plan(plan);
-    s
-}
-
-/// A demo run under a substrate fault plan.
-fn substrate(config: ScenarioConfig, plan: SubstrateFaultPlan) -> DemoScenario {
-    let mut s = DemoScenario::build(config);
-    s.orchestrator_mut().set_substrate_plan(plan);
-    s
-}
-
-fn run(seed: u64) -> (ChaosSummary, String) {
-    let mut s = chaos(config(seed), plan(seed ^ 0xFA11));
-    s.run();
-    let summary = s.chaos_summary();
-    let dashboard = DashboardView::capture(s.orchestrator()).render();
-    (summary, dashboard)
+        mean_duration_mins: 60,
+        perturbation,
+        plans,
+        ..Cell::CALM
+    };
+    cell.demo()
 }
 
 #[test]
 fn chaos_run_survives_and_serves() {
-    let mut s = chaos(config(31), plan(31));
+    let mut s = world(31, Perturbation::Control, 31);
     s.run();
     let summary = s.chaos_summary();
 
@@ -102,7 +60,7 @@ fn chaos_run_survives_and_serves() {
 
 #[test]
 fn chaos_counters_match_the_plan() {
-    let mut s = chaos(config(32), plan(32));
+    let mut s = world(32, Perturbation::Control, 32);
     s.run();
     let summary = s.chaos_summary();
 
@@ -125,16 +83,10 @@ fn chaos_counters_match_the_plan() {
 }
 
 #[test]
-fn chaos_runs_are_bit_for_bit_reproducible() {
-    let (summary_a, dash_a) = run(33);
-    let (summary_b, dash_b) = run(33);
-    assert_eq!(summary_a, summary_b);
-    assert_eq!(dash_a, dash_b);
-}
-
-#[test]
 fn chaos_dashboard_shows_control_plane_fallout() {
-    let (_, dashboard) = run(34);
+    let mut s = world(34, Perturbation::Control, 34 ^ 0xFA11);
+    s.run();
+    let dashboard = DashboardView::capture(s.orchestrator()).render();
     assert!(dashboard.contains("CONTROL PLANE"), "{dashboard}");
     assert!(dashboard.contains("fault plan: seed"));
     // The events feed narrates the outage and the recovery.
@@ -144,33 +96,9 @@ fn chaos_dashboard_shows_control_plane_fallout() {
 
 // ---- substrate faults: physical elements die, the pipeline self-heals ----
 
-fn minutes(n: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_mins(n)
-}
-
-/// The substrate acceptance plan: one cell dark for half an hour, the
-/// single agg→core fiber cut (no alternative path — forced degradations),
-/// a core host crash, and a whole switch outage late in the run. Every
-/// window closes before the 4 h horizon.
-fn substrate_plan(seed: u64) -> SubstrateFaultPlan {
-    SubstrateFaultPlan::new(seed)
-        .with_outage(SubstrateElement::Cell(EnbId::new(0)), minutes(40), minutes(70))
-        .with_outage(SubstrateElement::Link(LinkId::new(6)), minutes(100), minutes(125))
-        .with_outage(
-            SubstrateElement::Host(DcId::new(1), HostId::new(0)),
-            minutes(140),
-            minutes(160),
-        )
-        .with_outage(
-            SubstrateElement::Switch(SwitchId::new(1)),
-            minutes(180),
-            minutes(200),
-        )
-}
-
 #[test]
 fn substrate_faults_survive_and_account() {
-    let mut s = substrate(config(41), substrate_plan(41));
+    let mut s = world(41, Perturbation::Substrate, 41);
     s.run();
     let summary = s.substrate_summary();
 
@@ -191,103 +119,38 @@ fn substrate_faults_survive_and_account() {
     // No silent reservations: every Active slice sits on live elements
     // only, and every substrate-degraded epoch paid its penalty.
     let o = s.orchestrator();
-    for r in o.records().filter(|r| r.state == SliceState::Active) {
-        if let Some(enb) = o.ran().placement(r.id) {
-            assert!(o.ran().cell_is_up(enb), "{} active on a dead cell", r.id);
-        }
-        if let Some(res) = o.transport().reservation(r.id) {
-            for &link in &res.path.links {
-                assert!(o.transport().link_is_up(link), "{} active on dead {link}", r.id);
-            }
-        }
-    }
+    ovnes_bench::assert_no_silent_reservations(o);
     if summary.degraded > 0 {
         let violated: u64 = o.records().map(|r| r.epochs_violated).sum();
         assert!(violated > 0, "degradations booked no penalty epochs");
     }
 }
 
-#[test]
-fn substrate_runs_are_bit_for_bit_reproducible() {
-    let run = || {
-        let mut s = substrate(config(42), substrate_plan(4242));
-        s.run();
-        let summary = s.substrate_summary();
+/// A quiet plan must change nothing but its own dashboard footer line.
+fn assert_quiet_plan_is_a_no_op(seed: u64, footer: &str, install: fn(&mut Orchestrator)) {
+    let run = |install: fn(&mut Orchestrator)| {
+        let mut s = world(seed, Perturbation::Calm, 0);
+        install(s.orchestrator_mut());
+        let summary = s.run();
         let dashboard = DashboardView::capture(s.orchestrator()).render();
-        (summary, dashboard)
+        let rest: Vec<String> = dashboard
+            .lines()
+            .filter(|l| !l.contains(footer))
+            .map(str::to_owned)
+            .collect();
+        (summary, rest)
     };
-    let (sa, da) = run();
-    let (sb, db) = run();
-    assert_eq!(sa, sb);
-    assert_eq!(da, db);
-    assert!(sa.element_failures > 0, "the plan must actually bite: {sa:?}");
+    assert_eq!(run(|_| {}), run(install));
 }
 
 #[test]
 fn quiet_substrate_plan_is_a_no_op_end_to_end() {
-    let plain = {
-        let mut s = DemoScenario::build(config(43));
-        let summary = s.run();
-        (summary, DashboardView::capture(s.orchestrator()).render())
-    };
-    let quiet = {
-        let mut s = substrate(config(43), SubstrateFaultPlan::new(5678));
-        s.run();
-        let summary = s.substrate_summary();
-        (summary.demo.clone(), DashboardView::capture(s.orchestrator()).render())
-    };
-    assert_eq!(plain.0, quiet.0);
-    // Dashboards differ only in the substrate-plan footer line.
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("substrate plan") && !l.contains("no substrate plan"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&plain.1), strip(&quiet.1));
-}
-
-#[test]
-fn combined_control_and_substrate_chaos_is_survivable_and_reproducible() {
-    // Control-plane faults and substrate faults at once: the restore path
-    // must wait for domain connectivity, the repair path keeps working, and
-    // the whole thing stays deterministic.
-    let run = || {
-        let mut s = chaos(config(44), plan(44));
-        s.orchestrator_mut().set_substrate_plan(substrate_plan(44));
-        s.run();
-        let summary = s.chaos_summary();
-        let dashboard = DashboardView::capture(s.orchestrator()).render();
-        (summary, dashboard)
-    };
-    let (sa, da) = run();
-    let (sb, db) = run();
-    assert_eq!(sa, sb);
-    assert_eq!(da, db);
-    assert!(sa.demo.admitted > 0, "{sa:?}");
-    assert!(sa.control_retries > 0, "{sa:?}");
+    assert_quiet_plan_is_a_no_op(43, "substrate plan", |o| {
+        o.set_substrate_plan(SubstrateFaultPlan::new(5678))
+    });
 }
 
 #[test]
 fn empty_plan_is_a_no_op_end_to_end() {
-    let plain = {
-        let mut s = DemoScenario::build(config(35));
-        let summary = s.run();
-        (summary, DashboardView::capture(s.orchestrator()).render())
-    };
-    let quiet = {
-        let mut s = chaos(config(35), FaultPlan::new(1234));
-        s.run();
-        let summary = s.chaos_summary();
-        (summary.demo.clone(), DashboardView::capture(s.orchestrator()).render())
-    };
-    assert_eq!(plain.0, quiet.0);
-    // Dashboards differ only in the fault-plan footer line.
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("fault plan") && !l.contains("no fault plan"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&plain.1), strip(&quiet.1));
+    assert_quiet_plan_is_a_no_op(35, "fault plan", |o| o.set_fault_plan(FaultPlan::new(1234)));
 }

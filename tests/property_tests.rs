@@ -14,7 +14,7 @@ use ovnes_orchestrator::{
     region_scenario_config, DemoScenario, FederationBroker, FederationConfig,
 };
 use ovnes_transport::{
-    dijkstra, dijkstra_base_with, dijkstra_nested_with, dijkstra_with, k_shortest_paths,
+    dijkstra, dijkstra_over_rows, dijkstra_with, k_shortest_paths,
     random_mesh, LinkKind, NodeKind, RoutingScratch, Topology, TransportController,
 };
 use proptest::prelude::*;
@@ -343,10 +343,9 @@ proptest! {
     }
 
     // The CSR flattening must be a pure layout change: on arbitrary random
-    // meshes, the CSR walks (the closure variant and the packed-base-delay
-    // variant) return exactly the nested oracle's path — including walks
-    // with a pseudo-random subset of links filtered out, which the closure
-    // variant must honour identically.
+    // meshes, the CSR walk returns exactly the path the same loop finds
+    // over the nested rows — including walks with a pseudo-random subset of
+    // links filtered out.
     #[test]
     fn csr_dijkstra_walks_match_the_nested_oracle(
         seed in any::<u64>(),
@@ -357,19 +356,19 @@ proptest! {
     ) {
         let mut rng = SimRng::seed_from(seed);
         let topo = random_mesh(n, chords, RateMbps::new(1000.0), &mut rng);
+        let rows = topo.adjacency_rows();
         let mut scratch = RoutingScratch::new();
         let delay = |l: LinkId| topo.link(l).delay;
         for &(a, b) in &pairs {
             let s = topo.nodes()[a % n].id;
             let t = topo.nodes()[b % n].id;
-            let oracle = dijkstra_nested_with(&mut scratch, &topo, s, t, |_| true, delay);
+            let oracle = dijkstra_over_rows(&mut scratch, &rows, s, t, |_| true, delay);
             prop_assert_eq!(
                 &dijkstra_with(&mut scratch, &topo, s, t, |_| true, delay),
                 &oracle
             );
-            prop_assert_eq!(&dijkstra_base_with(&mut scratch, &topo, s, t), &oracle);
             let usable = |l: LinkId| l.value() % 7 != mask;
-            let filtered = dijkstra_nested_with(&mut scratch, &topo, s, t, usable, delay);
+            let filtered = dijkstra_over_rows(&mut scratch, &rows, s, t, usable, delay);
             prop_assert_eq!(
                 &dijkstra_with(&mut scratch, &topo, s, t, usable, delay),
                 &filtered
@@ -777,17 +776,15 @@ proptest! {
         arrivals in 10.0f64..50.0,
     ) {
         let run_at = |threads: usize| {
-            ovnes_sim::par::set_thread_override(Some(threads));
-            let out = FederationBroker::build(FederationConfig {
+            let _pin = ovnes_sim::par::pin_threads(threads);
+            FederationBroker::build(FederationConfig {
                 seed,
                 regions,
                 arrivals_per_hour: arrivals,
                 horizon: SimDuration::from_hours(1),
                 ..FederationConfig::default()
             })
-            .run();
-            ovnes_sim::par::set_thread_override(None);
-            out
+            .run()
         };
         let one = run_at(1);
         prop_assert_eq!(&one, &run_at(2));
