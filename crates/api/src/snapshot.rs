@@ -417,9 +417,26 @@ pub fn replay_bisect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Deref;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// A snapshot store in a fresh temp directory, removed when dropped.
+    struct Scratch(SnapshotStore);
+
+    impl Deref for Scratch {
+        type Target = SnapshotStore;
+        fn deref(&self) -> &SnapshotStore {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(self.0.root());
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "ovnes-snapshot-{}-{tag}-{}",
@@ -427,7 +444,7 @@ mod tests {
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        Scratch(SnapshotStore::open(dir).unwrap())
     }
 
     fn manifest(
@@ -480,7 +497,7 @@ mod tests {
 
     #[test]
     fn objects_round_trip_and_deduplicate() {
-        let store = SnapshotStore::open(scratch("objects")).unwrap();
+        let store = scratch("objects");
         let a = store.put_object(b"hello world").unwrap();
         let again = store.put_object(b"hello world").unwrap();
         let b = store.put_object(b"other").unwrap();
@@ -498,7 +515,7 @@ mod tests {
 
     #[test]
     fn corrupted_object_is_detected() {
-        let store = SnapshotStore::open(scratch("corrupt")).unwrap();
+        let store = scratch("corrupt");
         let section = store.put_object(b"precious state").unwrap();
         let path = store.object_path(&section.hash);
         let mut bytes = fs::read(&path).unwrap();
@@ -512,7 +529,7 @@ mod tests {
 
     #[test]
     fn manifest_chain_appends_loads_and_guards_linkage() {
-        let store = SnapshotStore::open(scratch("chain")).unwrap();
+        let store = scratch("chain");
         assert!(store.latest_manifest().unwrap().is_none());
         let m1 = manifest(10, None, &[("ran", "r1"), ("transport", "t1")]);
         store.append_manifest(&m1).unwrap();
@@ -558,9 +575,9 @@ mod tests {
         epochs: &[u64],
         split_at: u64,
         component: &str,
-    ) -> (SnapshotStore, SnapshotStore) {
-        let a = SnapshotStore::open(scratch(&format!("{tag}-a"))).unwrap();
-        let b = SnapshotStore::open(scratch(&format!("{tag}-b"))).unwrap();
+    ) -> (Scratch, Scratch) {
+        let a = scratch(&format!("{tag}-a"));
+        let b = scratch(&format!("{tag}-b"));
         let (mut prev_a, mut prev_b): (Option<SnapshotManifest>, Option<SnapshotManifest>) =
             (None, None);
         for &epoch in epochs {
@@ -612,7 +629,7 @@ mod tests {
         let (a, b) = diverging_chains("agree", &epochs, u64::MAX, "rng");
         assert_eq!(replay_bisect(&a, &b).unwrap(), None);
         // And disjoint chains have nothing to compare.
-        let empty = SnapshotStore::open(scratch("empty")).unwrap();
+        let empty = scratch("empty");
         assert_eq!(replay_bisect(&a, &empty).unwrap(), None);
     }
 }

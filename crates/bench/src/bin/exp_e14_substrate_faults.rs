@@ -14,50 +14,21 @@
 //! * **no silent reservations** — after every run, no `Active` slice holds
 //!   a reservation on a dead link, a dead cell, or a degraded stack
 //!   (asserted; the visible exception path is `Degraded`).
-//! * **determinism** — the matrix's stormy substrate cell repeated at 1/2/8
-//!   workers and with the route cache on/off (`identity::observe`) must be
-//!   byte-identical: summary, monitoring JSON, and the rendered dashboard.
 //!
-//! Results land in `BENCH_e14.json` at the working directory (the repo root
-//! in CI, which archives it alongside `BENCH_e13.json`).
-//!
-//! `--smoke` shrinks the sweep to CI size; every assertion still runs.
+//! That a substrate run is byte-identical across worker counts and with the
+//! route cache off is the `substrate-workers-2/8`, `substrate-cache-off` and
+//! `fresh-substrate` rows of `tests/identity_matrix.rs`.
 
 use ovnes_api::{SubstrateElement, SubstrateFaultPlan};
-use ovnes_bench::identity::{observe, Cell, Perturbation};
-use ovnes_bench::{
-    assert_no_silent_reservations, percentile, report_header, report_kv, report_results,
-};
+use ovnes_bench::{assert_no_silent_reservations, percentile, report_header, report_kv};
 use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
 use ovnes_orchestrator::{DemoScenario, ScenarioConfig, SubstrateSummary};
 use ovnes_sim::SimDuration;
 
-struct Shape {
-    rates: &'static [f64],
-    horizon_hours: u64,
-    arrivals_per_hour: f64,
-    mean_repair_mins: u64,
-    identity_minutes: u64,
-    identity_threads: &'static [usize],
-}
-
-const FULL: Shape = Shape {
-    rates: &[0.0, 0.25, 0.5, 1.0, 2.0],
-    horizon_hours: 6,
-    arrivals_per_hour: 20.0,
-    mean_repair_mins: 15,
-    identity_minutes: 120,
-    identity_threads: &[1, 2, 8],
-};
-
-const SMOKE: Shape = Shape {
-    rates: &[0.0, 1.0],
-    horizon_hours: 2,
-    arrivals_per_hour: 20.0,
-    mean_repair_mins: 10,
-    identity_minutes: 45,
-    identity_threads: &[1, 2, 8],
-};
+/// Element failures per hour swept, over 6 h of the Fig. 2 testbed.
+const RATES: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 2.0];
+const HORIZON_HOURS: u64 = 6;
+const MEAN_REPAIR_MINS: u64 = 15;
 
 /// Every failable element of the Fig. 2 testbed: all seven links, both
 /// switches, both cells, and a few hosts in each DC.
@@ -72,21 +43,21 @@ fn testbed_elements() -> Vec<SubstrateElement> {
     elements
 }
 
-fn config(shape: &Shape, horizon: SimDuration) -> ScenarioConfig {
+fn config(horizon: SimDuration) -> ScenarioConfig {
     ScenarioConfig {
         seed: 1414,
-        arrivals_per_hour: shape.arrivals_per_hour,
+        arrivals_per_hour: 20.0,
         horizon,
         mean_duration: SimDuration::from_mins(60),
         ..ScenarioConfig::default()
     }
 }
 
-fn plan_for(shape: &Shape, rate: f64, horizon: SimDuration) -> SubstrateFaultPlan {
+fn plan_for(rate: f64, horizon: SimDuration) -> SubstrateFaultPlan {
     SubstrateFaultPlan::new(1400).with_random_outages(
         &testbed_elements(),
         rate,
-        SimDuration::from_mins(shape.mean_repair_mins),
+        SimDuration::from_mins(MEAN_REPAIR_MINS),
         horizon,
     )
 }
@@ -101,11 +72,11 @@ struct RateRow {
     ttr_max: f64,
 }
 
-fn sweep_rate(shape: &Shape, rate: f64) -> RateRow {
-    let horizon = SimDuration::from_hours(shape.horizon_hours);
-    let mut s = DemoScenario::build(config(shape, horizon));
+fn sweep_rate(rate: f64) -> RateRow {
+    let horizon = SimDuration::from_hours(HORIZON_HOURS);
+    let mut s = DemoScenario::build(config(horizon));
     s.orchestrator_mut()
-        .set_substrate_plan(plan_for(shape, rate, horizon));
+        .set_substrate_plan(plan_for(rate, horizon));
     s.run();
     let summary = s.substrate_summary();
     let o = s.orchestrator();
@@ -149,74 +120,34 @@ fn sweep_rate(shape: &Shape, rate: f64) -> RateRow {
     }
 }
 
-/// One stormy configuration at several worker counts, route cache on and
-/// off: the summary, the monitoring JSON, and the dashboard must all be
-/// byte-identical.
-fn identity_check(shape: &Shape) {
-    let stormy = Cell {
-        seed: 1414,
-        arrivals_per_hour: shape.arrivals_per_hour,
-        mean_duration_mins: 60,
-        horizon_mins: shape.identity_minutes,
-        perturbation: Perturbation::Substrate,
-        workers: shape.identity_threads[0],
-        ..Cell::CALM
-    };
-    let (baseline, witness) = observe(&stormy);
-    assert!(
-        witness.element_failures > 0,
-        "the storm never bit: {witness:?}"
-    );
-    for &workers in &shape.identity_threads[1..] {
-        assert_eq!(
-            baseline.first_difference(&observe(&Cell { workers, ..stormy }).0),
-            None,
-            "substrate run moved with the worker count ({workers})"
-        );
-    }
-    let uncached = Cell {
-        route_cache: false,
-        ..stormy
-    };
-    assert_eq!(
-        baseline.first_difference(&observe(&uncached).0),
-        None,
-        "substrate run moved with the route cache"
-    );
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let shape = if smoke { &SMOKE } else { &FULL };
     report_header(
         "E14",
         "substrate faults and self-healing",
         "availability, time-to-repair, and gain-vs-penalty across element failure rates",
     );
-    let mut results: Vec<(&str, String)> = Vec::new();
+    let rows: Vec<(f64, RateRow)> = RATES.iter().map(|&r| (r, sweep_rate(r))).collect();
 
     println!();
     println!(
-        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10} {:>12} {:>12}",
-        "rate/h", "failures", "reroutes", "reattach", "replace", "degraded", "avail", "worst",
-        "ttr p95 s", "net",
+        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        "rate/h", "failures", "reroutes", "reattach", "replace", "degraded", "restored", "avail",
+        "worst",
     );
-    for (i, &rate) in shape.rates.iter().enumerate() {
-        let row = sweep_rate(shape, rate);
+    for (rate, row) in &rows {
         println!(
-            "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9.1}% {:>9.1}% {:>12.0} {:>12}",
+            "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9.1}% {:>9.1}%",
             format!("{rate:.2}"),
             row.summary.element_failures,
             row.summary.reroutes,
             row.summary.reattaches,
             row.summary.replacements,
             row.summary.degraded,
+            row.summary.restored,
             row.mean_availability * 100.0,
             row.worst_availability * 100.0,
-            row.ttr_p95,
-            row.summary.demo.net_revenue,
         );
-        if rate == 0.0 {
+        if *rate == 0.0 {
             assert_eq!(row.summary.element_failures, 0, "quiet plan injected faults");
             assert_eq!(row.summary.degraded, 0);
         } else {
@@ -237,46 +168,29 @@ fn main() {
                 row.summary
             );
         }
-        // Stable keys per sweep position, with the rate itself recorded.
-        let key = |suffix: &str| -> &'static str {
-            let name = format!("rate{i}_{suffix}");
-            Box::leak(name.into_boxed_str())
-        };
-        results.push((key("failures_per_hour"), format!("{rate}")));
-        results.push((key("element_failures"), row.summary.element_failures.to_string()));
-        results.push((key("element_recoveries"), row.summary.element_recoveries.to_string()));
-        results.push((key("reroutes"), row.summary.reroutes.to_string()));
-        results.push((key("reattaches"), row.summary.reattaches.to_string()));
-        results.push((key("replacements"), row.summary.replacements.to_string()));
-        results.push((key("degraded"), row.summary.degraded.to_string()));
-        results.push((key("repaired"), row.summary.repaired.to_string()));
-        results.push((key("restored"), row.summary.restored.to_string()));
-        results.push((key("mean_availability"), format!("{:.6}", row.mean_availability)));
-        results.push((key("worst_availability"), format!("{:.6}", row.worst_availability)));
-        results.push((key("ttr_count"), row.ttr_count.to_string()));
-        results.push((key("ttr_mean_s"), format!("{:.3}", row.ttr_mean)));
-        results.push((key("ttr_p95_s"), format!("{:.3}", row.ttr_p95)));
-        results.push((key("ttr_max_s"), format!("{:.3}", row.ttr_max)));
-        results.push((key("gross_income"), format!("{:.2}", row.summary.demo.gross_income.as_f64())));
-        results.push((key("penalties"), format!("{:.2}", row.summary.demo.penalties.as_f64())));
-        results.push((key("net_revenue"), format!("{:.2}", row.summary.demo.net_revenue.as_f64())));
-        results.push((key("mean_savings"), format!("{:.4}", row.summary.demo.mean_savings)));
-        results.push((key("admitted"), row.summary.demo.admitted.to_string()));
     }
 
-    identity_check(shape);
     println!();
-    report_kv(&[
-        (
-            "determinism",
-            format!(
-                "byte-identical at {:?} workers (asserted)",
-                shape.identity_threads
-            ),
-        ),
-        ("silent reservations", "none at any rate (asserted)".into()),
-    ]);
-    results.push(("identity_across_workers", "true".into()));
+    println!(
+        "{:<10} {:>7} {:>10} {:>10} {:>10} {:>12} {:>12} {:>12} {:>9}",
+        "rate/h", "repairs", "ttr mean s", "ttr p95 s", "ttr max s", "gross", "penalties", "net",
+        "savings",
+    );
+    for (rate, row) in &rows {
+        println!(
+            "{:<10} {:>7} {:>10.0} {:>10.0} {:>10.0} {:>12} {:>12} {:>12} {:>8.1}%",
+            format!("{rate:.2}"),
+            row.ttr_count,
+            row.ttr_mean,
+            row.ttr_p95,
+            row.ttr_max,
+            row.summary.demo.gross_income.to_string(),
+            row.summary.demo.penalties.to_string(),
+            row.summary.demo.net_revenue.to_string(),
+            row.summary.demo.mean_savings * 100.0,
+        );
+    }
 
-    report_results("e14", smoke, &results);
+    println!();
+    report_kv(&[("silent reservations", "none at any rate (asserted)".into())]);
 }

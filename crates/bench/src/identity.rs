@@ -7,8 +7,7 @@
 //! sockets and supervisor, cuts and restores, and pins the workers while
 //! the epochs run; [`Observed`] is the three artefacts as bytes and
 //! [`Witness`] what proves the perturbation actually bit.
-//! `tests/identity_matrix.rs` walks one table of cell pairs through it and
-//! the `exp_e12`–`e19` identity phases call it on the same cells.
+//! `tests/identity_matrix.rs` walks one table of cell pairs through it.
 
 use ovnes_api::{
     CrashPlan, EndpointFaults, FaultPlan, RpcServer, SubstrateElement, SubstrateFaultPlan,
@@ -17,11 +16,10 @@ use ovnes_dashboard::DashboardView;
 use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
 use ovnes_orchestrator::{
     region_scenario_config, spawn_domain_control_servers, DemoScenario, FederationBroker,
-    FederationConfig, Orchestrator, Supervisor, WorldSnapshot, DOMAINS,
+    FederationConfig, Orchestrator, Supervisor, DOMAINS,
 };
 use ovnes_sim::par::{current_threads, pin_threads};
 use ovnes_sim::{SimDuration, SimRng, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the orchestrator reaches its domain controllers.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -192,8 +190,7 @@ impl Cell {
     }
 
     /// The single-world scenario of this cell, plans installed, not yet
-    /// stepped. (`observe` drives it; E16 times its own checkpoint loop
-    /// around one.)
+    /// stepped.
     pub fn demo(&self) -> DemoScenario {
         let mut s = DemoScenario::build(region_scenario_config(&self.config(1)));
         self.install(0, s.orchestrator_mut());
@@ -322,7 +319,7 @@ macro_rules! json {
 impl Observed {
     /// The dashboard and monitoring JSON of one orchestrator — the one
     /// place these are rendered for comparison.
-    pub fn of(orchestrator: &Orchestrator) -> Observed {
+    fn of(orchestrator: &Orchestrator) -> Observed {
         Observed {
             summaries: Vec::new(),
             driver: "",
@@ -333,7 +330,7 @@ impl Observed {
     }
 
     /// Everything a demo run shows.
-    pub fn of_demo(s: &DemoScenario) -> Observed {
+    fn of_demo(s: &DemoScenario) -> Observed {
         Observed {
             summaries: vec![json!(&s.summary())],
             driver: "demo",
@@ -458,16 +455,9 @@ impl World {
 
     /// Snapshot to disk, drop the live world, restore from the snapshot.
     fn cut(self) -> World {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "ovnes-identity-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = WorldSnapshot::open(&dir).expect("open snapshot store");
+        let store = crate::ScratchWorld::open("identity");
         let epoch = self.epochs();
-        let restored = match self {
+        match self {
             World::Demo(s) => {
                 store.snapshot(&s.export_state()).expect("snapshot writes");
                 drop(s); // only the on-disk snapshot survives the "kill"
@@ -482,9 +472,7 @@ impl World {
                 let state = store.restore_federation(epoch).expect("restore");
                 World::Federated(FederationBroker::from_state(&state))
             }
-        };
-        let _ = std::fs::remove_dir_all(&dir);
-        restored
+        }
     }
 }
 
@@ -548,8 +536,8 @@ pub fn observe(cell: &Cell) -> (Observed, Witness) {
 }
 
 /// [`observe`], handing the freshly spawned domain servers of a socket cell
-/// to `on_sockets_up` before the first epoch (E17 subscribes its telemetry
-/// feeds there).
+/// to `on_sockets_up` before the first epoch (`tests/rpc_plane.rs`
+/// subscribes its telemetry feeds there).
 pub fn observe_with(cell: &Cell, on_sockets_up: impl FnOnce(&[RpcServer])) -> (Observed, Witness) {
     let cut_at = cell.cut.map(Cut::epoch);
     let mut workers = cut_at.map_or(cell.workers, |_| cell.cut_workers);

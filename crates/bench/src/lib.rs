@@ -1,29 +1,30 @@
 //! # ovnes-bench — experiment harnesses and shared fixtures
 //!
-//! One binary per paper artifact (see DESIGN.md's experiment index, E1–E8)
-//! plus the Criterion micro-benchmarks. This library holds the fixtures the
-//! binaries and benches share: standard worlds, standard requests, and a
-//! tiny report-printing layer so every experiment emits the same table
-//! shape EXPERIMENTS.md records.
+//! One binary per quantity the paper's dashboard displays (see DESIGN.md's
+//! experiment index: E1–E11, A1, A2, E14). This library holds the fixtures
+//! the binaries and the root `tests/` share — standard worlds, standard
+//! requests, [`identity`] — and a tiny report-printing layer so every
+//! experiment emits the same table shape EXPERIMENTS.md records. Nothing
+//! here keeps time: wall-clock is measured by `ovnes-e2e` (`crates/e2e`).
 
 use ovnes_cloud::host::HostCapacity;
 use ovnes_cloud::{CloudController, DataCenter, DcKind, PlacementStrategy};
 use ovnes_model::{
-    DcId, DiskGb, EnbId, Latency, MemMb, Money, RateMbps, SliceClass, SliceRequest, SwitchId,
-    TenantId, VCpus,
+    DcId, DiskGb, EnbId, Latency, MemMb, Money, RateMbps, SliceClass, SliceRequest, TenantId,
+    VCpus,
 };
-use ovnes_orchestrator::{Orchestrator, OrchestratorConfig};
+use ovnes_orchestrator::{Orchestrator, OrchestratorConfig, WorldSnapshot};
 use ovnes_ran::{CellConfig, Enb, RanController};
-use ovnes_sim::{SimDuration, SimRng, SimTime};
-use ovnes_transport::{LinkKind, NodeKind, Topology, TransportController};
+use ovnes_sim::{SimDuration, SimRng};
+use ovnes_transport::{Topology, TransportController};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod identity;
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count {
     //! A counting global allocator, for making "this path allocates
-    //! nothing" a testable property (E15's allocs/epoch column and the
-    //! `alloc_count` integration test).
+    //! nothing" a testable property (the `alloc_count` integration test).
     //!
     //! The counter is thread-local, so concurrent test threads (libtest
     //! runs tests in parallel) never perturb each other's counts; what a
@@ -123,71 +124,6 @@ pub fn testbed_orchestrator(config: OrchestratorConfig, seed: u64) -> Orchestrat
     Orchestrator::new(config, ran, transport, cloud, cell, SimRng::seed_from(seed))
 }
 
-/// A scaled-up world for the epoch-scaling experiment (E12): `cells` eNBs
-/// star-wired into one packet fabric, which uplinks to an edge DC directly
-/// and to a core DC through an aggregation switch. All links are wired so
-/// the fixture is weather-insensitive, and the cells accept 12 PLMNs each
-/// so ~6 slices/cell fits with headroom. DC pools scale with the cell
-/// count so compute is never the admission bottleneck.
-pub fn scaling_world(
-    cells: usize,
-) -> (RanController, TransportController, CloudController, CellConfig) {
-    let cell = CellConfig {
-        max_plmns: 12,
-        ..CellConfig::default_20mhz()
-    };
-    let ran = RanController::new(
-        (0..cells)
-            .map(|i| Enb::new(EnbId::new(i as u64), cell))
-            .collect(),
-    );
-    let mut b = Topology::builder();
-    let pf = b.add_node(NodeKind::Switch(SwitchId::new(0)), "pf-fabric");
-    for i in 0..cells {
-        let site = b.add_node(
-            NodeKind::RadioSite(EnbId::new(i as u64)),
-            &format!("enb{i}-site"),
-        );
-        b.add_default_link(site, pf, LinkKind::Wired);
-    }
-    let edge = b.add_node(NodeKind::DataCenter(DcId::new(0)), "edge-dc");
-    let agg = b.add_node(NodeKind::Switch(SwitchId::new(1)), "agg-switch");
-    let core = b.add_node(NodeKind::DataCenter(DcId::new(1)), "core-dc");
-    b.add_default_link(pf, edge, LinkKind::Wired);
-    b.add_default_link(pf, agg, LinkKind::Wired);
-    b.add_link(
-        agg,
-        core,
-        LinkKind::Wired,
-        LinkKind::Wired.default_capacity(),
-        Latency::new(4.0),
-    );
-    let transport = TransportController::new(b.build(), 4096);
-    let cloud = CloudController::new(vec![
-        DataCenter::homogeneous(
-            DcId::new(0),
-            DcKind::Edge,
-            cells.max(2),
-            edge_host(),
-            PlacementStrategy::WorstFit,
-        ),
-        DataCenter::homogeneous(
-            DcId::new(1),
-            DcKind::Core,
-            (cells * 4).max(12),
-            core_host(),
-            PlacementStrategy::WorstFit,
-        ),
-    ]);
-    (ran, transport, cloud, cell)
-}
-
-/// An orchestrator over the scaled world.
-pub fn scaling_orchestrator(cells: usize, config: OrchestratorConfig, seed: u64) -> Orchestrator {
-    let (ran, transport, cloud, cell) = scaling_world(cells);
-    Orchestrator::new(config, ran, transport, cloud, cell, SimRng::seed_from(seed))
-}
-
 /// A standard eMBB request of `tp` Mbps.
 pub fn embb_request(tenant: u64, tp: f64) -> SliceRequest {
     SliceRequest::builder(TenantId::new(tenant), SliceClass::Embb)
@@ -197,18 +133,6 @@ pub fn embb_request(tenant: u64, tp: f64) -> SliceRequest {
         .penalty(Money::from_units((tp * 0.2).max(1.0) as i64))
         .build()
         .expect("positive parameters")
-}
-
-/// Submit `slices` eMBB requests of 3–5 Mbps at time zero — the prefilled,
-/// arrival-free world the scaling sweeps (E12, E19) time. Returns how many
-/// were admitted.
-pub fn prefill(orchestrator: &mut Orchestrator, slices: u64) -> usize {
-    let mut admitted = 0;
-    for t in 0..slices {
-        let request = embb_request(t, 3.0 + (t % 5) as f64 * 0.5);
-        admitted += orchestrator.submit(SimTime::ZERO, request).is_ok() as usize;
-    }
-    admitted
 }
 
 /// A standard URLLC request (automotive/e-health class).
@@ -253,6 +177,37 @@ pub fn repair_by_hand(
     restarted
 }
 
+/// A [`WorldSnapshot`] store in a fresh directory under the system temp
+/// directory, removed again when dropped.
+pub struct ScratchWorld(WorldSnapshot);
+
+impl ScratchWorld {
+    /// Open an empty store; `tag` only names the directory.
+    pub fn open(tag: &str) -> ScratchWorld {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ovnes-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchWorld(WorldSnapshot::open(dir).expect("open snapshot store"))
+    }
+}
+
+impl std::ops::Deref for ScratchWorld {
+    type Target = WorldSnapshot;
+    fn deref(&self) -> &WorldSnapshot {
+        &self.0
+    }
+}
+
+impl Drop for ScratchWorld {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(self.0.store().root());
+    }
+}
+
 /// No `Active` slice may silently hold a reservation through a dead
 /// element — the only sanctioned way to sit on one is the `Degraded` state,
 /// which books a penalty every epoch.
@@ -295,39 +250,6 @@ pub fn report_kv(pairs: &[(&str, String)]) {
     }
 }
 
-/// Write the same pairs as one JSON object at `path`, so experiment results
-/// are machine-readable (CI archives them to track the perf trajectory).
-/// Values that parse as finite numbers are written as JSON numbers; anything
-/// else stays a string. Keys are emitted in sorted order.
-pub fn report_json(path: &str, pairs: &[(&str, String)]) -> std::io::Result<()> {
-    let mut obj = serde_json::Map::new();
-    for (k, v) in pairs {
-        let value = match v.parse::<f64>() {
-            Ok(n) if n.is_finite() => serde_json::Number::from_f64(n)
-                .map(serde_json::Value::Number)
-                .unwrap_or_else(|| serde_json::Value::String(v.clone())),
-            _ => serde_json::Value::String(v.clone()),
-        };
-        obj.insert(k.to_string(), value);
-    }
-    let mut body = serde_json::to_string_pretty(&serde_json::Value::Object(obj))
-        .expect("maps of strings/numbers always serialize");
-    body.push('\n');
-    std::fs::write(path, body)
-}
-
-/// Close an experiment: write `pairs`, led by the run mode, as
-/// `BENCH_{id}.json` in the working directory (the repo root in CI, which
-/// archives it) and say so.
-pub fn report_results(id: &str, smoke: bool, pairs: &[(&str, String)]) {
-    let mut all = vec![("mode", if smoke { "smoke" } else { "full" }.to_string())];
-    all.extend_from_slice(pairs);
-    let path = format!("BENCH_{id}.json");
-    report_json(&path, &all).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!();
-    println!("wrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,39 +260,6 @@ mod tests {
         assert_eq!(ran.enb_ids().len(), 2);
         assert_eq!(transport.topology().link_count(), 7);
         assert_eq!(cloud.dc_ids().len(), 2);
-    }
-
-    #[test]
-    fn scaling_world_builds_at_any_cell_count() {
-        for cells in [1usize, 4, 16] {
-            let (ran, transport, cloud, cell) = scaling_world(cells);
-            assert_eq!(ran.enb_ids().len(), cells);
-            // One access link per cell, plus fabric→edge, fabric→agg, agg→core.
-            assert_eq!(transport.topology().link_count(), cells + 3);
-            assert_eq!(cloud.dc_ids().len(), 2);
-            assert_eq!(cell.max_plmns, 12);
-        }
-    }
-
-    #[test]
-    fn report_json_writes_numbers_and_strings() {
-        let path = std::env::temp_dir().join("ovnes_report_json_test.json");
-        let path = path.to_str().unwrap();
-        report_json(
-            path,
-            &[
-                ("zeta_speedup", "12.5".to_string()),
-                ("alpha_mode", "full".to_string()),
-            ],
-        )
-        .unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(v["zeta_speedup"], serde_json::json!(12.5));
-        assert_eq!(v["alpha_mode"], serde_json::json!("full"));
-        // Keys come out sorted regardless of input order.
-        assert!(body.find("alpha_mode").unwrap() < body.find("zeta_speedup").unwrap());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

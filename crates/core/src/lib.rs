@@ -42,10 +42,9 @@
 //! * [`supervise`] — process-level chaos with repair: a [`Supervisor`]
 //!   fences, kills, hangs, and respawns the (stateless) domain control
 //!   servers on a seeded [`CrashPlan`](ovnes_api::CrashPlan) with no
-//!   observable effect on the run ([`run_supervised`] drives the same
-//!   [`DemoScenario`]), plus the per-domain heartbeat health machine
-//!   (Up → Suspect → Down → Resyncing → Up) the orchestrator layers over
-//!   its probe loop.
+//!   observable effect on the run, plus the per-domain heartbeat health
+//!   machine (Up → Suspect → Down → Resyncing → Up) the orchestrator layers
+//!   over its probe loop.
 
 pub mod admission;
 pub mod allocator;
@@ -82,6 +81,4 @@ pub use scenario::{
 };
 pub use sla::{SlaMonitor, SlaMonitorState, SlaVerdict};
 pub use snapshot::{replay_bisect, WorldSnapshot};
-pub use supervise::{
-    run_supervised, DomainHealth, HealthState, HealthTransition, Supervisor,
-};
+pub use supervise::{DomainHealth, HealthState, HealthTransition, Supervisor};

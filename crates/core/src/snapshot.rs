@@ -302,9 +302,26 @@ mod tests {
     use super::*;
     use crate::scenario::{DemoScenario, ScenarioConfig};
     use ovnes_sim::SimDuration;
+    use std::ops::Deref;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// A snapshot store in a fresh temp directory, removed when dropped.
+    struct Scratch(WorldSnapshot);
+
+    impl Deref for Scratch {
+        type Target = WorldSnapshot;
+        fn deref(&self) -> &WorldSnapshot {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.store().root());
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "ovnes-world-{}-{tag}-{}",
@@ -312,7 +329,7 @@ mod tests {
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        Scratch(WorldSnapshot::open(dir).unwrap())
     }
 
     fn config(seed: u64) -> ScenarioConfig {
@@ -332,7 +349,7 @@ mod tests {
             assert!(scn.step_epoch());
         }
         let state = scn.export_state();
-        let world = WorldSnapshot::open(scratch("roundtrip")).unwrap();
+        let world = scratch("roundtrip");
         let manifest = world.snapshot(&state).unwrap();
         assert_eq!(manifest.epoch, 9);
         let restored = world.restore(9).unwrap();
@@ -348,7 +365,7 @@ mod tests {
         for _ in 0..7 {
             assert!(scn.step_epoch());
         }
-        let world = WorldSnapshot::open(scratch("resume")).unwrap();
+        let world = scratch("resume");
         world.snapshot(&scn.export_state()).unwrap();
         // The original is dropped; only the on-disk snapshot survives.
         drop(scn);
@@ -445,7 +462,7 @@ mod tests {
         for _ in 0..7 {
             assert!(fed.step_epoch());
         }
-        let world = WorldSnapshot::open(scratch("fed-resume")).unwrap();
+        let world = scratch("fed-resume");
         let manifest = world.snapshot_federation(&fed.export_state()).unwrap();
         assert_eq!(manifest.epoch, 7);
         drop(fed);
@@ -457,8 +474,8 @@ mod tests {
     #[test]
     fn federated_bisect_blames_the_perturbed_region_component() {
         use crate::federation::FederationBroker;
-        let world_a = WorldSnapshot::open(scratch("fed-bisect-a")).unwrap();
-        let world_b = WorldSnapshot::open(scratch("fed-bisect-b")).unwrap();
+        let world_a = scratch("fed-bisect-a");
+        let world_b = scratch("fed-bisect-b");
         let mut fed = FederationBroker::build(fed_config(55, 2));
         for epoch in 1..=6u64 {
             assert!(fed.step_epoch());
@@ -480,7 +497,7 @@ mod tests {
     #[test]
     fn stable_sections_deduplicate_across_epochs() {
         let mut scn = DemoScenario::build(config(47));
-        let world = WorldSnapshot::open(scratch("dedup")).unwrap();
+        let world = scratch("dedup");
         let mut manifests = Vec::new();
         for _ in 0..4 {
             assert!(scn.step_epoch());
@@ -505,8 +522,8 @@ mod tests {
         // Two identical runs checkpointed side by side, except run B's
         // cursor is perturbed from epoch 5 on: the bisector must name
         // epoch 5 and the cursor section, nothing else.
-        let world_a = WorldSnapshot::open(scratch("bisect-a")).unwrap();
-        let world_b = WorldSnapshot::open(scratch("bisect-b")).unwrap();
+        let world_a = scratch("bisect-a");
+        let world_b = scratch("bisect-b");
         let mut scn = DemoScenario::build(config(49));
         for epoch in 1..=8u64 {
             assert!(scn.step_epoch());

@@ -31,7 +31,6 @@
 //! while leaving the pinned degrade/restore mitigation timing untouched.
 
 use crate::orchestrator::Orchestrator;
-use crate::scenario::{DemoScenario, DemoSummary};
 use ovnes_api::{
     register_control_endpoints, CrashEvent, CrashPlan, ProcessFault, Router, RpcServer,
 };
@@ -331,8 +330,9 @@ impl Supervisor {
         self.stale_rejections_provoked
     }
 
-    /// Wall-clock seconds per kill-to-restored cycle, in firing order —
-    /// the supervised MTTR distribution E18 reports percentiles of.
+    /// Wall-clock seconds per kill-to-restored cycle, in firing order. No
+    /// MTTR figure is quoted from it yet: it times the respawn of a
+    /// stateless router, not a resync (EXPERIMENTS.md closure table, E18).
     pub fn mttr_wall_secs(&self) -> &[f64] {
         &self.mttr_wall
     }
@@ -355,25 +355,11 @@ impl Drop for Supervisor {
     }
 }
 
-/// Drive `scenario` to its horizon under `supervisor`: before each epoch,
-/// the faults the plan schedules for it fire (see [`Supervisor::tick`]).
-/// Returns the run summary — byte-identical to an unsupervised run of the
-/// same scenario, which is the whole point.
-pub fn run_supervised(scenario: &mut DemoScenario, supervisor: &mut Supervisor) -> DemoSummary {
-    loop {
-        supervisor.tick(scenario.epochs_completed() + 1, scenario.orchestrator_mut());
-        if !scenario.step_epoch() {
-            break;
-        }
-    }
-    scenario.summary()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::control::spawn_domain_control_servers;
-    use crate::scenario::ScenarioConfig;
+    use crate::scenario::{DemoScenario, ScenarioConfig};
 
     fn minute(m: u64) -> SimTime {
         SimTime::from_secs(m * 60)
@@ -444,9 +430,14 @@ mod tests {
             .with_crash_mid_request("cloud", 7)
             .with_hang("transport", 11, 50);
         let mut supervisor = Supervisor::new(servers, plan);
-        let summary = run_supervised(&mut scenario, &mut supervisor);
+        loop {
+            supervisor.tick(scenario.epochs_completed() + 1, scenario.orchestrator_mut());
+            if !scenario.step_epoch() {
+                break;
+            }
+        }
 
-        assert_eq!(summary, expected, "supervised faults leaked into the run");
+        assert_eq!(scenario.summary(), expected, "supervised faults leaked into the run");
         assert_eq!(supervisor.crashes(), 2);
         assert_eq!(supervisor.mid_request_crashes(), 1);
         assert_eq!(supervisor.hangs(), 1);

@@ -19,8 +19,7 @@ use std::collections::VecDeque;
 /// search plus one `Vec` shift — O(log w) compare cost, no allocation, no
 /// per-query sort — and [`quantile`](ResidualWindow::quantile) is O(1).
 /// Results are bit-identical to cloning and sorting the window from scratch,
-/// which survives as [`quantile_reference`](ResidualWindow::quantile_reference),
-/// the oracle the property tests and the E13 microbench compare against.
+/// which survives in this module's tests (`quantile_reference`) as the oracle.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResidualWindow {
     capacity: usize,
@@ -88,15 +87,6 @@ impl ResidualWindow {
         Self::interpolate(&self.sorted, q)
     }
 
-    /// Reference clone-and-sort quantile — the pre-incremental
-    /// implementation, kept as the oracle [`quantile`](Self::quantile) is
-    /// property-tested (and benchmarked) against.
-    pub fn quantile_reference(&self, q: f64) -> Option<f64> {
-        let mut sorted: Vec<f64> = self.arrivals.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("residuals are finite"));
-        Self::interpolate(&sorted, q)
-    }
-
     fn interpolate(sorted: &[f64], q: f64) -> Option<f64> {
         if sorted.is_empty() {
             return None;
@@ -152,14 +142,6 @@ impl<F: Forecaster> QuantileProvisioner<F> {
     /// or `None` until at least one residual exists. O(1) per query.
     pub fn residual_quantile(&self, q: f64) -> Option<f64> {
         self.residuals.quantile(q)
-    }
-
-    /// Clone-and-sort reference for [`residual_quantile`]
-    /// (test/bench oracle).
-    ///
-    /// [`residual_quantile`]: Self::residual_quantile
-    pub fn residual_quantile_reference(&self, q: f64) -> Option<f64> {
-        self.residuals.quantile_reference(q)
     }
 
     /// Capacity that covers next epoch's demand with probability ≈ `q`:
@@ -232,6 +214,68 @@ mod tests {
     use crate::models::{Ewma, HoltWinters, Naive};
     use crate::traces::{TraceGenerator, TraceSpec};
     use ovnes_sim::SimRng;
+
+    impl ResidualWindow {
+        /// Reference clone-and-sort quantile — the pre-incremental
+        /// implementation, kept as the oracle [`quantile`](Self::quantile)
+        /// must match bit for bit.
+        fn quantile_reference(&self, q: f64) -> Option<f64> {
+            let mut sorted: Vec<f64> = self.arrivals.iter().copied().collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("residuals are finite"));
+            Self::interpolate(&sorted, q)
+        }
+    }
+
+    impl<F: Forecaster> QuantileProvisioner<F> {
+        /// Clone-and-sort reference for [`residual_quantile`](Self::residual_quantile).
+        fn residual_quantile_reference(&self, q: f64) -> Option<f64> {
+            self.residuals.quantile_reference(q)
+        }
+    }
+
+    #[test]
+    fn streaming_quantile_matches_sort_oracle() {
+        // After every single push, across seeded observe/evict sequences
+        // (a window smaller than the stream forces evictions) and
+        // quantiles spanning [0, 1].
+        for case in 0..256u64 {
+            let mut rng = SimRng::seed_from(case);
+            let window = rng.uniform_usize(1, 40);
+            let pushes = rng.uniform_usize(1, 120);
+            let q = rng.uniform_range(0.0, 1.0);
+            let mut w = ResidualWindow::new(window);
+            for _ in 0..pushes {
+                w.push(rng.uniform_range(-1e6, 1e6));
+                for qq in [0.0, 0.5, 0.95, 1.0, q] {
+                    assert_eq!(
+                        w.quantile(qq).map(f64::to_bits),
+                        w.quantile_reference(qq).map(f64::to_bits),
+                        "case {case}: q={qq} over {:?} (window {window})",
+                        w.values().collect::<Vec<_>>()
+                    );
+                }
+            }
+            assert_eq!(w.len(), pushes.min(window), "case {case}");
+        }
+    }
+
+    #[test]
+    fn provisioner_quantile_matches_reference() {
+        for case in 0..256u64 {
+            let mut rng = SimRng::seed_from(case);
+            let mut p = QuantileProvisioner::new(Naive::new(), rng.uniform_usize(2, 50));
+            for _ in 0..rng.uniform_usize(2, 100) {
+                p.observe(rng.uniform_range(0.0, 2.0));
+            }
+            let q = rng.uniform_range(0.0, 1.0);
+            assert_eq!(
+                p.residual_quantile(q).map(f64::to_bits),
+                p.residual_quantile_reference(q).map(f64::to_bits),
+                "case {case}: q={q} over {:?}",
+                p.residuals.values().collect::<Vec<_>>()
+            );
+        }
+    }
 
     #[test]
     fn residuals_accumulate_after_warmup() {

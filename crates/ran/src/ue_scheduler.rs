@@ -16,9 +16,9 @@
 //! State lives in a dense struct-of-arrays slab (`ids`/`avg`, sorted by UE
 //! id) instead of a `BTreeMap<UeId, f64>`, and the grant loop is a max-heap
 //! keyed by the PF metric — O(PRBs·log UEs) instead of the per-PRB linear
-//! argmax's O(PRBs·UEs). The per-PRB reference survives as
-//! [`PfState::schedule_reference`], and the heap path is bit-identical to
-//! it by construction: the heap's comparator is the argmax's comparator
+//! argmax's O(PRBs·UEs). The per-PRB reference survives in this module's
+//! tests (`schedule_reference`), and the heap path is bit-identical to it
+//! by construction: the heap's comparator is the argmax's comparator
 //! (metric, ties to the lower UE id), only the granted UE's metric ever
 //! changes between grants, and that entry is re-keyed in place before the
 //! next pop — so both loops pick the same unique maximum every round.
@@ -96,10 +96,9 @@ impl Ord for PfEntry {
     }
 }
 
-/// Reusable working memory for [`PfState::schedule_into`] and
-/// [`PfState::schedule_reference_into`]. A caller threads one scratch
-/// through every epoch so the PF hot path allocates nothing in steady
-/// state; buffers grow lazily to the roster size on first use.
+/// Reusable working memory for [`PfState::schedule_into`]. A caller threads
+/// one scratch through every epoch so the PF hot path allocates nothing in
+/// steady state; buffers grow lazily to the roster size on first use.
 #[derive(Debug, Default)]
 pub struct PfScratch {
     /// Dense slab slot of each channel this epoch (parallel to `channels`).
@@ -243,68 +242,6 @@ impl PfState {
         self.finish_epoch(channels, alpha, scratch, out);
     }
 
-    /// The retained per-PRB reference implementation: a linear argmax over
-    /// the schedulable UEs for every PRB — O(PRBs·UEs). Kept as the test
-    /// and bench oracle; [`schedule_into`](Self::schedule_into) must match
-    /// it bit for bit.
-    pub fn schedule_reference(
-        &mut self,
-        prbs: Prbs,
-        channels: &[UeChannel],
-        alpha: f64,
-    ) -> Vec<UeShare> {
-        let mut out = Vec::new();
-        self.schedule_reference_into(prbs, channels, alpha, &mut PfScratch::new(), &mut out);
-        out
-    }
-
-    /// [`schedule_reference`](Self::schedule_reference) into caller-owned
-    /// buffers (same contract as [`schedule_into`](Self::schedule_into)).
-    pub fn schedule_reference_into(
-        &mut self,
-        prbs: Prbs,
-        channels: &[UeChannel],
-        alpha: f64,
-        scratch: &mut PfScratch,
-        out: &mut Vec<UeShare>,
-    ) {
-        self.begin_epoch(channels, scratch);
-
-        let any_schedulable = channels
-            .iter()
-            .any(|c| c.cqi.is_some() && !c.prb_rate.is_zero());
-        if any_schedulable {
-            for _ in 0..prbs.value() {
-                let mut best: Option<usize> = None;
-                for (ci, c) in channels.iter().enumerate() {
-                    if c.cqi.is_none() || c.prb_rate.is_zero() {
-                        continue;
-                    }
-                    let metric = |ci: usize| {
-                        channels[ci].prb_rate.value() / (self.avg[scratch.slot[ci]] + 1e-6)
-                    };
-                    let better = match best {
-                        None => true,
-                        Some(b) => metric(ci)
-                            .partial_cmp(&metric(b))
-                            .expect("rates are finite")
-                            // Ties: prefer the lower UE id.
-                            .then_with(|| channels[b].ue.cmp(&c.ue))
-                            .is_gt(),
-                    };
-                    if better {
-                        best = Some(ci);
-                    }
-                }
-                let ci = best.expect("a schedulable UE exists");
-                scratch.granted[ci] += 1;
-                self.avg[scratch.slot[ci]] += channels[ci].prb_rate.value() * alpha;
-            }
-        }
-
-        self.finish_epoch(channels, alpha, scratch, out);
-    }
-
     /// Shared epoch prologue: register every channel's UE in the slab,
     /// evict UEs that departed the roster, and resolve each channel's slab
     /// slot into `scratch.slot`. In steady state (same roster as last
@@ -392,6 +329,7 @@ pub fn jain_index(rates: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::cqi::prb_rate_mbps;
+    use ovnes_sim::SimRng;
 
     fn ch(ue: u64, cqi: u8) -> UeChannel {
         let c = Cqi::new(cqi);
@@ -524,6 +462,70 @@ mod tests {
 
     // ---- heap vs. per-PRB reference -----------------------------------
 
+    impl PfState {
+        /// The retained per-PRB reference implementation: a linear argmax over
+        /// the schedulable UEs for every PRB — O(PRBs·UEs). Kept as the test
+        /// oracle; [`schedule_into`](Self::schedule_into) must match
+        /// it bit for bit.
+        fn schedule_reference(
+            &mut self,
+            prbs: Prbs,
+            channels: &[UeChannel],
+            alpha: f64,
+        ) -> Vec<UeShare> {
+            let mut out = Vec::new();
+            self.schedule_reference_into(prbs, channels, alpha, &mut PfScratch::new(), &mut out);
+            out
+        }
+
+        /// [`schedule_reference`](Self::schedule_reference) into caller-owned
+        /// buffers (same contract as [`schedule_into`](Self::schedule_into)).
+        fn schedule_reference_into(
+            &mut self,
+            prbs: Prbs,
+            channels: &[UeChannel],
+            alpha: f64,
+            scratch: &mut PfScratch,
+            out: &mut Vec<UeShare>,
+        ) {
+            self.begin_epoch(channels, scratch);
+
+            let any_schedulable = channels
+                .iter()
+                .any(|c| c.cqi.is_some() && !c.prb_rate.is_zero());
+            if any_schedulable {
+                for _ in 0..prbs.value() {
+                    let mut best: Option<usize> = None;
+                    for (ci, c) in channels.iter().enumerate() {
+                        if c.cqi.is_none() || c.prb_rate.is_zero() {
+                            continue;
+                        }
+                        let metric = |ci: usize| {
+                            channels[ci].prb_rate.value() / (self.avg[scratch.slot[ci]] + 1e-6)
+                        };
+                        let better = match best {
+                            None => true,
+                            Some(b) => metric(ci)
+                                .partial_cmp(&metric(b))
+                                .expect("rates are finite")
+                                // Ties: prefer the lower UE id.
+                                .then_with(|| channels[b].ue.cmp(&c.ue))
+                                .is_gt(),
+                        };
+                        if better {
+                            best = Some(ci);
+                        }
+                    }
+                    let ci = best.expect("a schedulable UE exists");
+                    scratch.granted[ci] += 1;
+                    self.avg[scratch.slot[ci]] += channels[ci].prb_rate.value() * alpha;
+                }
+            }
+
+            self.finish_epoch(channels, alpha, scratch, out);
+        }
+    }
+
     fn assert_bitwise_eq(a: &[UeShare], b: &[UeShare]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -575,6 +577,73 @@ mod tests {
         // 10 PRBs over 7 equal UEs: the 3 leftovers land on the lowest ids.
         assert_eq!(a[0].prbs, Prbs::new(2));
         assert_eq!(a[6].prbs, Prbs::new(1));
+    }
+
+    #[test]
+    fn heap_pf_is_bitwise_identical_to_reference() {
+        // The heap grant loop against the per-PRB argmax across seeded
+        // rosters — outages (cqi 0), unschedulable UEs (rate class 0), few
+        // rate classes so metric ties are common — with a UE departing at
+        // `epoch % 7 == 3` and returning at `4`, and a truncated roster on
+        // the last epoch, so slab eviction stays aligned too.
+        for case in 0..256u64 {
+            let mut rng = SimRng::seed_from(case);
+            let prbs = Prbs::new(rng.uniform_usize(0, 60) as u32);
+            let alpha = rng.uniform_range(0.01, 0.9);
+            let mut channels: Vec<UeChannel> = (0..rng.uniform_usize(0, 40))
+                .map(|i| UeChannel {
+                    ue: UeId::new(i as u64),
+                    cqi: Cqi::new(rng.uniform_usize(0, 16) as u8),
+                    prb_rate: RateMbps::new(rng.uniform_usize(0, 5) as f64 * 0.35),
+                })
+                .collect();
+            let epochs = rng.uniform_usize(1, 13);
+            let shrink = rng.uniform_usize(0, 10);
+            let mut heap = PfState::new();
+            let mut oracle = PfState::new();
+            let (mut scratch, mut oracle_scratch) = (PfScratch::new(), PfScratch::new());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut stash = None;
+            for epoch in 0..epochs {
+                match epoch % 7 {
+                    3 => stash = channels.pop(),
+                    4 => channels.extend(stash.take()),
+                    _ => {}
+                }
+                if epoch + 1 == epochs {
+                    channels.truncate(channels.len().saturating_sub(shrink));
+                }
+                heap.schedule_into(prbs, &channels, alpha, &mut scratch, &mut got);
+                oracle.schedule_reference_into(
+                    prbs,
+                    &channels,
+                    alpha,
+                    &mut oracle_scratch,
+                    &mut want,
+                );
+                let at = format!("case {case}, epoch {epoch}: {channels:?}");
+                assert_eq!(got.len(), want.len(), "{at}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.ue, g.prbs), (w.ue, w.prbs), "{at}");
+                    assert_eq!(g.rate.value().to_bits(), w.rate.value().to_bits(), "{at}");
+                }
+                assert_eq!(heap.tracked(), oracle.tracked(), "{at}");
+                for c in &channels {
+                    assert_eq!(
+                        heap.average(c.ue).to_bits(),
+                        oracle.average(c.ue).to_bits(),
+                        "average of {} diverged, {at}",
+                        c.ue
+                    );
+                }
+                // Every PRB is granted iff anyone can take it.
+                let any = channels
+                    .iter()
+                    .any(|c| c.cqi.is_some() && !c.prb_rate.is_zero());
+                let total: u32 = got.iter().map(|s| s.prbs.value()).sum();
+                assert_eq!(total, if any { prbs.value() } else { 0 }, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -680,6 +680,7 @@ pub struct TransportControllerState {
 mod tests {
     use super::*;
     use ovnes_model::{DcId, EnbId};
+    use ovnes_sim::SimRng;
 
     fn testbed_controller() -> TransportController {
         TransportController::new(Topology::testbed(), 1024)
@@ -1068,6 +1069,105 @@ mod tests {
             .unwrap();
         assert_ne!(sixth.reservation.path, first.reservation.path);
         assert_eq!(c.route_cache().stats().misses, 2);
+    }
+
+    #[test]
+    fn route_cache_matches_uncached_controller() {
+        // Generation invalidation is never stale: a cached controller and a
+        // cache-disabled twin stay observably identical — same results, same
+        // reservations, same link usage — after every op of seeded
+        // allocate / resize / release / degrade / restore / reroute
+        // interleavings. Two more cases script the shapes the cache exists
+        // for: allocate/release churn over 16 constraint classes, and fade →
+        // reroute-everyone → restore rounds on enb0's mmWave link.
+        const SEEDED: u64 = 256;
+        let bws = [50.0, 120.0, 300.0, 500.0];
+        let factors = [0.1, 0.35, 0.7, 1.0];
+        for case in 0..SEEDED + 2 {
+            let mut rng = SimRng::seed_from(case);
+            // (op, a, c): 0 allocate · 1 resize · 2 release · 3 degrade ·
+            // 4 restore · 5 reroute; `a` picks endpoints, slice or link, `c`
+            // the bandwidth or fade factor.
+            let mut ops: Vec<(usize, usize, usize)> = Vec::new();
+            if case < SEEDED {
+                for _ in 0..rng.uniform_usize(1, 60) {
+                    let op = rng.uniform_usize(0, 6);
+                    ops.push((op, rng.uniform_usize(0, 16), rng.uniform_usize(0, 4)));
+                }
+            } else if case == SEEDED {
+                for _ in 0..10 {
+                    ops.extend((0..48).map(|i| (0, i % 4, i / 4 % 4)));
+                    ops.extend((0..48).map(|_| (2, 0, 0)));
+                }
+            } else {
+                ops.extend((0..6).map(|_| (0, 0, 1)));
+                for _ in 0..3 {
+                    ops.push((3, 0, 0));
+                    ops.extend((0..12).map(|i| (5, i, 0)));
+                    ops.push((4, 0, 0));
+                }
+            }
+
+            let mut cached = testbed_controller();
+            let mut plain = testbed_controller();
+            plain.set_route_cache_enabled(false);
+            let (srcs, dsts, link_count) = {
+                let t = cached.topology();
+                (
+                    [0, 1].map(|e| t.radio_site(EnbId::new(e)).unwrap()),
+                    [0, 1].map(|d| t.dc_node(DcId::new(d)).unwrap()),
+                    t.link_count(),
+                )
+            };
+            let mut next_slice = 0u64;
+            let mut live: Vec<SliceId> = Vec::new();
+            for (i, &(op, a, c)) in ops.iter().enumerate() {
+                let at = format!("case {case}, op {i}: {:?}", (op, a, c));
+                let link = LinkId::new((a % link_count) as u64);
+                let bw = RateMbps::new(bws[c]);
+                match op {
+                    0 => {
+                        let id = SliceId::new(next_slice);
+                        next_slice += 1;
+                        let (src, dst) = (srcs[a % 2], dsts[a / 2 % 2]);
+                        let got = cached.allocate(id, src, dst, bw, Latency::new(10.0));
+                        assert_eq!(got, plain.allocate(id, src, dst, bw, Latency::new(10.0)), "{at}");
+                        if got.is_ok() {
+                            live.push(id);
+                        }
+                    }
+                    3 => assert_eq!(
+                        cached.degrade_link(link, factors[c]),
+                        plain.degrade_link(link, factors[c]),
+                        "{at}"
+                    ),
+                    4 => {
+                        cached.restore_link(link);
+                        plain.restore_link(link);
+                    }
+                    _ if live.is_empty() => {}
+                    1 => {
+                        let id = live[a % live.len()];
+                        assert_eq!(cached.resize(id, bw), plain.resize(id, bw), "{at}");
+                    }
+                    2 => {
+                        let id = live.remove(a % live.len());
+                        assert_eq!(cached.release(id), plain.release(id), "{at}");
+                    }
+                    _ => {
+                        let id = live[a % live.len()];
+                        assert_eq!(cached.reroute(id), plain.reroute(id), "{at}");
+                        assert_eq!(cached.reservation(id), plain.reservation(id), "{at}");
+                    }
+                }
+                assert_eq!(cached.snapshot(), plain.snapshot(), "{at}");
+            }
+            assert_eq!(plain.route_cache().stats().hits, 0, "case {case}");
+            if case >= SEEDED {
+                let stats = cached.route_cache().stats();
+                assert!(stats.hits > 0, "case {case} never hit the cache: {stats:?}");
+            }
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use controller::{
 pub use generators::{line, random_mesh, ring, star};
 pub use reservation::{effective_delay, LinkUsage, PathReservation};
 pub use routing::{
-    cspf, cspf_with, dijkstra, dijkstra_over_rows, dijkstra_with, k_shortest_paths,
-    k_shortest_paths_with, Path, RoutingScratch,
+    cspf_with, dijkstra, dijkstra_with, k_shortest_paths, k_shortest_paths_with, Path,
+    RoutingScratch,
 };
 pub use switch::{FlowAction, FlowMatch, FlowRule, FlowTable, SwitchError};
 pub use topology::{Link, LinkKind, Node, NodeKind, Topology, TopologyBuilder};

@@ -5,14 +5,13 @@
 //! degraded delays):
 //!
 //! * [`dijkstra`] — minimum-delay path.
-//! * [`cspf`] — constrained shortest path first: prune links below a
+//! * [`cspf_with`] — constrained shortest path first: prune links below a
 //!   capacity floor, then find the minimum-delay path and check it against a
 //!   delay bound. This is the allocation query of the demo ("dedicated paths
 //!   are selected to guarantee the required delay and capacity", §3).
 //! * [`k_shortest_paths`] — Yen's algorithm. Nothing in the library calls
 //!   it: [`TransportController::reroute`](crate::TransportController::reroute)
-//!   asks the route cache for one CSPF path. It serves E6's path table, the
-//!   routing bench and the property tests.
+//!   asks the route cache for one CSPF path. It serves the property tests.
 
 use crate::topology::Topology;
 use ovnes_model::{Latency, LinkId, NodeId};
@@ -140,22 +139,6 @@ pub fn dijkstra_with(
     shortest_path(scratch, n, neighbors, src, dst, usable, delay_of)
 }
 
-/// [`dijkstra_with`] over caller-held nested adjacency rows (row `i` is node
-/// `i`'s `(link, peer)` pairs, as [`Topology::adjacency_rows`] returns
-/// them). Same loop, different neighbour source: the reference tests pin
-/// the CSR walk against.
-pub fn dijkstra_over_rows(
-    scratch: &mut RoutingScratch,
-    rows: &[Vec<(LinkId, NodeId)>],
-    src: NodeId,
-    dst: NodeId,
-    usable: impl Fn(LinkId) -> bool,
-    delay_of: impl Fn(LinkId) -> Latency,
-) -> Option<Path> {
-    let neighbors = |node: NodeId| rows[node.value() as usize].as_slice();
-    shortest_path(scratch, rows.len(), neighbors, src, dst, usable, delay_of)
-}
-
 /// The one relaxation loop: minimum-delay path over whatever `neighbors`
 /// serves as a node's `(link, peer)` pairs.
 fn shortest_path<'a>(
@@ -236,27 +219,8 @@ fn reconstruct(scratch: &RoutingScratch, src: NodeId, dst: NodeId) -> Path {
 /// `available` capacity (as judged by the caller-provided predicate) can
 /// carry the demand, subject to `max_delay` end-to-end.
 ///
-/// Returns `None` if no feasible path exists.
-pub fn cspf(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    has_capacity: impl Fn(LinkId) -> bool,
-    delay_of: impl Fn(LinkId) -> Latency + Copy,
-    max_delay: Latency,
-) -> Option<Path> {
-    cspf_with(
-        &mut RoutingScratch::new(),
-        topo,
-        src,
-        dst,
-        has_capacity,
-        delay_of,
-        max_delay,
-    )
-}
-
-/// [`cspf`] reusing the caller's [`RoutingScratch`] (allocation-free).
+/// Returns `None` if no feasible path exists. Reuses the caller's
+/// [`RoutingScratch`] (allocation-free).
 pub fn cspf_with(
     scratch: &mut RoutingScratch,
     topo: &Topology,
@@ -383,8 +347,10 @@ pub fn k_shortest_paths_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::random_mesh;
     use crate::topology::{LinkKind, NodeKind, Topology};
     use ovnes_model::{RateMbps, SwitchId};
+    use ovnes_sim::SimRng;
 
     /// A diamond: s ─a─ m1 ─b─ t (fast), s ─c─ m2 ─d─ t (slow), plus a
     /// direct slow edge s ─e─ t.
@@ -446,7 +412,8 @@ mod tests {
     fn cspf_prunes_capacity_and_bounds_delay() {
         let (topo, s, t) = diamond();
         // Fast path blocked by capacity: CSPF settles for the 4 ms branch.
-        let p = cspf(
+        let p = cspf_with(
+            &mut RoutingScratch::new(),
             &topo,
             s,
             t,
@@ -458,7 +425,8 @@ mod tests {
         assert_eq!(p.total_delay(base_delay(&topo)), Latency::new(4.0));
         // Same pruning with a 3 ms bound: infeasible.
         assert_eq!(
-            cspf(
+            cspf_with(
+                &mut RoutingScratch::new(),
                 &topo,
                 s,
                 t,
@@ -532,6 +500,22 @@ mod tests {
         );
     }
 
+    /// [`dijkstra_with`] over caller-held nested adjacency rows (row `i` is node
+    /// `i`'s `(link, peer)` pairs, as [`Topology::adjacency_rows`] returns
+    /// them). Same loop, different neighbour source: the reference tests pin
+    /// the CSR walk against.
+    fn dijkstra_over_rows(
+        scratch: &mut RoutingScratch,
+        rows: &[Vec<(LinkId, NodeId)>],
+        src: NodeId,
+        dst: NodeId,
+        usable: impl Fn(LinkId) -> bool,
+        delay_of: impl Fn(LinkId) -> Latency,
+    ) -> Option<Path> {
+        let neighbors = |node: NodeId| rows[node.value() as usize].as_slice();
+        shortest_path(scratch, rows.len(), neighbors, src, dst, usable, delay_of)
+    }
+
     #[test]
     fn csr_nested_and_packed_walks_agree() {
         // CSR vs the nested rows, unfiltered and filtered.
@@ -552,6 +536,38 @@ mod tests {
         let filtered_nested =
             dijkstra_over_rows(&mut scratch, &rows, s, t, usable, base_delay(&topo));
         assert_eq!(filtered_csr, filtered_nested);
+    }
+
+    #[test]
+    fn csr_dijkstra_walks_match_the_nested_oracle() {
+        // The CSR flattening is a pure layout change: on seeded random
+        // meshes the CSR walk returns exactly the path the same loop finds
+        // over the nested rows, with and without a subset of links
+        // filtered out.
+        for case in 0..256u64 {
+            let mut rng = SimRng::seed_from(case);
+            let n = rng.uniform_usize(3, 48);
+            let chords = rng.uniform_usize(0, 80);
+            let mask = rng.uniform_usize(1, 7) as u64;
+            let topo = random_mesh(n, chords, RateMbps::new(1000.0), &mut rng);
+            let rows = topo.adjacency_rows();
+            let mut scratch = RoutingScratch::new();
+            let usable = |l: LinkId| l.value() % 7 != mask;
+            for _ in 0..rng.uniform_usize(1, 10) {
+                let s = topo.nodes()[rng.uniform_usize(0, n)].id;
+                let t = topo.nodes()[rng.uniform_usize(0, n)].id;
+                assert_eq!(
+                    dijkstra_with(&mut scratch, &topo, s, t, |_| true, base_delay(&topo)),
+                    dijkstra_over_rows(&mut scratch, &rows, s, t, |_| true, base_delay(&topo)),
+                    "case {case}: {s} → {t} over {n} nodes, {chords} chords"
+                );
+                assert_eq!(
+                    dijkstra_with(&mut scratch, &topo, s, t, usable, base_delay(&topo)),
+                    dijkstra_over_rows(&mut scratch, &rows, s, t, usable, base_delay(&topo)),
+                    "case {case}: {s} → {t} over {n} nodes, {chords} chords, mask {mask}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Property-based tests (proptest) on the core data structures and
-//! cross-crate invariants.
+//! cross-crate invariants. The properties that pin a fast path against its
+//! reference twin (heap PF, CSR Dijkstra, streaming quantile, route cache)
+//! live beside the twin in the owning crate's unit tests, as seeded loops.
 
 use ovnes_api::{
     ControlTransport, FaultInjector, FaultPlan, MessageBus, Response, RetryPolicy,
     SubstrateElement, SubstrateFaultPlan,
 };
-use ovnes_forecast::{Naive, QuantileProvisioner, ResidualWindow};
-use ovnes_model::{DcId, EnbId, Latency, LinkId, Money, Prbs, RateMbps, SliceId, UeId};
+use ovnes_model::{DcId, EnbId, Latency, LinkId, Money, Prbs, RateMbps, SliceId};
 use ovnes_orchestrator::admission::knapsack_select;
-use ovnes_ran::{schedule_epoch, Cqi, PfScratch, PfState, SliceLoad, UeChannel};
+use ovnes_ran::{schedule_epoch, SliceLoad};
 use ovnes_sim::{EventQueue, Histogram, ScheduledId, SimDuration, SimRng, SimTime};
 use ovnes_orchestrator::{
     region_scenario_config, DemoScenario, FederationBroker, FederationConfig,
 };
 use ovnes_transport::{
-    dijkstra, dijkstra_over_rows, dijkstra_with, k_shortest_paths,
-    random_mesh, LinkKind, NodeKind, RoutingScratch, Topology, TransportController,
+    dijkstra, k_shortest_paths, LinkKind, NodeKind, Topology, TransportController,
 };
 use proptest::prelude::*;
 
@@ -193,69 +193,6 @@ proptest! {
         }
     }
 
-    // ---- ran: proportional-fair UE scheduler ---------------------------------
-
-    // The heap-based grant loop must be bitwise-indistinguishable from the
-    // per-PRB argmax reference it replaced — same grants, same order, same
-    // float averages — across random rosters (outages, zero-rate UEs,
-    // discrete rate classes that force metric ties) and across epochs with
-    // a shrinking roster (which exercises slab eviction).
-    #[test]
-    fn heap_pf_is_bitwise_identical_to_reference(
-        prbs in 0u32..60,
-        alpha in 0.01f64..0.9,
-        specs in prop::collection::vec((0u8..16, 0u8..5), 0..40),
-        epochs in 1usize..6,
-        shrink in 0usize..10,
-    ) {
-        // Unique ids by construction; cqi 0 → None (outage); rate class 0
-        // → zero prb_rate (unschedulable); few classes → frequent ties.
-        let roster: Vec<UeChannel> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &(cqi, class))| UeChannel {
-                ue: UeId::new(i as u64),
-                cqi: Cqi::new(cqi),
-                prb_rate: RateMbps::new(class as f64 * 0.35),
-            })
-            .collect();
-        let mut heap = PfState::new();
-        let mut oracle = PfState::new();
-        let mut scratch = PfScratch::new();
-        let mut got: Vec<ovnes_ran::UeShare> = Vec::new();
-        for e in 0..epochs {
-            // Last epoch runs on a truncated roster so eviction of the
-            // departed tail must keep both states aligned.
-            let live = if e + 1 == epochs {
-                roster.len() - shrink.min(roster.len())
-            } else {
-                roster.len()
-            };
-            let channels = &roster[..live];
-            heap.schedule_into(Prbs::new(prbs), channels, alpha, &mut scratch, &mut got);
-            let want = oracle.schedule_reference(Prbs::new(prbs), channels, alpha);
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.ue, w.ue);
-                prop_assert_eq!(g.prbs, w.prbs);
-                prop_assert_eq!(g.rate.value().to_bits(), w.rate.value().to_bits());
-            }
-            prop_assert_eq!(heap.tracked(), oracle.tracked());
-            for c in channels {
-                prop_assert_eq!(
-                    heap.average(c.ue).to_bits(),
-                    oracle.average(c.ue).to_bits(),
-                    "average diverged for {:?}",
-                    c.ue
-                );
-            }
-            // Grant conservation: every PRB is granted iff anyone can take it.
-            let any = channels.iter().any(|c| c.cqi.is_some() && !c.prb_rate.is_zero());
-            let total: u32 = got.iter().map(|s| s.prbs.value()).sum();
-            prop_assert_eq!(total, if any { prbs } else { 0 });
-        }
-    }
-
     // ---- orchestrator: knapsack ----------------------------------------------
 
     #[test]
@@ -339,168 +276,6 @@ proptest! {
             ns.sort();
             ns.dedup();
             prop_assert_eq!(ns.len(), p.nodes.len());
-        }
-    }
-
-    // The CSR flattening must be a pure layout change: on arbitrary random
-    // meshes, the CSR walk returns exactly the path the same loop finds
-    // over the nested rows — including walks with a pseudo-random subset of
-    // links filtered out.
-    #[test]
-    fn csr_dijkstra_walks_match_the_nested_oracle(
-        seed in any::<u64>(),
-        n in 3usize..48,
-        chords in 0usize..80,
-        mask in 1u64..7,
-        pairs in prop::collection::vec((0usize..48, 0usize..48), 1..10),
-    ) {
-        let mut rng = SimRng::seed_from(seed);
-        let topo = random_mesh(n, chords, RateMbps::new(1000.0), &mut rng);
-        let rows = topo.adjacency_rows();
-        let mut scratch = RoutingScratch::new();
-        let delay = |l: LinkId| topo.link(l).delay;
-        for &(a, b) in &pairs {
-            let s = topo.nodes()[a % n].id;
-            let t = topo.nodes()[b % n].id;
-            let oracle = dijkstra_over_rows(&mut scratch, &rows, s, t, |_| true, delay);
-            prop_assert_eq!(
-                &dijkstra_with(&mut scratch, &topo, s, t, |_| true, delay),
-                &oracle
-            );
-            let usable = |l: LinkId| l.value() % 7 != mask;
-            let filtered = dijkstra_over_rows(&mut scratch, &rows, s, t, usable, delay);
-            prop_assert_eq!(
-                &dijkstra_with(&mut scratch, &topo, s, t, usable, delay),
-                &filtered
-            );
-        }
-    }
-
-    // ---- forecast: streaming residual quantile -------------------------------
-
-    // The order-maintained residual window must agree bit-for-bit with the
-    // clone-and-sort reference after every single push, across arbitrary
-    // observe/evict sequences (window smaller than the stream forces
-    // evictions) and quantiles spanning [0, 1].
-    #[test]
-    fn streaming_quantile_matches_sort_oracle(
-        values in prop::collection::vec(-1e6f64..1e6, 1..120),
-        window in 1usize..40,
-        q in 0.0f64..=1.0,
-    ) {
-        let mut w = ResidualWindow::new(window);
-        for &v in &values {
-            w.push(v);
-            for &qq in &[0.0, 0.5, 0.95, 1.0, q] {
-                prop_assert_eq!(
-                    w.quantile(qq).map(f64::to_bits),
-                    w.quantile_reference(qq).map(f64::to_bits),
-                    "q={} after {} pushes (window {})", qq, w.len(), window
-                );
-            }
-        }
-        prop_assert_eq!(w.len(), values.len().min(window));
-    }
-
-    #[test]
-    fn provisioner_quantile_matches_reference(
-        values in prop::collection::vec(0.0f64..2.0, 2..100),
-        window in 2usize..50,
-        q in 0.0f64..=1.0,
-    ) {
-        let mut prov = QuantileProvisioner::new(Naive::new(), window);
-        for &v in &values {
-            prov.observe(v);
-        }
-        prop_assert_eq!(
-            prov.residual_quantile(q).map(f64::to_bits),
-            prov.residual_quantile_reference(q).map(f64::to_bits)
-        );
-    }
-
-    // ---- transport: route cache ----------------------------------------------
-
-    // A cached controller and a cache-disabled twin must stay observably
-    // identical — same operation results, same reservations, same link
-    // usage — across arbitrary interleavings of allocate / resize /
-    // release / degrade / restore / reroute. This is the "generation
-    // invalidation is never stale" property.
-    #[test]
-    fn route_cache_matches_uncached_controller(
-        ops in prop::collection::vec((0u8..6, 0u8..16, 0u8..4), 1..60)
-    ) {
-        let mut cached = TransportController::new(Topology::testbed(), 1024);
-        let mut plain = TransportController::new(Topology::testbed(), 1024);
-        plain.set_route_cache_enabled(false);
-        let (srcs, dsts, link_count) = {
-            let t = cached.topology();
-            (
-                [t.radio_site(EnbId::new(0)).unwrap(), t.radio_site(EnbId::new(1)).unwrap()],
-                [t.dc_node(DcId::new(0)).unwrap(), t.dc_node(DcId::new(1)).unwrap()],
-                t.link_count(),
-            )
-        };
-        let bws = [50.0, 120.0, 300.0, 500.0];
-        let factors = [0.1, 0.35, 0.7, 1.0];
-        let mut next_slice = 0u64;
-        let mut live: Vec<SliceId> = Vec::new();
-        for &(op, a, c) in &ops {
-            let a = a as usize;
-            let c = c as usize;
-            match op {
-                0 => {
-                    let id = SliceId::new(next_slice);
-                    next_slice += 1;
-                    let args = (srcs[a % 2], dsts[(a / 2) % 2], RateMbps::new(bws[c]));
-                    let r1 = cached.allocate(id, args.0, args.1, args.2, Latency::new(10.0));
-                    let r2 = plain.allocate(id, args.0, args.1, args.2, Latency::new(10.0));
-                    prop_assert_eq!(&r1, &r2, "allocate diverged");
-                    if r1.is_ok() {
-                        live.push(id);
-                    }
-                }
-                1 => {
-                    if !live.is_empty() {
-                        let id = live[a % live.len()];
-                        prop_assert_eq!(
-                            cached.resize(id, RateMbps::new(bws[c])),
-                            plain.resize(id, RateMbps::new(bws[c])),
-                            "resize diverged"
-                        );
-                    }
-                }
-                2 => {
-                    if !live.is_empty() {
-                        let id = live.remove(a % live.len());
-                        prop_assert_eq!(cached.release(id), plain.release(id), "release diverged");
-                    }
-                }
-                3 => {
-                    let l = LinkId::new((a % link_count) as u64);
-                    prop_assert_eq!(
-                        cached.degrade_link(l, factors[c]),
-                        plain.degrade_link(l, factors[c]),
-                        "degrade diverged"
-                    );
-                }
-                4 => {
-                    let l = LinkId::new((a % link_count) as u64);
-                    cached.restore_link(l);
-                    plain.restore_link(l);
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let id = live[a % live.len()];
-                        prop_assert_eq!(cached.reroute(id), plain.reroute(id), "reroute diverged");
-                        prop_assert_eq!(
-                            cached.reservation(id),
-                            plain.reservation(id),
-                            "post-reroute path diverged"
-                        );
-                    }
-                }
-            }
-            prop_assert_eq!(cached.snapshot(), plain.snapshot(), "usage diverged");
         }
     }
 

@@ -4,21 +4,9 @@
 //! that epoch and the perturbed component — in O(log n) manifest loads,
 //! not a linear scan.
 
-use ovnes_orchestrator::{replay_bisect, DemoScenario, ScenarioConfig, WorldSnapshot};
+use ovnes_bench::ScratchWorld;
+use ovnes_orchestrator::{replay_bisect, DemoScenario, ScenarioConfig};
 use ovnes_sim::SimDuration;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn scratch(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ovnes-bisect-{}-{tag}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn config(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
@@ -37,8 +25,8 @@ const EPOCHS: u64 = 24;
 /// in the *world itself* — the run resumes from the perturbed state, so the
 /// divergence is live from that point on, exactly like a real
 /// nondeterminism bug would be.
-fn checkpoint_run(tag: &str, seed: u64, flip_at: Option<u64>) -> WorldSnapshot {
-    let world = WorldSnapshot::open(scratch(tag)).unwrap();
+fn checkpoint_run(tag: &str, seed: u64, flip_at: Option<u64>) -> ScratchWorld {
+    let world = ScratchWorld::open(tag);
     let mut scn = DemoScenario::build(config(seed));
     for epoch in 1..=EPOCHS {
         assert!(scn.step_epoch());
@@ -97,7 +85,7 @@ fn one_bit_divergence_cascades_but_origin_stays_pinned() {
     // bisector still lands on the injection epoch, where only the cursor
     // had moved.
     let clean = checkpoint_run("cascade-clean", 52, None);
-    let world = WorldSnapshot::open(scratch("cascade-flip")).unwrap();
+    let world = ScratchWorld::open("cascade-flip");
     let mut scn = DemoScenario::build(config(52));
     let flip_at = 9u64;
     for epoch in 1..=EPOCHS {

@@ -4,9 +4,13 @@
 //! finishes byte-identical to the same seed in-process at 1, 2 and 8
 //! workers and under combined chaos, with every drop a physical teardown —
 //! is the `socket-*` rows of `tests/identity_matrix.rs`. What stays here is
-//! behaviour: pipelining across the three domain servers.
+//! behaviour: pipelining across the three domain servers, and monitoring
+//! pushed to subscribers rather than polled for.
 
-use ovnes_orchestrator::spawn_domain_control_servers;
+use ovnes_bench::identity::{observe_with, Cell, Control};
+use ovnes_dashboard::{FeedState, TelemetryFeed};
+use ovnes_orchestrator::{spawn_domain_control_servers, DOMAINS};
+use std::time::Duration;
 
 #[test]
 fn pipelining_spans_all_three_domain_servers() {
@@ -30,4 +34,42 @@ fn pipelining_spans_all_three_domain_servers() {
     for server in &servers {
         assert_eq!(server.stats().requests, 4);
     }
+}
+
+#[test]
+fn subscribed_feeds_receive_an_orchestrated_runs_monitoring_pushes() {
+    // The dashboard side: one feed per domain server, subscribed to its
+    // monitoring topic before the first epoch of an over-socket run.
+    let mut feeds: Vec<TelemetryFeed> = Vec::new();
+    let over_rpc = Cell {
+        seed: 1717,
+        horizon_mins: 60,
+        control: Control::Socket,
+        ..Cell::CALM
+    };
+    let (_, witness) = observe_with(&over_rpc, |servers| {
+        for server in servers {
+            let mut feed = TelemetryFeed::connect(server.addr()).expect("feed connects");
+            let topic = server
+                .endpoints()
+                .iter()
+                .find(|e| e.ends_with("/monitoring"))
+                .expect("every domain server exposes monitoring");
+            feed.subscribe(topic).expect("subscribe");
+            feeds.push(feed);
+        }
+    });
+    assert!(witness.admitted > 0, "the run must be a real workload");
+    assert!(witness.socket_pushes > 0, "{witness:?}");
+
+    // Drain the feeds (until quiet, or closed behind the finished run): the
+    // run's monitoring traffic arrived as pushes, from every domain.
+    let mut state = FeedState::new();
+    for feed in &mut feeds {
+        while let Ok(Some((_, body))) = feed.poll(Duration::from_millis(200)) {
+            state.apply_push(&body).expect("pushed report decodes");
+        }
+    }
+    assert!(state.updates() > 0, "subscribed feeds must receive pushes");
+    assert_eq!(state.domains().len(), DOMAINS.len(), "{:?}", state.domains());
 }

@@ -1,25 +1,16 @@
-//! Property tests for the checkpoint/restore subsystem: for arbitrary
-//! seeds, workloads, and cut points, `restore(snapshot(s)) == s`
-//! structurally, and a restored world's next epoch is bitwise-equal to the
-//! uninterrupted one's.
+//! Properties of the checkpoint/restore subsystem, as seeded loops: for
+//! six seeds, workloads and cut points each (the case index seeds the
+//! draw), `restore(snapshot(s)) == s` structurally, and a restored world's
+//! next epoch is bitwise-equal to the uninterrupted one's.
 
 use ovnes_api::{EndpointFaults, FaultPlan};
-use ovnes_orchestrator::{DemoScenario, RequestMix, ScenarioConfig, WorldSnapshot};
-use ovnes_sim::SimDuration;
-use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use ovnes_bench::ScratchWorld;
+use ovnes_orchestrator::{DemoScenario, RequestMix, ScenarioConfig};
+use ovnes_sim::{SimDuration, SimRng};
 
-fn scratch(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ovnes-roundtrip-{}-{tag}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+// A full scenario run per case is expensive; a handful of cases per property
+// still sweeps seeds, load levels, and cut points every run.
+const CASES: u64 = 6;
 
 fn config(seed: u64, arrivals: f64, embb: f64) -> ScenarioConfig {
     ScenarioConfig {
@@ -36,107 +27,98 @@ fn config(seed: u64, arrivals: f64, embb: f64) -> ScenarioConfig {
     }
 }
 
-proptest! {
-    // A full scenario run per case is expensive; a handful of cases per
-    // property still sweeps seeds, load levels, and cut points every run.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// restore(snapshot(s)) == s structurally, for arbitrary worlds.
-    #[test]
-    fn restore_of_snapshot_is_structurally_identical(
-        seed in 0u64..10_000,
-        arrivals in 5.0f64..40.0,
-        embb in 0.2f64..0.8,
-        cut in 1usize..20,
-    ) {
-        let mut live = DemoScenario::build(config(seed, arrivals, embb));
-        for _ in 0..cut {
-            prop_assert!(live.step_epoch());
-        }
-        let state = live.export_state();
-        let world = WorldSnapshot::open(scratch("structural")).unwrap();
-        let manifest = world.snapshot(&state).unwrap();
-        prop_assert_eq!(manifest.epoch as usize, cut);
-        let restored = world.restore(cut as u64).unwrap();
-        prop_assert_eq!(&restored, &state);
+/// `scenario`, stepped `epochs` times.
+fn stepped(mut scenario: DemoScenario, epochs: usize) -> DemoScenario {
+    for _ in 0..epochs {
+        assert!(scenario.step_epoch());
     }
+    scenario
+}
 
-    /// One epoch after a restore is bitwise-equal to one epoch
-    /// uninterrupted: the exported states serialize to identical bytes.
-    #[test]
-    fn post_restore_epoch_is_bitwise_equal_to_uninterrupted(
-        seed in 0u64..10_000,
-        cut in 1usize..16,
-    ) {
-        let mut uninterrupted = DemoScenario::build(config(seed, 20.0, 0.5));
-        for _ in 0..cut {
-            prop_assert!(uninterrupted.step_epoch());
-        }
-        let world = WorldSnapshot::open(scratch("bitwise")).unwrap();
+/// restore(snapshot(s)) == s structurally, for arbitrary worlds.
+#[test]
+fn restore_of_snapshot_is_structurally_identical() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let seed = rng.uniform_usize(0, 10_000) as u64;
+        let arrivals = rng.uniform_range(5.0, 40.0);
+        let embb = rng.uniform_range(0.2, 0.8);
+        let cut = rng.uniform_usize(1, 20);
+        let state = stepped(DemoScenario::build(config(seed, arrivals, embb)), cut).export_state();
+        let world = ScratchWorld::open("structural");
+        let manifest = world.snapshot(&state).unwrap();
+        assert_eq!(manifest.epoch as usize, cut, "case {case}");
+        assert_eq!(world.restore(cut as u64).unwrap(), state, "case {case}");
+    }
+}
+
+/// One epoch after a restore is bitwise-equal to one epoch uninterrupted:
+/// the exported states serialize to identical bytes.
+#[test]
+fn post_restore_epoch_is_bitwise_equal_to_uninterrupted() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let seed = rng.uniform_usize(0, 10_000) as u64;
+        let cut = rng.uniform_usize(1, 16);
+        let mut uninterrupted = stepped(DemoScenario::build(config(seed, 20.0, 0.5)), cut);
+        let world = ScratchWorld::open("bitwise");
         world.snapshot(&uninterrupted.export_state()).unwrap();
         let (_, state) = world.restore_latest().unwrap().unwrap();
         let mut restored = DemoScenario::from_state(&state);
 
-        prop_assert_eq!(uninterrupted.step_epoch(), restored.step_epoch());
+        assert_eq!(uninterrupted.step_epoch(), restored.step_epoch());
         let a = serde_json::to_vec(&uninterrupted.export_state()).unwrap();
         let b = serde_json::to_vec(&restored.export_state()).unwrap();
-        prop_assert_eq!(a, b, "first post-restore epoch diverged bitwise");
+        assert!(a == b, "case {case}: first post-restore epoch diverged bitwise");
     }
+}
 
-    /// The same contract holds with an active control-plane fault plan: the
-    /// injector's schedule position and jitter stream survive the wire.
-    #[test]
-    fn chaos_restore_resumes_fault_schedule_bitwise(
-        seed in 0u64..10_000,
-        drop_p in 0.05f64..0.45,
-        cut in 1usize..12,
-    ) {
+/// The same contract holds with an active control-plane fault plan: the
+/// injector's schedule position and jitter stream survive the wire.
+#[test]
+fn chaos_restore_resumes_fault_schedule_bitwise() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let seed = rng.uniform_usize(0, 10_000) as u64;
+        let drop_p = rng.uniform_range(0.05, 0.45);
+        let cut = rng.uniform_usize(1, 12);
         let plan = FaultPlan::new(seed ^ 0xFA17)
             .with_endpoint("ran/health", EndpointFaults::none().with_drop(drop_p))
             .with_endpoint("cloud/health", EndpointFaults::none().with_error(0.1));
         let mut uninterrupted = DemoScenario::build(config(seed, 20.0, 0.5));
         uninterrupted.orchestrator_mut().set_fault_plan(plan);
-        for _ in 0..cut {
-            prop_assert!(uninterrupted.step_epoch());
-        }
-        let world = WorldSnapshot::open(scratch("chaos")).unwrap();
+        let mut uninterrupted = stepped(uninterrupted, cut);
+        let world = ScratchWorld::open("chaos");
         world.snapshot(&uninterrupted.export_state()).unwrap();
         let (_, state) = world.restore_latest().unwrap().unwrap();
         let mut restored = DemoScenario::from_state(&state);
 
         for _ in 0..3 {
-            prop_assert_eq!(uninterrupted.step_epoch(), restored.step_epoch());
+            assert_eq!(uninterrupted.step_epoch(), restored.step_epoch());
         }
         let a = serde_json::to_vec(&uninterrupted.export_state()).unwrap();
         let b = serde_json::to_vec(&restored.export_state()).unwrap();
-        prop_assert_eq!(a, b, "chaos run diverged bitwise after restore");
+        assert!(a == b, "case {case}: chaos run diverged bitwise after restore");
     }
+}
 
-    /// Snapshot chains are self-consistent: every checkpoint in a chain
-    /// restores, and restoring an *earlier* epoch and replaying forward
-    /// reproduces the *later* checkpoint exactly.
-    #[test]
-    fn replaying_from_any_checkpoint_reproduces_later_checkpoints(
-        seed in 0u64..10_000,
-        first in 1usize..8,
-        gap in 1usize..8,
-    ) {
-        let world = WorldSnapshot::open(scratch("chain")).unwrap();
-        let mut live = DemoScenario::build(config(seed, 20.0, 0.5));
-        for _ in 0..first {
-            prop_assert!(live.step_epoch());
-        }
+/// Snapshot chains are self-consistent: every checkpoint in a chain
+/// restores, and restoring an *earlier* epoch and replaying forward
+/// reproduces the *later* checkpoint exactly.
+#[test]
+fn replaying_from_any_checkpoint_reproduces_later_checkpoints() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let seed = rng.uniform_usize(0, 10_000) as u64;
+        let first = rng.uniform_usize(1, 8);
+        let gap = rng.uniform_usize(1, 8);
+        let world = ScratchWorld::open("chain");
+        let live = stepped(DemoScenario::build(config(seed, 20.0, 0.5)), first);
         world.snapshot(&live.export_state()).unwrap();
-        for _ in 0..gap {
-            prop_assert!(live.step_epoch());
-        }
-        let later = live.export_state();
+        let later = stepped(live, gap).export_state();
         world.snapshot(&later).unwrap();
 
-        let mut replayed = DemoScenario::from_state(&world.restore(first as u64).unwrap());
-        for _ in 0..gap {
-            prop_assert!(replayed.step_epoch());
-        }
-        prop_assert_eq!(&replayed.export_state(), &later);
+        let replayed = DemoScenario::from_state(&world.restore(first as u64).unwrap());
+        assert_eq!(stepped(replayed, gap).export_state(), later, "case {case}");
     }
 }
