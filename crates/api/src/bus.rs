@@ -177,41 +177,42 @@ mod tests {
 
     #[test]
     fn typed_payloads_survive_the_wire() {
-        use crate::messages::{RanCommand, RanReply};
-        use ovnes_model::{Prbs, SliceId};
+        use crate::messages::MonitoringReport;
+        use ovnes_sim::SimTime;
 
         let mut bus = MessageBus::new();
-        let log: Arc<Mutex<Vec<RanCommand>>> = Arc::new(Mutex::new(Vec::new()));
+        let log: Arc<Mutex<Vec<MonitoringReport>>> = Arc::new(Mutex::new(Vec::new()));
         let log_in = log.clone();
-        bus.register("ran/command", move |req| {
-            match decode::<RanCommand>(&req.body) {
-                Ok(cmd) => {
-                    log_in.lock().unwrap().push(cmd);
-                    Response::ok(req.id, encode(&RanReply::Done).unwrap())
+        bus.register("ran/monitoring", move |req| {
+            match decode::<MonitoringReport>(&req.body) {
+                Ok(report) => {
+                    log_in.lock().unwrap().push(report);
+                    Response::ok(req.id, req.body)
                 }
                 Err(e) => Response::error(req.id, &e.to_string()),
             }
         });
 
-        let cmd = RanCommand::Resize {
-            slice: SliceId::new(3),
-            reserved: Prbs::new(17),
+        let report = MonitoringReport {
+            domain: "ran".into(),
+            at: SimTime::from_secs(300),
+            scalars: [("ran.installs".to_string(), 17.0)].into(),
         };
-        let resp = bus.call("ran/command", encode(&cmd).unwrap()).unwrap();
+        let resp = bus.call("ran/monitoring", encode(&report).unwrap()).unwrap();
         assert_eq!(resp.status, Status::Ok);
-        assert_eq!(decode::<RanReply>(&resp.body).unwrap(), RanReply::Done);
-        assert_eq!(log.lock().unwrap().as_slice(), &[cmd]);
+        assert_eq!(decode::<MonitoringReport>(&resp.body).unwrap(), report);
+        assert_eq!(log.lock().unwrap().as_slice(), &[report]);
     }
 
     #[test]
     fn handler_decode_failure_becomes_error_status() {
-        use crate::messages::RanCommand;
+        use crate::messages::MonitoringReport;
         let mut bus = MessageBus::new();
-        bus.register("ran/command", |req| match decode::<RanCommand>(&req.body) {
+        bus.register("ran/monitoring", |req| match decode::<MonitoringReport>(&req.body) {
             Ok(_) => Response::ok(req.id, vec![]),
             Err(e) => Response::error(req.id, &e.to_string()),
         });
-        let resp = bus.call("ran/command", b"garbage".to_vec()).unwrap();
+        let resp = bus.call("ran/monitoring", b"garbage".to_vec()).unwrap();
         assert_eq!(resp.status, Status::Error);
     }
 

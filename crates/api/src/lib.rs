@@ -1,27 +1,34 @@
 //! # ovnes-api — the REST boundary between orchestrator and controllers
 //!
 //! In the demo, *"the gathered monitoring information is promptly fed to the
-//! end-to-end orchestrator through REST APIs"* (§2), and resource commands
-//! flow the other way. This crate preserves that serialization boundary
-//! in-process: every message crosses the [`bus`] as JSON bytes — encoded,
-//! transferred, decoded — exactly as a REST payload would, so schema
-//! mismatches and encoding bugs surface in tests rather than being papered
-//! over by shared memory.
+//! end-to-end orchestrator through REST APIs"* (§2). This crate preserves
+//! that serialization boundary: health probes and monitoring reports cross
+//! the [`bus`] as JSON bytes — encoded, transferred, decoded — exactly as a
+//! REST payload would, so schema mismatches and encoding bugs surface in
+//! tests rather than being papered over by shared memory. Resource commands
+//! do **not** cross it: the orchestrator owns the three controllers and
+//! calls them directly. Its decision code reaches them at about 60 call
+//! sites through 41 methods, 13 of which hand back *borrowed* controller
+//! state and three of which run once per active slice per epoch; behind a
+//! socket that is ≈ 165 extra round trips per `admit_churn` epoch, so the
+//! command/resync server that nothing ever drove was removed instead of
+//! grown (DESIGN decision 11).
 //!
 //! * [`codec`] — the JSON wire codec with versioning.
 //! * [`envelope`] — request/response envelopes with correlation ids and
 //!   HTTP-like status.
-//! * [`messages`] — the typed API: per-domain commands and the monitoring
-//!   report controllers push upstream.
+//! * [`messages`] — the typed payload: the monitoring report each domain
+//!   pushes upstream.
 //! * [`bus`] — the in-process message bus with per-endpoint handlers and
 //!   request accounting.
 //! * [`rpc`] — the same boundary made *physical*: length-prefixed framed
 //!   TCP servers for the controllers ([`rpc::RpcServer`]) and the
 //!   [`rpc::SocketBus`] client with pipelining and push-telemetry
 //!   subscriptions.
-//! * [`domain`] — one domain server: the [`DomainController`] trait each
-//!   domain crate implements, and the generic router / `serve` /
-//!   `serve_resumed` / `serve_control` that put any of them behind a socket.
+//! * [`domain`] — one domain server: the stateless `{domain}/health` +
+//!   `{domain}/monitoring` surface ([`register_control_endpoints`]) and
+//!   [`serve_control`] / [`serve_control_incarnation`], which put it behind
+//!   a socket as a first or a restarted incarnation.
 //! * [`transport`] — the one control seam, [`ControlTransport`]: either bus
 //!   behind one call surface, pinning the accounting contract that keeps
 //!   run summaries byte-identical in-process vs. over sockets.
@@ -79,10 +86,7 @@ pub mod transport;
 
 pub use bus::{BusError, BusState, MessageBus};
 pub use codec::{decode, encode, CodecError, WIRE_VERSION};
-pub use domain::{
-    command_router, register_control_endpoints, serve, serve_control, serve_resumed,
-    DomainController,
-};
+pub use domain::{register_control_endpoints, serve_control, serve_control_incarnation};
 pub use envelope::{Request, Response, Status};
 pub use fault::{
     CallFailure, CrashEvent, CrashPlan, EndpointFaults, EndpointStats, FaultInjector, FaultPlan,
@@ -92,10 +96,7 @@ pub use rpc::{
     read_frame, write_frame, BusDeadlines, ResumeHandle, Router, RpcServer, ServerStats,
     SocketBus, WireFrame, MAX_FRAME_BYTES,
 };
-pub use messages::{
-    CloudCommand, CloudReply, MonitoringReport, RanCommand, RanReply, ResyncReport,
-    TransportCommand, TransportReply,
-};
+pub use messages::MonitoringReport;
 pub use snapshot::{
     replay_bisect, sha256_hex, Divergence, SectionRef, SnapshotError, SnapshotManifest,
     SnapshotStore,

@@ -1,152 +1,13 @@
-//! The typed API spoken over the bus: per-domain commands (orchestrator →
-//! controller) and monitoring reports (controller → orchestrator).
+//! The typed payload spoken over the bus: the monitoring report each
+//! domain pushes upstream to the orchestrator.
 //!
-//! These are the schemas of the demo's REST endpoints. Replies carry domain
-//! results as data; domain *errors* travel as [`Status::Rejected`]
-//! responses with a string body.
-//!
-//! [`Status::Rejected`]: crate::envelope::Status::Rejected
+//! This is the schema of the demo's REST monitoring feed. Resource commands
+//! have no schema here: they are in-process method calls on the controllers
+//! the orchestrator owns (see [`crate::domain`]).
 
-use ovnes_model::{DcId, EnbId, Latency, NodeId, PlmnId, Prbs, RateMbps, SliceId};
 use ovnes_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Commands to the RAN domain controller.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum RanCommand {
-    /// Install a slice's PLMN on an eNB with a PRB reservation.
-    InstallPlmn {
-        /// Target eNB.
-        enb: EnbId,
-        /// The slice.
-        slice: SliceId,
-        /// The PLMN materializing the slice.
-        plmn: PlmnId,
-        /// PRBs to reserve.
-        reserved: Prbs,
-        /// Non-overbooked (SLA-peak) PRB need, for gain accounting.
-        nominal: Prbs,
-    },
-    /// Change a slice's PRB reservation (overbooking reconfiguration).
-    Resize {
-        /// The slice.
-        slice: SliceId,
-        /// New reservation.
-        reserved: Prbs,
-    },
-    /// Remove a slice's PLMN.
-    Release {
-        /// The slice.
-        slice: SliceId,
-    },
-}
-
-/// Replies from the RAN controller.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum RanReply {
-    /// Command executed.
-    Done,
-    /// Released; reports the PRBs freed.
-    Released {
-        /// PRBs that were reserved.
-        freed: Prbs,
-    },
-}
-
-/// Commands to the transport domain controller.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TransportCommand {
-    /// Allocate a delay/capacity-constrained path.
-    AllocatePath {
-        /// The slice.
-        slice: SliceId,
-        /// Ingress node (radio site).
-        src: NodeId,
-        /// Egress node (data center).
-        dst: NodeId,
-        /// Bandwidth to reserve end-to-end.
-        bandwidth: RateMbps,
-        /// Delay bound.
-        max_delay: Latency,
-    },
-    /// Change a path's bandwidth reservation.
-    Resize {
-        /// The slice.
-        slice: SliceId,
-        /// New bandwidth.
-        bandwidth: RateMbps,
-    },
-    /// Release a slice's path.
-    Release {
-        /// The slice.
-        slice: SliceId,
-    },
-}
-
-/// Replies from the transport controller.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TransportReply {
-    /// Path installed.
-    PathAllocated {
-        /// Hop count of the chosen path.
-        hops: usize,
-        /// Committed delay at allocation time.
-        delay: Latency,
-    },
-    /// Command executed.
-    Done,
-}
-
-/// Commands to the cloud domain controller.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum CloudCommand {
-    /// Deploy a slice's vEPC stack.
-    DeployEpc {
-        /// The slice.
-        slice: SliceId,
-        /// Target data center.
-        dc: DcId,
-        /// Committed throughput (sizes the vEPC).
-        throughput: RateMbps,
-        /// Slice class label (`"embb"`, `"urllc"`, `"mmtc"`).
-        class: String,
-    },
-    /// Delete a slice's stack.
-    Delete {
-        /// The slice.
-        slice: SliceId,
-    },
-}
-
-/// Replies from the cloud controller.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum CloudReply {
-    /// Stack created.
-    Deployed {
-        /// Deployment time in microseconds (critical path of the stack DAG).
-        deploy_time_us: u64,
-        /// VMs created.
-        vms: usize,
-    },
-    /// Command executed.
-    Done,
-}
-
-/// Reply to a `{domain}/resync` request: the controller's complete
-/// serialized state, tagged with the serving incarnation's fencing term.
-/// This is the supervision layer's state-transfer payload — a restarted
-/// incarnation is seeded from exactly these bytes, so resync is the PR 6
-/// snapshot machinery spoken over the wire.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ResyncReport {
-    /// Reporting domain (`"ran"`, `"transport"`, `"cloud"`).
-    pub domain: String,
-    /// Fencing term of the incarnation that produced this state.
-    pub term: u64,
-    /// The controller's `export_state`, encoded with the wire codec.
-    pub state: Vec<u8>,
-}
 
 /// The periodic monitoring payload each controller pushes upstream: a flat
 /// map of scalar metrics, exactly what the demo's dashboard consumes.
@@ -166,61 +27,6 @@ mod tests {
     use crate::codec::{decode, encode};
 
     #[test]
-    fn ran_command_round_trips() {
-        let cmd = RanCommand::InstallPlmn {
-            enb: EnbId::new(1),
-            slice: SliceId::new(2),
-            plmn: PlmnId::test_slice_plmn(0),
-            reserved: Prbs::new(30),
-            nominal: Prbs::new(45),
-        };
-        let bytes = encode(&cmd).unwrap();
-        assert_eq!(decode::<RanCommand>(&bytes).unwrap(), cmd);
-    }
-
-    #[test]
-    fn transport_command_round_trips() {
-        let cmd = TransportCommand::AllocatePath {
-            slice: SliceId::new(1),
-            src: NodeId::new(0),
-            dst: NodeId::new(4),
-            bandwidth: RateMbps::new(50.0),
-            max_delay: Latency::new(5.0),
-        };
-        let bytes = encode(&cmd).unwrap();
-        assert_eq!(decode::<TransportCommand>(&bytes).unwrap(), cmd);
-    }
-
-    #[test]
-    fn cloud_command_round_trips() {
-        let cmd = CloudCommand::DeployEpc {
-            slice: SliceId::new(1),
-            dc: DcId::new(0),
-            throughput: RateMbps::new(100.0),
-            class: "embb".into(),
-        };
-        let bytes = encode(&cmd).unwrap();
-        assert_eq!(decode::<CloudCommand>(&bytes).unwrap(), cmd);
-    }
-
-    #[test]
-    fn replies_round_trip() {
-        let r = TransportReply::PathAllocated {
-            hops: 3,
-            delay: Latency::new(1.2),
-        };
-        let bytes = encode(&r).unwrap();
-        assert_eq!(decode::<TransportReply>(&bytes).unwrap(), r);
-
-        let c = CloudReply::Deployed {
-            deploy_time_us: 12_000_000,
-            vms: 4,
-        };
-        let bytes = encode(&c).unwrap();
-        assert_eq!(decode::<CloudReply>(&bytes).unwrap(), c);
-    }
-
-    #[test]
     fn monitoring_report_round_trips() {
         let mut scalars = BTreeMap::new();
         scalars.insert("ran.enb-0.prb_utilization".to_string(), 0.63);
@@ -234,22 +40,5 @@ mod tests {
         let back: MonitoringReport = decode(&bytes).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.scalars["ran.installs"], 5.0);
-    }
-
-    #[test]
-    fn wrong_domain_schema_fails_to_decode() {
-        // Note: structurally identical variants (e.g. both domains'
-        // `Release { slice }`) do cross-decode — that is JSON's nature; the
-        // schemas that differ must not.
-        let cmd = RanCommand::InstallPlmn {
-            enb: EnbId::new(0),
-            slice: SliceId::new(1),
-            plmn: PlmnId::test_slice_plmn(0),
-            reserved: Prbs::new(1),
-            nominal: Prbs::new(1),
-        };
-        let bytes = encode(&cmd).unwrap();
-        assert!(decode::<TransportCommand>(&bytes).is_err());
-        assert!(decode::<CloudCommand>(&bytes).is_err());
     }
 }

@@ -1438,7 +1438,6 @@ mod tests {
         // The term-2 incarnation (counters carried over) is believed.
         let mut router = Router::new();
         router.register("echo", |req: Request| Response::ok(req.id, req.body));
-        register_control_endpoints(&mut router, "ran");
         let next = RpcServer::spawn_incarnation(router, 2, server.stats()).unwrap();
         bus.attach(&next);
         let resp = bus.call("echo", b"fresh".to_vec()).unwrap();

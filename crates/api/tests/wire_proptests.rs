@@ -1,258 +1,122 @@
-//! Property tests for the framed wire codec: every message enum in
-//! `ovnes_api::messages` survives the full journey a socket call takes —
-//! versioned JSON envelope ([`encode`]/[`decode`]) wrapped in a
-//! [`WireFrame::Request`] and length-prefix-framed onto the wire — and the
-//! frame reader rejects the malformed inputs a real TCP peer can produce:
-//! truncated frames, trailing garbage, and wrong-version envelopes.
+//! Properties of the framed wire codec, as seeded loops (the case index
+//! seeds the draw, and a failing case prints it): a [`MonitoringReport`]
+//! survives the full journey a socket call takes — versioned JSON envelope
+//! ([`encode`]/[`decode`]) wrapped in a [`WireFrame::Request`] and
+//! length-prefix-framed onto the wire — and the frame reader rejects the
+//! malformed inputs a real TCP peer can produce: truncated frames, trailing
+//! garbage, and wrong-version envelopes.
 
 use ovnes_api::rpc::{read_frame_bytes, write_frame_bytes};
-use ovnes_api::{
-    decode, encode, CloudCommand, CloudReply, CodecError, MonitoringReport, RanCommand, RanReply,
-    Request, TransportCommand, TransportReply, WireFrame, WIRE_VERSION,
-};
-use ovnes_model::{DcId, EnbId, Latency, NodeId, PlmnId, Prbs, RateMbps, SliceId};
-use ovnes_sim::SimTime;
-use proptest::collection::btree_map;
-use proptest::prelude::*;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-use std::fmt::Debug;
+use ovnes_api::{decode, encode, CodecError, MonitoringReport, Request, WireFrame, WIRE_VERSION};
+use ovnes_sim::{SimRng, SimTime};
 
-// ---- strategies ----------------------------------------------------------
+const CASES: u64 = 256;
 
-fn finite_f64() -> impl Strategy<Value = f64> {
-    -1e9..1e9f64
+fn lowercase(rng: &mut SimRng, alphabet: &[u8], min: usize, max: usize) -> String {
+    (0..rng.uniform_usize(min, max + 1))
+        .map(|_| alphabet[rng.uniform_usize(0, alphabet.len())] as char)
+        .collect()
 }
 
-fn ran_command() -> impl Strategy<Value = RanCommand> {
-    prop_oneof![
-        (any::<u64>(), any::<u64>(), 0..99u64, any::<u32>(), any::<u32>()).prop_map(
-            |(enb, slice, plmn, reserved, nominal)| RanCommand::InstallPlmn {
-                enb: EnbId::new(enb),
-                slice: SliceId::new(slice),
-                plmn: PlmnId::test_slice_plmn(plmn),
-                reserved: Prbs::new(reserved),
-                nominal: Prbs::new(nominal),
-            }
-        ),
-        (any::<u64>(), any::<u32>()).prop_map(|(slice, reserved)| RanCommand::Resize {
-            slice: SliceId::new(slice),
-            reserved: Prbs::new(reserved),
-        }),
-        any::<u64>().prop_map(|slice| RanCommand::Release {
-            slice: SliceId::new(slice)
-        }),
-    ]
+fn monitoring_report(rng: &mut SimRng) -> MonitoringReport {
+    MonitoringReport {
+        domain: lowercase(rng, b"abcdefghijklmnopqrstuvwxyz", 1, 10),
+        at: SimTime::from_micros(rng.next_u64()),
+        scalars: (0..rng.uniform_usize(0, 6))
+            .map(|_| {
+                (
+                    lowercase(rng, b"abcdefghijklmnopqrstuvwxyz_.", 1, 16),
+                    rng.uniform_range(-1e9, 1e9),
+                )
+            })
+            .collect(),
+    }
 }
 
-fn ran_reply() -> impl Strategy<Value = RanReply> {
-    prop_oneof![
-        Just(RanReply::Done),
-        any::<u32>().prop_map(|freed| RanReply::Released {
-            freed: Prbs::new(freed)
-        }),
-    ]
-}
-
-fn transport_command() -> impl Strategy<Value = TransportCommand> {
-    prop_oneof![
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            finite_f64(),
-            finite_f64()
-        )
-            .prop_map(|(slice, src, dst, bandwidth, max_delay)| {
-                TransportCommand::AllocatePath {
-                    slice: SliceId::new(slice),
-                    src: NodeId::new(src),
-                    dst: NodeId::new(dst),
-                    bandwidth: RateMbps::new(bandwidth),
-                    max_delay: Latency::new(max_delay),
-                }
-            }),
-        (any::<u64>(), finite_f64()).prop_map(|(slice, bandwidth)| TransportCommand::Resize {
-            slice: SliceId::new(slice),
-            bandwidth: RateMbps::new(bandwidth),
-        }),
-        any::<u64>().prop_map(|slice| TransportCommand::Release {
-            slice: SliceId::new(slice)
-        }),
-    ]
-}
-
-fn transport_reply() -> impl Strategy<Value = TransportReply> {
-    prop_oneof![
-        (any::<usize>(), finite_f64()).prop_map(|(hops, delay)| TransportReply::PathAllocated {
-            hops,
-            delay: Latency::new(delay),
-        }),
-        Just(TransportReply::Done),
-    ]
-}
-
-fn cloud_command() -> impl Strategy<Value = CloudCommand> {
-    prop_oneof![
-        (any::<u64>(), any::<u64>(), finite_f64(), "[a-z]{1,8}").prop_map(
-            |(slice, dc, throughput, class)| CloudCommand::DeployEpc {
-                slice: SliceId::new(slice),
-                dc: DcId::new(dc),
-                throughput: RateMbps::new(throughput),
-                class,
-            }
-        ),
-        any::<u64>().prop_map(|slice| CloudCommand::Delete {
-            slice: SliceId::new(slice)
-        }),
-    ]
-}
-
-fn cloud_reply() -> impl Strategy<Value = CloudReply> {
-    prop_oneof![
-        (any::<u64>(), any::<usize>()).prop_map(|(deploy_time_us, vms)| CloudReply::Deployed {
-            deploy_time_us,
-            vms,
-        }),
-        Just(CloudReply::Done),
-    ]
-}
-
-fn monitoring_report() -> impl Strategy<Value = MonitoringReport> {
-    (
-        "[a-z]{1,10}",
-        any::<u64>(),
-        btree_map("[a-z_.]{1,16}", finite_f64(), 0..6),
-    )
-        .prop_map(|(domain, at, scalars)| MonitoringReport {
-            domain,
-            at: SimTime::from_micros(at),
-            scalars,
-        })
-}
-
-// ---- the round trip every socket call takes ------------------------------
-
-/// encode → WireFrame::Request → length-prefixed bytes → read back →
-/// WireFrame parse → decode. Exactly the client-to-server path.
-fn framed_round_trip<T>(value: &T, id: u64, endpoint: &str)
-where
-    T: Serialize + DeserializeOwned + PartialEq + Debug,
-{
+/// `report` as the request a client puts on the wire, and that wire.
+fn framed(report: &MonitoringReport, id: u64) -> (WireFrame, Vec<u8>) {
     let frame = WireFrame::Request(Request {
         id,
-        endpoint: endpoint.to_owned(),
-        body: encode(value).expect("encode"),
+        endpoint: "ran/monitoring".to_owned(),
+        body: encode(report).expect("encode"),
     });
     let mut wire = Vec::new();
     write_frame_bytes(&mut wire, &serde_json::to_vec(&frame).unwrap()).expect("write");
+    (frame, wire)
+}
 
-    let bytes = read_frame_bytes(&mut wire.as_slice()).expect("read");
-    let back: WireFrame = serde_json::from_slice(&bytes).expect("frame parse");
-    match back {
-        WireFrame::Request(req) => {
-            assert_eq!(req.id, id);
-            assert_eq!(req.endpoint, endpoint);
-            assert_eq!(&decode::<T>(&req.body).expect("decode"), value);
+/// encode → WireFrame::Request → length-prefixed bytes → read back →
+/// WireFrame parse → decode. Exactly the client-to-server path.
+#[test]
+fn monitoring_reports_survive_the_framed_wire() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let report = monitoring_report(&mut rng);
+        let id = rng.next_u64();
+        let (_, wire) = framed(&report, id);
+
+        let bytes = read_frame_bytes(&mut wire.as_slice()).expect("read");
+        match serde_json::from_slice(&bytes).expect("frame parse") {
+            WireFrame::Request(req) => {
+                assert_eq!(req.id, id, "case {case}");
+                assert_eq!(req.endpoint, "ran/monitoring", "case {case}");
+                assert_eq!(
+                    decode::<MonitoringReport>(&req.body).expect("decode"),
+                    report,
+                    "case {case}"
+                );
+            }
+            other => panic!("case {case}: wrong frame kind: {other:?}"),
         }
-        other => panic!("wrong frame kind: {other:?}"),
     }
 }
 
-proptest! {
-    #[test]
-    fn ran_commands_survive_the_framed_wire(cmd in ran_command(), id in any::<u64>()) {
-        framed_round_trip(&cmd, id, "ran/command");
-    }
-
-    #[test]
-    fn ran_replies_survive_the_framed_wire(reply in ran_reply(), id in any::<u64>()) {
-        framed_round_trip(&reply, id, "ran/command");
-    }
-
-    #[test]
-    fn transport_commands_survive_the_framed_wire(cmd in transport_command(), id in any::<u64>()) {
-        framed_round_trip(&cmd, id, "transport/command");
-    }
-
-    #[test]
-    fn transport_replies_survive_the_framed_wire(reply in transport_reply(), id in any::<u64>()) {
-        framed_round_trip(&reply, id, "transport/command");
-    }
-
-    #[test]
-    fn cloud_commands_survive_the_framed_wire(cmd in cloud_command(), id in any::<u64>()) {
-        framed_round_trip(&cmd, id, "cloud/command");
-    }
-
-    #[test]
-    fn cloud_replies_survive_the_framed_wire(reply in cloud_reply(), id in any::<u64>()) {
-        framed_round_trip(&reply, id, "cloud/command");
-    }
-
-    #[test]
-    fn monitoring_reports_survive_the_framed_wire(report in monitoring_report(), id in any::<u64>()) {
-        framed_round_trip(&report, id, "ran/monitoring");
-    }
-
-    // ---- malformed wire input --------------------------------------------
-
-    #[test]
-    fn truncated_frames_error_instead_of_hanging_or_garbling(
-        cmd in ran_command(),
-        cut in any::<prop::sample::Index>(),
-    ) {
-        let frame = WireFrame::Request(Request {
-            id: 1,
-            endpoint: "ran/command".to_owned(),
-            body: encode(&cmd).unwrap(),
-        });
-        let mut wire = Vec::new();
-        write_frame_bytes(&mut wire, &serde_json::to_vec(&frame).unwrap()).unwrap();
+#[test]
+fn truncated_frames_error_instead_of_hanging_or_garbling() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let (_, wire) = framed(&monitoring_report(&mut rng), 1);
 
         // Cut the wire anywhere strictly before the end: inside the length
         // prefix or inside the payload. Either way the reader must report
         // an error, never a short or fabricated frame.
-        let cut = cut.index(wire.len());
-        prop_assert!(read_frame_bytes(&mut &wire[..cut]).is_err());
+        let cut = rng.uniform_usize(0, wire.len());
+        assert!(
+            read_frame_bytes(&mut &wire[..cut]).is_err(),
+            "case {case}: {cut} of {} bytes read as a frame",
+            wire.len()
+        );
     }
+}
 
-    #[test]
-    fn trailing_garbage_does_not_bleed_into_the_frame(
-        cmd in transport_command(),
-        garbage in proptest::collection::vec(any::<u8>(), 1..64),
-    ) {
-        let frame = WireFrame::Request(Request {
-            id: 2,
-            endpoint: "transport/command".to_owned(),
-            body: encode(&cmd).unwrap(),
-        });
-        let mut wire = Vec::new();
-        write_frame_bytes(&mut wire, &serde_json::to_vec(&frame).unwrap()).unwrap();
+#[test]
+fn trailing_garbage_does_not_bleed_into_the_frame() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let (frame, mut wire) = framed(&monitoring_report(&mut rng), 2);
         let framed_len = wire.len();
-        wire.extend_from_slice(&garbage);
+        let garbage = rng.uniform_usize(1, 64);
+        wire.extend((0..garbage).map(|_| rng.next_u64() as u8));
 
         // The length prefix bounds the read exactly: the first frame comes
         // back intact and the garbage stays unconsumed in the reader.
         let mut reader = wire.as_slice();
         let bytes = read_frame_bytes(&mut reader).unwrap();
         let back: WireFrame = serde_json::from_slice(&bytes).unwrap();
-        prop_assert_eq!(
-            back,
-            WireFrame::Request(Request {
-                id: 2,
-                endpoint: "transport/command".to_owned(),
-                body: encode(&cmd).unwrap(),
-            })
-        );
-        prop_assert_eq!(reader.len(), wire.len() - framed_len);
+        assert_eq!(back, frame, "case {case}");
+        assert_eq!(reader.len(), wire.len() - framed_len, "case {case}");
     }
+}
 
-    #[test]
-    fn wrong_version_frames_report_the_mismatch_not_a_schema_error(
-        report in monitoring_report(),
-        version in (0u32..1000).prop_filter("must differ from WIRE_VERSION", |v| *v != WIRE_VERSION),
-    ) {
+#[test]
+fn wrong_version_frames_report_the_mismatch_not_a_schema_error() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let report = monitoring_report(&mut rng);
+        // Any version below 1000 but the one the codec speaks.
+        let drawn = rng.uniform_usize(0, 999) as u32;
+        let version = if drawn < WIRE_VERSION { drawn } else { drawn + 1 };
+
         // A valid payload behind a wrong version must surface as
         // VersionMismatch — the schema is never even consulted.
         let body = serde_json::to_vec(&serde_json::json!({
@@ -261,10 +125,8 @@ proptest! {
         }))
         .unwrap();
         match decode::<MonitoringReport>(&body) {
-            Err(CodecError::VersionMismatch { found }) => prop_assert_eq!(found, version),
-            other => return Err(TestCaseError::fail(format!(
-                "expected VersionMismatch, got {other:?}"
-            ))),
+            Err(CodecError::VersionMismatch { found }) => assert_eq!(found, version, "case {case}"),
+            other => panic!("case {case}: expected VersionMismatch, got {other:?}"),
         }
     }
 }

@@ -410,8 +410,6 @@ pub struct Witness {
     pub terms: Vec<u64>,
     /// Times any domain's heartbeat health machine left `Up`.
     pub health_incidents: u64,
-    /// Wall-clock seconds per supervised kill-and-restart, firing order.
-    pub mttr_wall_secs: Vec<f64>,
     pub spilled: u64,
     pub spill_admitted: u64,
 }
@@ -527,7 +525,6 @@ fn wire_down(wire: Option<Supervisor>, witness: &mut Witness) {
     witness.hangs = supervisor.hangs();
     witness.stale_provoked = supervisor.stale_rejections_provoked();
     witness.terms = supervisor.terms().into_values().collect();
-    witness.mttr_wall_secs = supervisor.mttr_wall_secs().to_vec();
 }
 
 /// Run `cell` to its horizon and render what it shows.

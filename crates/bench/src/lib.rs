@@ -159,21 +159,18 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// What an operator does about a dead, unsupervised controller of `domain`:
 /// a fresh incarnation (`term`) of its control surface on a new port with
 /// the dead server's counters carried over, the orchestrator's socket bus
-/// re-routed and fenced to it, and the resync marked on the health machine.
+/// re-routed and fenced to it.
 pub fn repair_by_hand(
     orchestrator: &mut Orchestrator,
     domain: &str,
     term: u64,
     carry: ovnes_api::ServerStats,
 ) -> ovnes_api::RpcServer {
-    let mut router = ovnes_api::Router::new();
-    ovnes_api::register_control_endpoints(&mut router, domain);
-    let restarted = ovnes_api::RpcServer::spawn_incarnation(router, term, carry).expect("restart");
+    let restarted = ovnes_api::serve_control_incarnation(domain, term, carry).expect("restart");
     let control = orchestrator.control_mut();
     let bus = control.socket_mut().expect("socket control plane");
     bus.attach(&restarted);
     bus.fence(domain, term);
-    orchestrator.mark_resyncing(domain);
     restarted
 }
 

@@ -16,10 +16,6 @@
 //!   its attach-latency model.
 //! * [`controller`] — the cloud domain controller: deploy/scale/delete
 //!   slice stacks, utilization telemetry.
-//! * [`rpc`] — the controller's side of the REST contract
-//!   (`impl ovnes_api::DomainController`), served behind framed TCP by
-//!   `ovnes_api::serve` (the testbed's OpenStack-controller process
-//!   boundary).
 
 //! ## Example: deploy a slice's vEPC into the core DC
 //!
@@ -55,7 +51,6 @@ pub mod controller;
 pub mod datacenter;
 pub mod epc;
 pub mod host;
-pub mod rpc;
 pub mod stack;
 
 pub use controller::{

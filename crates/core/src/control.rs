@@ -168,7 +168,7 @@ impl ControlPlane {
         now: SimTime,
         endpoint: &str,
         body: Vec<u8>,
-        accept: impl Fn(&Response) -> bool,
+        mut accept: impl FnMut(&Response) -> bool,
     ) -> Option<Response> {
         self.epoch.calls += 1;
         let mut elapsed = SimDuration::ZERO;

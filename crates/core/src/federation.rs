@@ -324,7 +324,8 @@ impl FederationBroker {
 
         // Phase A: deliver each region's Poisson arrivals, home-first.
         let mut spills: Vec<Spill> = Vec::new();
-        let federated = self.config.federated_admission;
+        // A spill is an offer to a sibling: a lone region has none to make.
+        let federated = self.config.federated_admission && self.regions.len() > 1;
         for (home, region) in self.regions.iter_mut().enumerate() {
             region.deliver_arrivals(now, |request| {
                 if federated {

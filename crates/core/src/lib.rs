@@ -43,7 +43,7 @@
 //!   fences, kills, hangs, and respawns the (stateless) domain control
 //!   servers on a seeded [`CrashPlan`](ovnes_api::CrashPlan) with no
 //!   observable effect on the run, plus the per-domain heartbeat health
-//!   machine (Up → Suspect → Down → Resyncing → Up) the orchestrator layers
+//!   machine (Up → Suspect → Down → Up) the orchestrator layers
 //!   over its probe loop.
 
 pub mod admission;

@@ -402,15 +402,6 @@ impl Orchestrator {
         &self.supervision
     }
 
-    /// Mark a state replay in progress against `domain`'s restarted
-    /// controller (see [`DomainHealth::begin_resync`]); the next
-    /// successful probe books the repair.
-    pub fn mark_resyncing(&mut self, domain: &str) {
-        if let Some(health) = self.supervision.get_mut(domain) {
-            health.begin_resync();
-        }
-    }
-
     // ---- submission -------------------------------------------------------
 
     /// Submit a dashboard request at `now`. On admission the slice id is
@@ -1430,7 +1421,11 @@ impl Orchestrator {
         self.pf.remove(&id);
         self.engine.forget(id);
         self.placements.remove(&id);
-        self.metrics.counter("orchestrator.expired").inc();
+        let ended = match end_state {
+            SliceState::Terminated => "orchestrator.terminated",
+            _ => "orchestrator.expired",
+        };
+        self.metrics.counter(ended).inc();
     }
 
     /// Terminate an active or deploying slice early (operator action),
@@ -1478,12 +1473,14 @@ impl Orchestrator {
             // boundary. Corrupted echoes fail the decode check and retry.
             let bytes = encode(&report).expect("reports are serializable");
             let endpoint = format!("{domain}/monitoring");
+            let mut echoed = None;
             let accepted = self.control.call_checked(now, &endpoint, bytes, |r| {
-                r.status == Status::Ok && decode::<MonitoringReport>(&r.body).is_ok()
+                echoed = decode::<MonitoringReport>(&r.body).ok();
+                echoed.is_some()
             });
-            if let Some(response) = accepted {
-                reports
-                    .push(decode::<MonitoringReport>(&response.body).expect("checked decodable"));
+            // A rejection comes back without passing the acceptor.
+            if accepted.is_some_and(|r| r.status == Status::Ok) {
+                reports.extend(echoed);
             }
         }
         reports
@@ -2096,6 +2093,9 @@ mod tests {
         assert!(o.terminate(minute(16), id));
         assert_eq!(o.record(id).unwrap().state, SliceState::Terminated);
         assert_eq!(o.transport().snapshot().paths, 0);
+        // A termination is not an expiry.
+        assert_eq!(o.metrics().counter_value("orchestrator.terminated"), Some(1));
+        assert_eq!(o.metrics().counter_value("orchestrator.expired"), None);
         // Refund is half the price (±epoch rounding).
         let net = o.ledger().net().as_f64();
         assert!((net - 50.0).abs() < 5.0, "net {net}");

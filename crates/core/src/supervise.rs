@@ -9,7 +9,11 @@
 //! by physically tearing down a domain controller's [`RpcServer`] — port
 //! released, every connection thread joined — and restoring a fresh
 //! incarnation on a new port, with its lifetime counters carried over and
-//! a strictly higher fencing term stamping every response it writes.
+//! a strictly higher fencing term stamping every response it writes. The
+//! servers are stateless by design (see [`ovnes_api::domain`]), so there is
+//! no state to recover: what a supervised run proves is that the *client*
+//! detects and survives the faults a socket peer really produces — a
+//! zombie connection, a hung process, a dead port.
 //!
 //! Two invariants make a supervised run trustworthy:
 //!
@@ -25,20 +29,18 @@
 //!    accounting.
 //!
 //! Orthogonally, [`DomainHealth`] is the orchestrator-side heartbeat
-//! classifier (Up → Suspect → Down → Resyncing → Up) layered over the raw
+//! classifier (Up → Suspect → Down → Up) layered over the raw
 //! probe loop as telemetry: it books `supervise.*` counters and the
 //! `supervise.time_to_repair` distribution for *unsupervised* outages,
 //! while leaving the pinned degrade/restore mitigation timing untouched.
 
 use crate::orchestrator::Orchestrator;
-use ovnes_api::{
-    register_control_endpoints, CrashEvent, CrashPlan, ProcessFault, Router, RpcServer,
-};
+use ovnes_api::{serve_control_incarnation, CrashEvent, CrashPlan, ProcessFault, RpcServer};
 use ovnes_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Heartbeat health of one domain controller, as the orchestrator sees it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,9 +53,6 @@ pub enum HealthState {
     Suspect,
     /// Two or more consecutive failed probes: the controller is down.
     Down,
-    /// An operator (or supervisor) is replaying state into a restarted
-    /// controller; the next successful probe completes the repair.
-    Resyncing,
 }
 
 impl std::fmt::Display for HealthState {
@@ -62,7 +61,6 @@ impl std::fmt::Display for HealthState {
             HealthState::Up => "up",
             HealthState::Suspect => "suspect",
             HealthState::Down => "down",
-            HealthState::Resyncing => "resyncing",
         })
     }
 }
@@ -117,7 +115,7 @@ impl DomainHealth {
         if up {
             return match self.state {
                 HealthState::Up => None,
-                HealthState::Suspect | HealthState::Down | HealthState::Resyncing => {
+                HealthState::Suspect | HealthState::Down => {
                     let downtime = now.saturating_duration_since(self.since);
                     self.state = HealthState::Up;
                     self.since = now;
@@ -138,16 +136,7 @@ impl DomainHealth {
                 self.state = HealthState::Down;
                 Some(HealthTransition::WentDown)
             }
-            HealthState::Down | HealthState::Resyncing => None,
-        }
-    }
-
-    /// Mark a state replay in progress against a restarted controller.
-    /// Only meaningful mid-incident; the incident's `since` anchor is kept
-    /// so the eventual repair books the full outage.
-    pub fn begin_resync(&mut self) {
-        if matches!(self.state, HealthState::Suspect | HealthState::Down) {
-            self.state = HealthState::Resyncing;
+            HealthState::Down => None,
         }
     }
 }
@@ -165,7 +154,6 @@ pub struct Supervisor {
     mid_request_crashes: u64,
     hangs: u64,
     stale_rejections_provoked: u64,
-    mttr_wall: Vec<f64>,
 }
 
 impl Supervisor {
@@ -200,7 +188,6 @@ impl Supervisor {
             mid_request_crashes: 0,
             hangs: 0,
             stale_rejections_provoked: 0,
-            mttr_wall: Vec::new(),
         }
     }
 
@@ -226,7 +213,6 @@ impl Supervisor {
     }
 
     fn crash(&mut self, domain: &str, mid_request: bool, orchestrator: &mut Orchestrator) {
-        let started = Instant::now();
         let mut old = self
             .servers
             .remove(domain)
@@ -263,9 +249,7 @@ impl Supervisor {
         drop(old);
         // Fresh incarnation of the same control surface on a new port,
         // lifetime counters carried over, term strictly higher.
-        let mut router = Router::new();
-        register_control_endpoints(&mut router, domain);
-        let fresh = RpcServer::spawn_incarnation(router, next_term, carry)
+        let fresh = serve_control_incarnation(domain, next_term, carry)
             .expect("respawn domain controller server");
         orchestrator
             .control_mut()
@@ -274,7 +258,6 @@ impl Supervisor {
             .attach(&fresh);
         self.servers.insert(domain.to_owned(), fresh);
         self.crashes += 1;
-        self.mttr_wall.push(started.elapsed().as_secs_f64());
     }
 
     fn hang(&mut self, domain: &str, hold_ms: u64) {
@@ -330,13 +313,6 @@ impl Supervisor {
         self.stale_rejections_provoked
     }
 
-    /// Wall-clock seconds per kill-to-restored cycle, in firing order. No
-    /// MTTR figure is quoted from it yet: it times the respawn of a
-    /// stateless router, not a resync (EXPERIMENTS.md closure table, E18).
-    pub fn mttr_wall_secs(&self) -> &[f64] {
-        &self.mttr_wall
-    }
-
     /// Tear everything down: timed-resume threads joined, every supervised
     /// server shut down.
     pub fn shutdown(&mut self) {
@@ -379,10 +355,7 @@ mod tests {
         assert_eq!(h.state, HealthState::Down);
         assert_eq!(h.observe(minute(4), false), None);
 
-        // Resync is a transient classification; recovery books downtime
-        // from the first miss.
-        h.begin_resync();
-        assert_eq!(h.state, HealthState::Resyncing);
+        // Recovery books downtime from the first miss.
         assert_eq!(
             h.observe(minute(5), true),
             Some(HealthTransition::Recovered {
@@ -446,7 +419,6 @@ mod tests {
             scenario.orchestrator().control().stale_rejections() >= 1,
             "the zombie response must be generated and rejected on the wire"
         );
-        assert_eq!(supervisor.mttr_wall_secs().len(), 2);
 
         let terms = supervisor.terms();
         assert_eq!(terms["ran"], 2);

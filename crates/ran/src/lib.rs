@@ -20,10 +20,6 @@
 //!   UE slabs, bit-identical to the retained per-PRB reference oracle.
 //! * [`controller`] — the RAN domain controller the E2E orchestrator talks
 //!   to: PLMN install/release, capacity queries, utilization telemetry.
-//! * [`rpc`] — the controller's side of the REST contract
-//!   (`impl ovnes_api::DomainController`), which `ovnes_api::serve` puts
-//!   behind framed TCP so the orchestrator reaches it across a real process
-//!   boundary as in the testbed.
 //!
 //! ## Example: install two overbooked slices and schedule one epoch
 //!
@@ -59,7 +55,6 @@
 pub mod cell;
 pub mod controller;
 pub mod cqi;
-pub mod rpc;
 pub mod scheduler;
 pub mod ue;
 pub mod ue_scheduler;

@@ -1,32 +1,24 @@
-//! # ovnes-sim — deterministic discrete-event simulation kernel
+//! # ovnes-sim — virtual time, seeded forkable RNG, metrics, event log, fork/join
 //!
 //! The original demo ran on a physical LTE testbed in wall-clock time. This
 //! crate replaces wall-clock time with *virtual time*: a microsecond-resolution
-//! [`SimTime`], a deterministic [`EventQueue`], a seeded, forkable
-//! [`SimRng`], and a telemetry layer ([`metrics`]) that the domain
-//! controllers use to report utilization to the end-to-end orchestrator —
-//! mirroring the monitoring feeds of the demo.
+//! [`SimTime`] that the scenario drivers advance one epoch at a time, a
+//! seeded, forkable [`SimRng`], a telemetry layer ([`metrics`]) that the
+//! domain controllers use to report utilization to the end-to-end
+//! orchestrator — mirroring the monitoring feeds of the demo — a bounded
+//! [`EventLog`], and an ordered fork/join ([`par`]).
 //!
-//! Design follows the poll-style, event-driven idiom: nothing blocks, nothing
-//! races; every run is a pure function of its seed and its event schedule.
+//! Nothing blocks, nothing races; every run is a pure function of its seed.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use ovnes_sim::{SimTime, SimDuration, EventQueue, SimRng};
+//! use ovnes_sim::{SimTime, SimDuration, SimRng};
 //!
 //! // Virtual time.
 //! let t0 = SimTime::ZERO;
 //! let t1 = t0 + SimDuration::from_secs(2);
 //! assert_eq!((t1 - t0).as_millis_f64(), 2000.0);
-//!
-//! // Deterministic events: ties broken by insertion order.
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(t1, "b");
-//! q.schedule(t0, "a");
-//! q.schedule(t1, "c");
-//! let fired: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-//! assert_eq!(fired, vec!["a", "b", "c"]);
 //!
 //! // Seeded randomness: same seed, same stream.
 //! let mut r1 = SimRng::seed_from(42);
@@ -34,17 +26,13 @@
 //! assert_eq!(r1.next_u64(), r2.next_u64());
 //! ```
 
-pub mod engine;
-pub mod event;
 pub mod eventlog;
 pub mod metrics;
 pub mod par;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Clock, Engine, Process, StepOutcome};
-pub use event::{EventEntry, EventQueue, ScheduledId};
 pub use eventlog::{EventLog, LogEntry};
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, TimeSeries};
-pub use rng::{RngState, SimRng, StreamRegistry};
+pub use rng::{RngState, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -14,7 +14,6 @@
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Deterministic random stream. See module docs.
 #[derive(Debug, Clone)]
@@ -224,61 +223,6 @@ impl<'de> Deserialize<'de> for SimRng {
     }
 }
 
-/// Enumeration of the live named streams of a world, built at snapshot time.
-///
-/// [`SimRng::fork`] hands out child streams freely, and nothing in the tree
-/// tracked them — so a checkpoint had no way to ask "which streams exist and
-/// where is each one?". Components answer that question by `record`ing every
-/// stream they own into a registry; the snapshot serializes it, and restore
-/// hands each component its stream back via [`StreamRegistry::restore`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct StreamRegistry {
-    entries: BTreeMap<String, RngState>,
-}
-
-impl StreamRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `rng`'s current position under `label`.
-    ///
-    /// # Panics
-    /// Panics if `label` was already recorded: two components claiming the
-    /// same stream name is a wiring bug a checkpoint must not paper over.
-    pub fn record(&mut self, label: impl Into<String>, rng: &SimRng) {
-        let label = label.into();
-        let prev = self.entries.insert(label.clone(), rng.state());
-        assert!(prev.is_none(), "stream {label:?} recorded twice");
-    }
-
-    /// The recorded position of `label`, if present.
-    pub fn get(&self, label: &str) -> Option<&RngState> {
-        self.entries.get(label)
-    }
-
-    /// Rebuild the stream recorded under `label`.
-    pub fn restore(&self, label: &str) -> Option<SimRng> {
-        self.entries.get(label).map(SimRng::from_state)
-    }
-
-    /// All recorded labels, in sorted order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
-    /// Number of recorded streams.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,22 +418,17 @@ mod tests {
         // same seed must land every stream at the same state — this is the
         // invariant that lets a snapshot capture stream *positions* instead
         // of replaying fork history.
-        let registry_for = |seed: u64| {
+        let states_for = |seed: u64| {
             let mut parent = SimRng::seed_from(seed);
-            let mut reg = StreamRegistry::new();
             let a = parent.fork("requests");
             let b = parent.fork("orchestrator");
             let c = parent.fork("weather");
-            reg.record("requests", &a);
-            reg.record("orchestrator", &b);
-            reg.record("weather", &c);
-            reg.record("parent", &parent);
-            reg
+            [a.state(), b.state(), c.state(), parent.state()]
         };
-        assert_eq!(registry_for(99), registry_for(99));
+        assert_eq!(states_for(99), states_for(99));
 
         // Order matters for `fork` (each consumes a parent draw), which is
-        // exactly why the registry records positions, not labels-to-replay.
+        // exactly why a snapshot records positions, not labels-to-replay.
         let mut p1 = SimRng::seed_from(99);
         let mut p2 = SimRng::seed_from(99);
         let ab = (p1.fork("a").state(), p1.fork("b").state());
@@ -499,37 +438,5 @@ mod tests {
         // `stream` is the order-independent variant and must stay that way.
         let parent = SimRng::seed_from(99);
         assert_eq!(parent.stream("x").state(), parent.stream("x").state());
-    }
-
-    #[test]
-    fn registry_enumerates_and_restores() {
-        let mut parent = SimRng::seed_from(5);
-        let mut child = parent.fork("traffic");
-        child.next_u64();
-        let mut reg = StreamRegistry::new();
-        reg.record("traffic", &child);
-        reg.record("parent", &parent);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(
-            reg.labels().collect::<Vec<_>>(),
-            vec!["parent", "traffic"],
-            "labels enumerate in sorted order"
-        );
-        let mut restored = reg.restore("traffic").unwrap();
-        assert_eq!(restored.next_u64(), child.next_u64());
-        assert!(reg.restore("missing").is_none());
-
-        let json = serde_json::to_string(&reg).unwrap();
-        let back: StreamRegistry = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, reg);
-    }
-
-    #[test]
-    #[should_panic(expected = "recorded twice")]
-    fn registry_rejects_duplicate_labels() {
-        let rng = SimRng::seed_from(1);
-        let mut reg = StreamRegistry::new();
-        reg.record("dup", &rng);
-        reg.record("dup", &rng);
     }
 }

@@ -19,10 +19,6 @@
 //! * [`controller`] — the transport domain controller: allocate/release
 //!   slice paths, install flow rules, degrade/restore links (mmWave rain
 //!   fade), reroute affected slices, publish telemetry.
-//! * [`rpc`] — the controller's side of the REST contract
-//!   (`impl ovnes_api::DomainController`), served behind framed TCP by
-//!   `ovnes_api::serve` (the testbed's OpenFlow-controller process
-//!   boundary).
 
 //! ## Example: allocate a constrained slice path on the Fig. 2 testbed
 //!
@@ -53,7 +49,6 @@ pub mod controller;
 pub mod generators;
 pub mod reservation;
 pub mod routing;
-pub mod rpc;
 pub mod switch;
 pub mod topology;
 pub mod weather;

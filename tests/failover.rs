@@ -50,13 +50,8 @@ fn unsupervised_outage_walks_the_health_machine() {
     assert_eq!(health.state, HealthState::Down);
     assert_eq!(health.incidents, 1);
 
-    // Operator repair: a fresh incarnation on a new port, routed and
-    // fenced, with the resync marked on the health machine.
+    // Operator repair: a fresh incarnation on a new port, routed and fenced.
     let _restarted = ovnes_bench::repair_by_hand(s.orchestrator_mut(), "ran", 2, carry);
-    assert_eq!(
-        s.orchestrator().domain_health("ran").unwrap().state,
-        HealthState::Resyncing
-    );
 
     // The next successful probe books the repair: two minutes of downtime
     // from the first failed probe to the recovering one.

@@ -130,7 +130,6 @@ fn stormed(r: &Witness, v: &Witness) -> bool {
         && v.mid_request_crashes == 1
         && v.stale_provoked >= 1
         && v.stale_rejections >= 1
-        && v.mttr_wall_secs.len() == 6
         && v.terms == [3, 3, 3]
         && v.health_incidents == r.health_incidents
 }
