@@ -1,11 +1,11 @@
 //! The identity comparison, once.
 //!
 //! The repo's oracles all have one shape: run two configurations, compare
-//! the run summary, the rendered dashboard and the monitoring JSON byte for
-//! byte. A [`Cell`] names a configuration along the axes the suites vary,
+//! the run summary, the rendered dashboard, the monitoring JSON and the
+//! orchestrator's metric registry byte for byte. A [`Cell`] names a configuration along the axes the suites vary,
 //! [`observe`] is the only code that builds the world, installs the plans,
 //! sockets and supervisor, cuts and restores, and pins the workers while
-//! the epochs run; [`Observed`] is the three artefacts as bytes and
+//! the epochs run; [`Observed`] is those artefacts as bytes and
 //! [`Witness`] what proves the perturbation actually bit.
 //! `tests/identity_matrix.rs` walks one table of cell pairs through it.
 
@@ -16,7 +16,7 @@ use ovnes_dashboard::DashboardView;
 use ovnes_model::{DcId, EnbId, HostId, LinkId, SwitchId};
 use ovnes_orchestrator::{
     region_scenario_config, spawn_domain_control_servers, DemoScenario, FederationBroker,
-    FederationConfig, Orchestrator, Supervisor, DOMAINS,
+    FederationConfig, Orchestrator, OrchestratorConfig, Supervisor, DOMAINS,
 };
 use ovnes_sim::par::{current_threads, pin_threads};
 use ovnes_sim::{SimDuration, SimRng, SimTime};
@@ -117,6 +117,9 @@ pub struct Cell {
     pub cut_workers: usize,
     pub regions: Regions,
     pub route_cache: bool,
+    /// The epoch phases the default config leaves off: the Markov weather
+    /// process (fade → reroute) and the per-UE PF fairness split.
+    pub dynamic: bool,
 }
 
 impl Cell {
@@ -136,6 +139,7 @@ impl Cell {
         cut_workers: 1,
         regions: Regions::Demo,
         route_cache: true,
+        dynamic: false,
     };
 
     fn horizon(&self) -> SimDuration {
@@ -185,6 +189,11 @@ impl Cell {
             arrivals_per_hour: self.arrivals_per_hour,
             mean_duration: SimDuration::from_mins(self.mean_duration_mins),
             horizon: self.horizon(),
+            orchestrator: OrchestratorConfig {
+                weather_enabled: self.dynamic,
+                ue_fairness_tracking: self.dynamic,
+                ..OrchestratorConfig::default()
+            },
             ..FederationConfig::default()
         }
     }
@@ -308,6 +317,9 @@ pub struct Observed {
     pub dashboards: Vec<String>,
     /// Every monitoring report of every region, as JSON, region order.
     pub monitoring: Vec<String>,
+    /// Every region's orchestrator metric registry, as JSON — the only
+    /// artefact the per-UE fairness series reach.
+    pub telemetry: Vec<String>,
 }
 
 macro_rules! json {
@@ -317,8 +329,8 @@ macro_rules! json {
 }
 
 impl Observed {
-    /// The dashboard and monitoring JSON of one orchestrator — the one
-    /// place these are rendered for comparison.
+    /// The dashboard, monitoring and metrics JSON of one orchestrator — the
+    /// one place these are rendered for comparison.
     fn of(orchestrator: &Orchestrator) -> Observed {
         Observed {
             summaries: Vec::new(),
@@ -326,6 +338,7 @@ impl Observed {
             totals: Vec::new(),
             dashboards: vec![DashboardView::capture(orchestrator).render()],
             monitoring: orchestrator.monitoring().iter().map(|r| json!(r)).collect(),
+            telemetry: vec![json!(orchestrator.metrics())],
         }
     }
 
@@ -351,11 +364,13 @@ impl Observed {
             totals: vec![json!(&summary)],
             dashboards: Vec::new(),
             monitoring: Vec::new(),
+            telemetry: Vec::new(),
         };
         for r in 0..fed.region_count() {
             let region = Observed::of(fed.orchestrator(r));
             out.dashboards.extend(region.dashboards);
             out.monitoring.extend(region.monitoring);
+            out.telemetry.extend(region.telemetry);
         }
         out
     }
@@ -370,6 +385,7 @@ impl Observed {
             .or_else(|| differ("totals", &self.totals, &other.totals).filter(|_| same_driver))
             .or_else(|| differ("dashboard", &self.dashboards, &other.dashboards))
             .or_else(|| differ("monitoring report", &self.monitoring, &other.monitoring))
+            .or_else(|| differ("telemetry", &self.telemetry, &other.telemetry))
     }
 }
 
@@ -391,6 +407,10 @@ pub struct Witness {
     pub admitted: u64,
     pub control_retries: u64,
     pub element_failures: u64,
+    /// Slices the weather phase moved off a faded mmWave link.
+    pub weather_reroutes: u64,
+    /// Samples in the `orchestrator.<slice>.ue_fairness` series, all slices.
+    pub fairness_samples: u64,
     /// Route-cache lookups (hits + misses), all regions.
     pub route_cache_queries: u64,
     /// Requests the domain servers dispatched, all incarnations and legs,
@@ -574,6 +594,13 @@ pub fn observe_with(cell: &Cell, on_sockets_up: impl FnOnce(&[RpcServer])) -> (O
     for o in world.orchestrators() {
         witness.control_retries += counter(o, "control.retries");
         witness.element_failures += counter(o, "substrate.element_failures");
+        witness.weather_reroutes += counter(o, "orchestrator.weather_reroutes");
+        witness.fairness_samples += (o.records())
+            .filter_map(|r| {
+                let name = format!("orchestrator.{}.ue_fairness", r.id);
+                o.metrics().series_ref(&name).map(|s| s.len() as u64)
+            })
+            .sum::<u64>();
         let cache = o.transport().route_cache().stats();
         witness.route_cache_queries += cache.hits + cache.misses;
         witness.stale_rejections += o.control().stale_rejections();

@@ -1,6 +1,6 @@
 //! Integration: the identity matrix. Every "run two configurations, compare
-//! summary / dashboard / monitoring bytes" oracle of the repo is one row of
-//! `ROWS`, run through `ovnes_bench::identity::observe` — which pins the
+//! summary / dashboard / monitoring / telemetry bytes" oracle of the repo is
+//! one row of `ROWS`, run through `ovnes_bench::identity::observe` — which pins the
 //! worker count of each run under a process-wide lock and asserts it every
 //! epoch — and compared artefact by artefact.
 //!
@@ -25,6 +25,22 @@
 //! fed N  bus     -           cut | fed-cut-2-to-8     |                    |                      |
 //! fed 1  bus     -           -   |                    |                    |                      | one-region-is-demo (vs demo)
 //! fed *  socket  *           *   |                    |                    |                      |
+//! ```
+//!
+//! Every cell above runs `OrchestratorConfig::default()`: weather off,
+//! per-UE fairness off. The `dynamic` axis turns both on (the weather
+//! reroute phase, the PF split, `PfState`/`WeatherProcess`/`weather_rng` in
+//! the snapshot); its rows witness a weather reroute and a non-empty
+//! fairness series in the reference:
+//!
+//! ```text
+//! driver control cut | Calm, dynamic          | Combined, dynamic
+//! ------ ------- --- + ---------------------- + ---------------------------------
+//! demo   bus     -   | dynamic-workers-{2,8}  |
+//! demo   bus     cut | dynamic-cut            |
+//! demo   socket  -   | dynamic-socket         |
+//! demo   socket  cut |                        | dynamic-combined (cut at 2 → 8 workers)
+//! fed *  *       *   |                        |
 //! ```
 
 use ovnes_bench::identity::{
@@ -68,6 +84,8 @@ mod cells {
     }
     pub const fn at(workers: usize, cell: Cell) -> Cell { Cell { workers, ..cell } }
     pub const fn uncached(cell: Cell) -> Cell { Cell { route_cache: false, ..cell } }
+    /// Weather and per-UE fairness on: the phases `OrchestratorConfig::default()` skips.
+    pub const fn dynamic(cell: Cell) -> Cell { Cell { dynamic: true, ..cell } }
     pub const fn socket(workers: usize, cell: Cell) -> Cell {
         Cell { control: Control::Socket, workers, ..cell }
     }
@@ -87,6 +105,8 @@ mod cells {
     pub const COMBINED_404: Cell = under(P::Combined, Stormy(17), short(404));
     pub const FED_CHAOS: Cell = under(P::Combined, Regional, fed(1902, 2));
     pub const LINK_ZERO: Cell = under(P::Combined, LinkZero, fed(1905, 1));
+    pub const DYNAMIC: Cell = dynamic(demo(2024));
+    pub const DYNAMIC_COMBINED: Cell = dynamic(COMBINED_321);
     pub const ACCEPTANCE_CONTROL: Cell = acceptance(33, P::Control, Acceptance(33 ^ 0xFA11, 0));
     pub const ACCEPTANCE_SUBSTRATE: Cell = acceptance(42, P::Substrate, Acceptance(0, 4242));
     pub const ACCEPTANCE_COMBINED: Cell = acceptance(44, P::Combined, Acceptance(44, 44));
@@ -104,6 +124,12 @@ fn failed(r: &Witness, v: &Witness) -> bool {
 }
 fn both_bit(r: &Witness, v: &Witness) -> bool {
     retried(r, v) && failed(r, v)
+}
+/// The sky faded and moved at least one slice, and the PF split ran.
+fn weathered(r: &Witness, v: &Witness) -> bool {
+    r.weather_reroutes > 0
+        && r.fairness_samples > 0
+        && (v.weather_reroutes, v.fairness_samples) == (r.weather_reroutes, r.fairness_samples)
 }
 fn cache_stayed_cold(r: &Witness, v: &Witness) -> bool {
     r.route_cache_queries > 0 && v.route_cache_queries == 0
@@ -195,6 +221,12 @@ const ROWS: &[Row] = &[
     // ---- cells no suite ran --------------------------------------------------
     row!("socket-cut-combined", "(new) control.rs: a restored world that installs a socket again resumes seamlessly", COMBINED_321, cut(Cut::Seeded(0xE16), 1, socket(1, COMBINED_321)), |r, v| both_bit(r, v) && crossed_sockets(r, v)),
     row!("storm-combined", "(new) the crash storm over a world that is itself under control + substrate chaos", COMBINED_404, storm(1, COMBINED_404), |r, v| stormed(r, v) && both_bit(r, v)),
+    // ---- weather + per-UE fairness on (no default-config cell runs these phases) ----
+    row!("dynamic-workers-2", "(new) core::orchestrator::tests::epoch_reports_identical_at_any_thread_count, as a full run", DYNAMIC, at(2, DYNAMIC), weathered),
+    row!("dynamic-workers-8", "(new) core::orchestrator::tests::epoch_reports_identical_at_any_thread_count, as a full run", DYNAMIC, at(8, DYNAMIC), weathered),
+    row!("dynamic-cut", "(new) PfState, WeatherProcess and weather_rng resume from a snapshot", DYNAMIC, cut(Cut::Seeded(0xE16), 1, DYNAMIC), weathered),
+    row!("dynamic-socket", "(new) weather and fairness over the socket control plane", DYNAMIC, socket(1, DYNAMIC), |r, v| weathered(r, v) && crossed_sockets(r, v)),
+    row!("dynamic-combined", "(new) every epoch phase at once: stormy plans, sockets, a seeded cut, 2 then 8 workers", DYNAMIC_COMBINED, cut(Cut::Seeded(0xE16), 8, socket(1, DYNAMIC_COMBINED)), |r, v| weathered(r, v) && both_bit(r, v) && crossed_sockets(r, v)),
 ];
 
 #[test]
