@@ -1,0 +1,287 @@
+//! The data plane of an epoch: per-slice traffic and radio sampling (the
+//! parallel hot path), then measurement, SLA judgement and the forecaster
+//! feed, serially in slice-id order.
+
+use super::{Orchestrator, SliceTimeline};
+use crate::lifecycle::SliceState;
+use crate::sla::SlaVerdict;
+use ovnes_forecast::TraceGenerator;
+use ovnes_model::{Latency, Prbs, RateMbps, SliceId, UeId};
+use ovnes_ran::controller::OfferedLoad;
+use ovnes_ran::{
+    jain_index, PfScratch, SliceScheduleOutcome, UeChannel, UePopulation, UeShare,
+};
+use ovnes_sim::{SimRng, SimTime, TimeSeries};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Per-slice simulation state mutated by the epoch hot path: the traffic
+/// process, the UE population, and the slice's private radio RNG stream.
+/// Grouped in one struct so the parallel compute phase can hand each slice
+/// to a worker as a single disjoint `&mut` borrow.
+pub(super) struct SliceSimState {
+    pub(super) traffic: TraceGenerator,
+    pub(super) ues: UePopulation,
+    /// This epoch's per-UE channel draws for the PF fairness split, written
+    /// by the parallel compute phase and read by the serial apply (empty
+    /// unless fairness tracking is on). Persistent so steady-state epochs
+    /// reuse its capacity instead of allocating a fresh vector per slice.
+    pub(super) channels: Vec<UeChannel>,
+    /// Every draw the epoch hot path makes for this slice (mobility, CQI,
+    /// fairness channels) comes from this stream. It is forked at admission
+    /// under a label keyed by the slice's id, so what a slice draws is a
+    /// function of its identity — never of shard or thread scheduling order.
+    pub(super) rng: SimRng,
+}
+
+/// What the parallel compute phase produces per active slice; applied
+/// serially afterwards in id order. (The fairness channel samples stay in
+/// the slice's [`SliceSimState::channels`] buffer rather than moving
+/// through here.)
+struct SliceEpochSample {
+    slice: SliceId,
+    demand_fraction: f64,
+    offered: RateMbps,
+    prb_rate: RateMbps,
+}
+
+/// Reusable buffers for the epoch hot path, threaded through every
+/// [`Orchestrator::run_epoch`] so the steady state re-spends capacity
+/// grown in earlier epochs instead of allocating: the RAN schedule
+/// outcomes, the PF grant-loop scratch, and the share/rate vectors the
+/// fairness telemetry reduces over.
+#[derive(Default)]
+pub(super) struct EpochScratch {
+    pub(super) outcomes: Vec<SliceScheduleOutcome>,
+    shares: Vec<UeShare>,
+    rates: Vec<f64>,
+    pf: PfScratch,
+}
+
+impl Orchestrator {
+    /// Phase 3: generate traffic and sample radio quality for active slices
+    /// (degraded slices keep serving: the outage is control, not data).
+    /// Returns the active ids, their offered loads and demand fractions,
+    /// all in ascending slice-id order.
+    pub(super) fn sample_slices(&mut self) -> (Vec<SliceId>, Vec<OfferedLoad>, BTreeMap<SliceId, f64>) {
+        //
+        //    This is the epoch hot path, run as collect → par-compute →
+        //    ordered-apply. Collect: shard the per-slice sim state in
+        //    ascending slice-id order (each shard is a disjoint `&mut`).
+        //    Par-compute: mobility, traffic, and channel sampling per slice,
+        //    each drawing only from that slice's private RNG stream — no
+        //    shard touches shared state, so thread count cannot change any
+        //    draw. Ordered-apply: fold results back in the same id order.
+        let active_ids: Vec<SliceId> = self
+            .records
+            .values()
+            .filter(|r| matches!(r.state, SliceState::Active | SliceState::Degraded))
+            .map(|r| r.id)
+            .collect();
+        let active: BTreeSet<SliceId> = active_ids.iter().copied().collect();
+        let mobility = self.config.mobility;
+        let cell = self.cell;
+        // Per-PRB rates precomputed once per epoch; lookups are
+        // bit-identical to computing `cell.prb_rate(cqi)` per UE.
+        let rate_table = cell.rate_table();
+        let channel = &self.channel;
+        let records = &self.records;
+        let fairness = self.config.ue_fairness_tracking;
+        let shards: Vec<(SliceId, &mut SliceSimState)> = self
+            .sim_state
+            .iter_mut()
+            .filter(|(id, _)| active.contains(id))
+            .map(|(&id, state)| (id, state))
+            .collect();
+        let samples = ovnes_sim::par::par_map(shards, move |(id, state)| {
+            // UEs drift before this epoch's channel sampling.
+            state.ues.step_all(&mobility, &mut state.rng);
+            let demand_fraction = state.traffic.next_demand();
+            let committed = records[&id].request.sla.throughput;
+            let prb_rate = state
+                .ues
+                .average_cqi(channel, &mut state.rng)
+                .map(|cqi| cell.prb_rate(cqi))
+                .unwrap_or(RateMbps::ZERO);
+            // Per-UE channel draws for the PF fairness split; sampled here
+            // (from this slice's stream, into the slice's persistent
+            // buffer) so the serial apply phase below needs no RNG at all.
+            if fairness {
+                state.ues.sample_channels_into(
+                    channel,
+                    &rate_table,
+                    &mut state.rng,
+                    &mut state.channels,
+                );
+            } else {
+                state.channels.clear();
+            }
+            SliceEpochSample {
+                slice: id,
+                demand_fraction,
+                offered: committed * demand_fraction,
+                prb_rate,
+            }
+        });
+        let mut offered_loads = Vec::with_capacity(samples.len());
+        let mut fractions: BTreeMap<SliceId, f64> = BTreeMap::new();
+        for sample in samples {
+            fractions.insert(sample.slice, sample.demand_fraction);
+            offered_loads.push(OfferedLoad {
+                slice: sample.slice,
+                offered: sample.offered,
+                prb_rate: sample.prb_rate,
+            });
+        }
+        (active_ids, offered_loads, fractions)
+    }
+
+    /// Phase 5: measure, judge, book, and feed the forecaster.
+    pub(super) fn measure_and_judge(
+        &mut self,
+        now: SimTime,
+        active_ids: &[SliceId],
+        offered_loads: &[OfferedLoad],
+        fractions: &BTreeMap<SliceId, f64>,
+    ) -> Vec<SlaVerdict> {
+        let outcomes = &self.epoch_scratch.outcomes;
+        let outcome_by_slice: BTreeMap<SliceId, SliceScheduleOutcome> =
+            outcomes.iter().map(|o| (o.slice, o.clone())).collect();
+
+        let mut verdicts = Vec::with_capacity(active_ids.len());
+        for load in offered_loads {
+            let id = load.slice;
+            // The radio outcome is missing when the serving cell is down:
+            // the scheduler dropped the load, so nothing crossed the air.
+            let (radio_allocated, radio_delivered, radio_unserved) = match outcome_by_slice.get(&id)
+            {
+                Some(o) => (o.allocated, o.delivered, o.unserved),
+                None => (Prbs::ZERO, RateMbps::ZERO, load.offered),
+            };
+            // A slice whose vEPC is redeploying after a host failure serves
+            // nothing, whatever the radio delivered.
+            let epc_down = self.epc_down_until.get(&id).is_some_and(|&t| t > now);
+            // Same for a slice an unrepaired substrate fault holds down.
+            let substrate_out = self.substrate_degraded.contains_key(&id);
+            // A faded/oversubscribed transport path caps what the radio
+            // delivered: the slice's share of its bottleneck link.
+            let delivered = if epc_down || substrate_out {
+                RateMbps::ZERO
+            } else {
+                match self.transport.capacity_share(id) {
+                    Some(share) if share < 1.0 => {
+                        let res_bw = self
+                            .transport
+                            .reservation(id)
+                            .expect("share implies a reservation")
+                            .bandwidth;
+                        radio_delivered.min(res_bw * share)
+                    }
+                    _ => radio_delivered,
+                }
+            };
+            let transport_unserved = radio_unserved + radio_delivered.saturating_sub(delivered);
+            let latency = self.end_to_end_latency(id, load, transport_unserved);
+            let record = self
+                .records
+                .get_mut(&id)
+                .expect("active slice has a record");
+            let mut verdict = self.sla.assess(record, load.offered, delivered, latency);
+            if substrate_out {
+                // A degraded epoch is a penalty epoch even when the tenant
+                // offered no traffic: the slice itself is out of service,
+                // not merely underserved.
+                verdict.met = false;
+                verdict.cause = Some("substrate outage".into());
+            }
+            self.sla.book_epoch(now, record, &verdict);
+            let timeline = self.timelines.entry(id).or_insert_with(|| SliceTimeline {
+                offered: TimeSeries::with_capacity_limit(4096),
+                delivered: TimeSeries::with_capacity_limit(4096),
+                latency: TimeSeries::with_capacity_limit(4096),
+            });
+            timeline.offered.record(now, load.offered.value());
+            timeline.delivered.record(now, delivered.value());
+            timeline.latency.record(now, latency.value());
+            verdicts.push(verdict);
+            self.engine.observe(id, fractions[&id]);
+
+            // Optional: intra-slice PF split of the allocated PRBs, for the
+            // per-UE fairness the demo's verticals care about (every device
+            // in a fleet must work, not just the aggregate). The channels
+            // were sampled in the parallel phase from this slice's stream;
+            // PF state mutation stays here in the serial apply.
+            if self.config.ue_fairness_tracking {
+                let channels: &[UeChannel] = self
+                    .sim_state
+                    .get(&id)
+                    .map(|s| s.channels.as_slice())
+                    .unwrap_or(&[]);
+                let pf = self.pf.entry(id).or_default();
+                let scratch = &mut self.epoch_scratch;
+                pf.schedule_into(
+                    radio_allocated,
+                    channels,
+                    0.1,
+                    &mut scratch.pf,
+                    &mut scratch.shares,
+                );
+                scratch.rates.clear();
+                scratch
+                    .rates
+                    .extend(scratch.shares.iter().map(|sh| sh.rate.value()));
+                let jain = jain_index(&scratch.rates);
+                let name = format!("orchestrator.{id}.ue_fairness");
+                match self.metrics.series_mut(&name) {
+                    Some(series) => series.record(now, jain),
+                    None => self.metrics.series(&name).record(now, jain),
+                }
+            }
+        }
+        verdicts
+    }
+
+    /// End-to-end latency of a slice this epoch: air interface (inflated
+    /// when the slice's demand outran its allocation) + transport path
+    /// (load-dependent) + EPC processing.
+    fn end_to_end_latency(&self, id: SliceId, load: &OfferedLoad, unserved: RateMbps) -> Latency {
+        let congested = !load.offered.is_zero() && unserved.value() > load.offered.value() * 0.05;
+        let ran_latency = if congested {
+            Latency::new(6.0) // HARQ + scheduling queue under saturation
+        } else {
+            Latency::new(1.0)
+        };
+        let transport = self.transport.path_delay(id).unwrap_or(Latency::ZERO);
+        let epc = self.allocator.config().epc_latency_budget;
+        ran_latency + transport + epc
+    }
+
+    /// Detach one UE from a slice: it leaves the population (no further
+    /// mobility/channel draws) and its proportional-fair average is evicted
+    /// immediately, so fairness state no longer outlives the device.
+    /// Returns `false` when the slice has no sim state or the UE is not a
+    /// member.
+    pub fn detach_ue(&mut self, slice: SliceId, ue: UeId) -> bool {
+        let Some(state) = self.sim_state.get_mut(&slice) else {
+            return false;
+        };
+        if state.ues.remove(ue).is_none() {
+            return false;
+        }
+        if let Some(pf) = self.pf.get_mut(&slice) {
+            pf.evict(ue);
+        }
+        true
+    }
+
+    /// Number of UEs currently in a slice's population (0 when unknown).
+    pub fn ue_count(&self, slice: SliceId) -> usize {
+        self.sim_state.get(&slice).map(|s| s.ues.len()).unwrap_or(0)
+    }
+
+    /// Number of UEs the proportional-fair tracker holds state for (0 when
+    /// the slice is unknown or fairness tracking never ran for it).
+    pub fn pf_tracked(&self, slice: SliceId) -> usize {
+        self.pf.get(&slice).map(|pf| pf.tracked()).unwrap_or(0)
+    }
+
+}

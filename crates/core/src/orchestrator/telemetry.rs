@@ -1,0 +1,82 @@
+//! Telemetry: the per-epoch series, control-plane call accounting, and the
+//! monitoring reports that cross the JSON API boundary.
+
+use super::Orchestrator;
+use crate::control::ControlEpochStats;
+use crate::overbooking::{GainReport, OverbookingEngine};
+use ovnes_api::{decode, encode, MonitoringReport, Status};
+use ovnes_sim::SimTime;
+
+impl Orchestrator {
+    /// Phase 7: telemetry. Domain snapshots cross the JSON API boundary, as
+    /// the testbed's REST monitoring did; the gain series and the epoch's
+    /// control-plane call accounting are booked.
+    pub(super) fn push_telemetry(
+        &mut self,
+        now: SimTime,
+        unreachable_domains: &[String],
+    ) -> (GainReport, ControlEpochStats) {
+        self.transport.record_epoch(now);
+        self.cloud.record_epoch(now);
+        self.last_monitoring = self.collect_monitoring(now);
+
+        let gain = OverbookingEngine::gain_report(&self.ran);
+        self.metrics
+            .series("orchestrator.overbooking_factor")
+            .record(now, gain.overbooking_factor);
+        self.metrics
+            .series("orchestrator.savings_fraction")
+            .record(now, gain.savings_fraction);
+        self.metrics
+            .series("orchestrator.net_revenue")
+            .record(now, self.sla.net().as_f64());
+
+        // Control-plane call accounting: per-epoch into the report,
+        // cumulatively into the metrics the dashboard panels read.
+        let cstats = self.control.take_epoch_stats();
+        self.metrics.counter("control.calls").add(cstats.calls);
+        self.metrics.counter("control.retries").add(cstats.retries);
+        self.metrics
+            .counter("control.failures")
+            .add(cstats.failures);
+        self.metrics
+            .gauge("control.unreachable_domains")
+            .set(unreachable_domains.len() as f64);
+        (gain, cstats)
+    }
+
+    fn collect_monitoring(&mut self, now: SimTime) -> Vec<MonitoringReport> {
+        let mut reports = Vec::with_capacity(3);
+        for (domain, scalars) in [
+            ("ran", self.ran.metrics().scalar_snapshot()),
+            ("transport", self.transport.metrics().scalar_snapshot()),
+            ("cloud", self.cloud.metrics().scalar_snapshot()),
+        ] {
+            // A domain the health probe lost this epoch loses its report
+            // too — the dashboard shows a gap, exactly like the testbed's.
+            if self.down_domains.contains(domain) {
+                continue;
+            }
+            let report = MonitoringReport {
+                domain: domain.to_owned(),
+                at: now,
+                scalars,
+            };
+            // Round-trip through the wire format with retries — the REST
+            // boundary. Corrupted echoes fail the decode check and retry.
+            let bytes = encode(&report).expect("reports are serializable");
+            let endpoint = format!("{domain}/monitoring");
+            let mut echoed = None;
+            let accepted = self.control.call_checked(now, &endpoint, bytes, |r| {
+                echoed = decode::<MonitoringReport>(&r.body).ok();
+                echoed.is_some()
+            });
+            // A rejection comes back without passing the acceptor.
+            if accepted.is_some_and(|r| r.status == Status::Ok) {
+                reports.extend(echoed);
+            }
+        }
+        reports
+    }
+
+}
