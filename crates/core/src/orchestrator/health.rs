@@ -5,7 +5,7 @@
 use super::Orchestrator;
 use crate::control::DOMAINS;
 use crate::lifecycle::SliceState;
-use crate::supervise::HealthTransition;
+use crate::supervise::{HealthState, HealthTransition};
 use ovnes_model::SliceId;
 use ovnes_sim::SimTime;
 
@@ -15,50 +15,45 @@ impl Orchestrator {
     /// reconfiguration and monitoring this epoch, and its slices degrade.
     /// Returns the domains whose probe failed.
     pub(super) fn probe_health(&mut self, now: SimTime) -> Vec<String> {
-        let mut unreachable_domains: Vec<String> = Vec::new();
         for domain in DOMAINS {
             let up = self.control.probe(now, domain);
-            let was_down = self.down_domains.contains(domain);
-            if up && was_down {
-                self.down_domains.remove(domain);
-                self.events.log(
-                    now,
-                    "control",
-                    format!("{domain} controller reachable again"),
-                );
-            } else if !up && !was_down {
-                self.down_domains.insert(domain);
-                self.events.log(
-                    now,
-                    "control",
-                    format!("{domain} controller unreachable (retries exhausted)"),
-                );
-            }
-            if !up {
-                unreachable_domains.push(domain.to_owned());
-            }
-            // Health machine: classification and repair telemetry layered
-            // over the raw probe. Transitions only — a faultless probe
-            // history books nothing, so plan-less runs stay byte-identical.
-            if let Some(health) = self.supervision.get_mut(domain) {
-                match health.observe(now, up) {
-                    Some(HealthTransition::Suspected) => {
-                        self.metrics.counter("supervise.suspects").inc();
-                    }
-                    Some(HealthTransition::WentDown) => {
-                        self.metrics.counter("supervise.downs").inc();
-                    }
-                    Some(HealthTransition::Recovered { downtime }) => {
-                        self.metrics.counter("supervise.repairs").inc();
-                        self.metrics
-                            .series("supervise.time_to_repair")
-                            .record(now, downtime.as_secs_f64());
-                    }
-                    None => {}
+            let health = (self.supervision.get_mut(domain)).expect("every domain is tracked");
+            // Transitions only — a faultless probe history books nothing,
+            // so plan-less runs stay byte-identical.
+            match health.observe(now, up) {
+                Some(HealthTransition::Suspected) => {
+                    self.metrics.counter("supervise.suspects").inc();
+                    self.events.log(
+                        now,
+                        "control",
+                        format!("{domain} controller unreachable (retries exhausted)"),
+                    );
                 }
+                Some(HealthTransition::WentDown) => {
+                    self.metrics.counter("supervise.downs").inc();
+                }
+                Some(HealthTransition::Recovered { downtime }) => {
+                    self.metrics.counter("supervise.repairs").inc();
+                    self.metrics
+                        .series("supervise.time_to_repair")
+                        .record(now, downtime.as_secs_f64());
+                    self.events.log(
+                        now,
+                        "control",
+                        format!("{domain} controller reachable again"),
+                    );
+                }
+                None => {}
             }
         }
-        unreachable_domains
+        let unreachable = DOMAINS.iter().filter(|d| !self.reachable(d));
+        unreachable.map(|d| (*d).to_owned()).collect()
+    }
+
+    /// Whether `domain`'s controller answered its last health probe: its
+    /// heartbeat machine (Up → Suspect → Down → Up) is `Up`.
+    pub(super) fn reachable(&self, domain: &str) -> bool {
+        self.supervision[domain].state == HealthState::Up
     }
 
     /// Phase 2b: degrade/restore on control-plane reachability. Every slice
@@ -73,7 +68,7 @@ impl Orchestrator {
     ) -> (Vec<SliceId>, Vec<SliceId>) {
         let mut degraded: Vec<SliceId> = Vec::new();
         let mut restored: Vec<SliceId> = Vec::new();
-        if self.down_domains.is_empty() {
+        if unreachable_domains.is_empty() {
             // Slices held down by an unrepaired substrate fault are not
             // restored here: the recovery loop below owns them until their
             // element recovers or a repair lands.

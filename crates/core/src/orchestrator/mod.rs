@@ -30,8 +30,6 @@ mod reconfigure;
 mod state;
 mod substrate;
 mod telemetry;
-#[cfg(test)]
-mod tests;
 
 pub use state::{OrchestratorState, SliceSimSnapshot};
 
@@ -224,9 +222,6 @@ pub struct Orchestrator {
     /// The REST boundary to the domain controllers, with optional fault
     /// injection and retry/backoff (see [`crate::control`]).
     control: ControlPlane,
-    /// Domains whose last health probe failed (edge-triggers the events
-    /// and the Degraded/restored transitions).
-    down_domains: BTreeSet<&'static str>,
     /// Deterministic data-plane fault schedule. `None` (or a quiet plan)
     /// leaves every epoch byte-identical to a plan-less run.
     substrate_plan: Option<SubstrateFaultPlan>,
@@ -238,8 +233,9 @@ pub struct Orchestrator {
     /// `substrate.time_to_repair` distribution).
     substrate_degraded: BTreeMap<SliceId, SimTime>,
     /// Per-domain heartbeat health machines (Up → Suspect → Down → Up),
-    /// layered over `down_domains` as classification/telemetry only — the
-    /// degrade/restore mitigation stays edge-triggered on raw probes.
+    /// one per entry of `DOMAINS`. A domain is reachable while its machine
+    /// is `Up`: leaving and re-entering `Up` are the edges the events and
+    /// the Degraded/restored transitions trigger on.
     supervision: BTreeMap<String, DomainHealth>,
 }
 
@@ -296,7 +292,6 @@ impl Orchestrator {
             last_sky: Sky::Clear,
             events: EventLog::new(512),
             control: ControlPlane::new(),
-            down_domains: BTreeSet::new(),
             substrate_plan: None,
             substrate_down: BTreeSet::new(),
             substrate_degraded: BTreeMap::new(),
@@ -512,3 +507,6 @@ impl Orchestrator {
     }
 
 }
+
+#[cfg(test)]
+mod tests;

@@ -12,8 +12,7 @@ impl Orchestrator {
     /// reservations changed.
     pub(super) fn reconfigure_on_cadence(&mut self, active_ids: &[SliceId]) -> usize {
         let mut reconfigured = 0;
-        let reconfig_reachable =
-            !self.down_domains.contains("ran") && !self.down_domains.contains("transport");
+        let reconfig_reachable = self.reachable("ran") && self.reachable("transport");
         if self.config.overbooking_enabled
             && self.epoch_count.is_multiple_of(self.config.reconfig_every)
             && reconfig_reachable
@@ -32,7 +31,7 @@ impl Orchestrator {
             // Third domain: follow the radio resize with a Heat stack
             // update scaling the vEPC user plane to the new fraction — but
             // only if the cloud controller is answering.
-            if !self.down_domains.contains("cloud") {
+            if self.reachable("cloud") {
                 for (slice, _old, new_reserved) in applied {
                     if let Some(p) = self.placements.get(&slice) {
                         let fraction = new_reserved.ratio(p.nominal).clamp(0.0, 1.0);

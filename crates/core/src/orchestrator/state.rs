@@ -78,7 +78,6 @@ impl Orchestrator {
             last_sky: self.last_sky,
             events: self.events.clone(),
             control: self.control.export_state(),
-            down_domains: self.down_domains.iter().map(|d| (*d).to_owned()).collect(),
             substrate_plan: self.substrate_plan.clone(),
             substrate_down: self.substrate_down.clone(),
             substrate_degraded: self.substrate_degraded.clone(),
@@ -90,10 +89,6 @@ impl Orchestrator {
     /// the captured instant onward it behaves bit-for-bit like the original
     /// would have: every RNG stream resumes at its exact position, every
     /// forecaster at its exact warm-up, every chaos schedule mid-outage.
-    ///
-    /// # Panics
-    /// Panics if a recorded down-domain names no known domain — that only
-    /// happens on a corrupt snapshot.
     pub fn from_state(state: &OrchestratorState) -> Orchestrator {
         Orchestrator {
             config: state.config.clone(),
@@ -143,21 +138,17 @@ impl Orchestrator {
             last_sky: state.last_sky,
             events: state.events.clone(),
             control: ControlPlane::from_state(&state.control),
-            down_domains: state
-                .down_domains
-                .iter()
-                .map(|d| {
-                    DOMAINS
-                        .iter()
-                        .copied()
-                        .find(|k| *k == d.as_str())
-                        .unwrap_or_else(|| panic!("unknown domain {d:?} in snapshot"))
-                })
-                .collect(),
             substrate_plan: state.substrate_plan.clone(),
             substrate_down: state.substrate_down.clone(),
             substrate_degraded: state.substrate_degraded.clone(),
-            supervision: state.supervision.clone(),
+            // Exactly the known domains, whatever the snapshot names.
+            supervision: DOMAINS
+                .iter()
+                .map(|d| {
+                    let health = state.supervision.get(*d).copied().unwrap_or_default();
+                    ((*d).to_owned(), health)
+                })
+                .collect(),
         }
     }
 }
@@ -240,8 +231,6 @@ pub struct OrchestratorState {
     pub events: EventLog,
     /// Control plane state (bus accounting, fault injector, jitter stream).
     pub control: crate::control::ControlPlaneState,
-    /// Domains whose last health probe failed, by name.
-    pub down_domains: Vec<String>,
     /// Substrate fault schedule, if installed.
     pub substrate_plan: Option<SubstrateFaultPlan>,
     /// Substrate elements currently applied as failed.

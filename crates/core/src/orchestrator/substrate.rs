@@ -3,6 +3,7 @@
 //! host failures.
 
 use super::Orchestrator;
+use crate::control::DOMAINS;
 use crate::lifecycle::SliceState;
 use ovnes_api::SubstrateElement;
 use ovnes_cloud::{epc_template, DeployedStack, EpcSizing, StackState};
@@ -237,7 +238,7 @@ impl Orchestrator {
                         .record(now, ttr);
                     self.metrics.counter("substrate.repaired").inc();
                     if self.records[&id].state == SliceState::Degraded
-                        && self.down_domains.is_empty()
+                        && DOMAINS.iter().all(|d| self.reachable(d))
                     {
                         self.records
                             .get_mut(&id)

@@ -54,7 +54,7 @@ impl Orchestrator {
         ] {
             // A domain the health probe lost this epoch loses its report
             // too — the dashboard shows a gap, exactly like the testbed's.
-            if self.down_domains.contains(domain) {
+            if !self.reachable(domain) {
                 continue;
             }
             let report = MonitoringReport {

@@ -642,3 +642,20 @@ fn chaos_runs_with_drops_stay_deterministic() {
     // The plan is noisy enough that retries actually happened.
     assert!(a.iter().any(|(_, retries, ..)| *retries > 0));
 }
+
+#[test]
+fn restored_orchestrator_tracks_exactly_the_known_domains() {
+    use crate::control::DOMAINS;
+    let mut o = orchestrator(OrchestratorConfig::default());
+    o.submit(SimTime::ZERO, embb(20.0)).unwrap();
+    o.run_epoch(minute(1));
+    let mut state = o.export_state();
+    state.supervision.remove("ran");
+    state.supervision.insert("atm".into(), DomainHealth::default());
+    let mut restored = Orchestrator::from_state(&state);
+    let tracked: Vec<&str> = restored.supervision().keys().map(String::as_str).collect();
+    let mut known = DOMAINS.to_vec();
+    known.sort_unstable();
+    assert_eq!(tracked, known);
+    assert_eq!(restored.run_epoch(minute(2)), o.run_epoch(minute(2)));
+}

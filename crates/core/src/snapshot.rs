@@ -48,8 +48,8 @@ fn section_of(field: &str) -> &'static str {
         "rng" => "rng",
         "records" | "placements" | "pending" | "ready_at" | "epc_down_until" | "timelines"
         | "pf" | "sim_state" | "free_plmns" | "next_plmn" | "ids" | "ue_ids" => "slices",
-        "weather" | "weather_rng" | "last_sky" | "down_domains" | "substrate_plan"
-        | "substrate_down" | "substrate_degraded" => "environment",
+        "weather" | "weather_rng" | "last_sky" | "substrate_plan" | "substrate_down"
+        | "substrate_degraded" => "environment",
         _ => "orchestrator",
     }
 }

@@ -1,9 +1,10 @@
 //! Properties of the checkpoint/restore subsystem, as seeded loops: for
 //! six seeds, workloads and cut points each (the case index seeds the
 //! draw), `restore(snapshot(s)) == s` structurally, and a restored world's
-//! next epoch is bitwise-equal to the uninterrupted one's.
+//! next epoch is bitwise-equal to the uninterrupted one's. Plus one hostile
+//! input: a stored section naming a domain this build never heard of.
 
-use ovnes_api::{EndpointFaults, FaultPlan};
+use ovnes_api::{EndpointFaults, FaultPlan, SnapshotManifest};
 use ovnes_bench::ScratchWorld;
 use ovnes_orchestrator::{DemoScenario, RequestMix, ScenarioConfig};
 use ovnes_sim::{SimDuration, SimRng};
@@ -121,4 +122,33 @@ fn replaying_from_any_checkpoint_reproduces_later_checkpoints() {
         let replayed = DemoScenario::from_state(&world.restore(first as u64).unwrap());
         assert_eq!(stepped(replayed, gap).export_state(), later, "case {case}");
     }
+}
+
+/// Bytes from a file must not reach a panic: a snapshot whose `environment`
+/// section carries the retired `down_domains` key, naming a domain that
+/// does not exist, restores and steps exactly like the unmodified one.
+#[test]
+fn unknown_down_domain_in_a_snapshot_is_ignored_not_a_panic() {
+    let world = ScratchWorld::open("hostile");
+    let state = stepped(DemoScenario::build(config(7, 20.0, 0.5)), 5).export_state();
+    let manifest = world.snapshot(&state).unwrap();
+
+    let store = world.store();
+    let stored = store.get_object(&manifest.sections["environment"].hash).unwrap();
+    let stored = String::from_utf8(stored).unwrap();
+    // Appended, so it also overrides a key a pre-retirement build wrote.
+    let body = stored.trim_end().strip_suffix('}').expect("a JSON object");
+    let rewritten = format!(r#"{body},"down_domains":["atm"]}}"#);
+    let mut sections = manifest.sections.clone();
+    sections.insert("environment".into(), store.put_object(rewritten.as_bytes()).unwrap());
+    let parent = Some(manifest.root_hash());
+    let hostile = SnapshotManifest { epoch: 6, parent, sections };
+    store.append_manifest(&hostile).unwrap();
+
+    let mut clean = DemoScenario::from_state(&world.restore(5).unwrap());
+    let mut restored = DemoScenario::from_state(&world.restore(6).unwrap());
+    assert_eq!(clean.step_epoch(), restored.step_epoch());
+    let a = serde_json::to_vec(&clean.export_state()).unwrap();
+    let b = serde_json::to_vec(&restored.export_state()).unwrap();
+    assert!(a == b, "the rewritten snapshot diverged from the unmodified one");
 }
