@@ -98,7 +98,7 @@ fn run_unmanaged(seed: u64) -> Outcome {
         if sky != last {
             last = sky;
             for &l in &links {
-                let _ = o.inject_link_degradation(l, sky.mmwave_factor());
+                let _ = o.transport_mut().degrade_link(l, sky.mmwave_factor());
             }
         }
         if sky != Sky::Clear {

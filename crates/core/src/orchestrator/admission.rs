@@ -3,46 +3,32 @@
 //! slices activate, slices past their duration expire, operators terminate.
 
 use super::dataplane::SliceSimState;
-use super::{Orchestrator, Rejection};
+use super::{Orchestrator, Rejection, SliceSimSnapshot};
 use crate::admission::{AdmissionDecision, ResourceView};
 use crate::lifecycle::{SliceRecord, SliceState};
 use ovnes_forecast::{TraceGenerator, TraceSpec};
 use ovnes_model::{Money, PlmnId, Prbs, SliceClass, SliceId, SliceRequest, UeId};
-use ovnes_ran::{Ue, UePopulation};
+use ovnes_ran::{RanSnapshot, Ue, UePopulation};
 use ovnes_sim::SimTime;
 
 impl Orchestrator {
-    // ---- submission -------------------------------------------------------
-
     /// Submit a dashboard request at `now`. On admission the slice id is
     /// returned and deployment begins; otherwise the rejection reason is
     /// recorded and returned.
     pub fn submit(&mut self, now: SimTime, request: SliceRequest) -> Result<SliceId, Rejection> {
-        let id: SliceId = self.ids.next();
-        let mut record = SliceRecord::new(id, request.clone(), now);
+        let record = SliceRecord::new(self.ids.next(), request, now);
         self.metrics.counter("orchestrator.submitted").inc();
 
         let view = self.resource_view();
-        let decision = self.policy.decide(&request, &view);
-        let reserved = match decision {
+        let reserved = match self.policy.decide(&record.request, &view) {
             AdmissionDecision::Reject { reason } => {
-                record
-                    .transition(SliceState::Rejected)
-                    .expect("requested→rejected");
-                self.records.insert(id, record);
-                self.metrics.counter("orchestrator.rejected_policy").inc();
-                return Err(Rejection { slice: id, reason });
+                return Err(self.reject(record, "orchestrator.rejected_policy", reason));
             }
-            AdmissionDecision::Admit { reserved } => {
-                if self.config.overbooking_enabled {
-                    reserved
-                } else {
-                    // Baseline mode: always reserve the SLA peak.
-                    self.allocator.nominal_prbs(&request)
-                }
-            }
+            AdmissionDecision::Admit { reserved } if self.config.overbooking_enabled => reserved,
+            // Baseline mode: always reserve the SLA peak.
+            AdmissionDecision::Admit { .. } => self.allocator.nominal_prbs(&record.request),
         };
-        self.admit_and_allocate(now, id, record, request, reserved)
+        self.admit_and_allocate(now, record, reserved)
     }
 
     /// Queue a request for the next batch-broker decision (requires
@@ -66,65 +52,59 @@ impl Orchestrator {
         self.pending.len()
     }
 
-    /// The batch-broker decision: exact knapsack over the free PRB budget
-    /// (ref \[3\]), then the usual multi-domain allocation per winner.
+    /// Phase: the batch-broker decision, on the configured cadence — an
+    /// exact knapsack over the free PRB budget (ref \[3\]), then the usual
+    /// multi-domain allocation per winner. Reads the pending window, the
+    /// RAN snapshot and the class forecasts; writes what admission writes.
+    /// Returns the admitted ids and the number rejected.
     pub(super) fn decide_batch(&mut self, now: SimTime) -> (Vec<SliceId>, usize) {
-        let window = std::mem::take(&mut self.pending);
-        if window.is_empty() {
+        let due = self
+            .config
+            .batch_window
+            .is_some_and(|w| self.epoch_count.is_multiple_of(w));
+        if !due || self.pending.is_empty() {
             return (Vec::new(), 0);
         }
+        let window = std::mem::take(&mut self.pending);
+        // Sized at the class's observed demand (no history, or overbooking
+        // off: the SLA peak).
         let view = self.resource_view();
-        let sized: Vec<Prbs> = window
+        let items: Vec<(Prbs, Money)> = window
             .iter()
             .map(|r| {
-                let fraction = if self.config.overbooking_enabled {
-                    view.class_demand
-                        .get(r.class)
-                        .unwrap_or(1.0)
-                        .clamp(0.3, 1.0)
-                } else {
-                    1.0
-                };
-                view.prbs_needed(r.sla.throughput * fraction)
-                    .max(Prbs::new(1))
+                let fraction = view.class_demand.get(r.class).unwrap_or(1.0);
+                let prbs = view.prbs_needed(r.sla.throughput * fraction.clamp(0.3, 1.0));
+                (prbs.max(Prbs::new(1)), r.price)
             })
             .collect();
         // Budget: every unreserved PRB in the RAN (the knapsack is a radio
         // budget decision; transport/cloud still veto at allocation).
-        let snap = self.ran.snapshot();
-        let budget: Prbs = snap
-            .enbs
-            .iter()
-            .map(|r| r.total.saturating_sub(r.reserved))
-            .sum();
-        let items: Vec<(Prbs, Money)> = sized
-            .iter()
-            .zip(&window)
-            .map(|(&p, r)| (p, r.price))
-            .collect();
+        let budget: Prbs = free_prbs(&self.ran.snapshot()).sum();
         let chosen = crate::admission::knapsack_select(&items, budget);
 
         let mut admitted = Vec::new();
-        let mut rejected = 0usize;
         for (i, request) in window.into_iter().enumerate() {
-            let id: SliceId = self.ids.next();
-            let record = SliceRecord::new(id, request.clone(), now);
-            if chosen.contains(&i) {
-                match self.admit_and_allocate(now, id, record, request, sized[i]) {
-                    Ok(id) => admitted.push(id),
-                    Err(_) => rejected += 1,
-                }
-            } else {
-                let mut record = record;
-                record
-                    .transition(SliceState::Rejected)
-                    .expect("requested→rejected");
-                self.records.insert(id, record);
-                self.metrics.counter("orchestrator.rejected_policy").inc();
-                rejected += 1;
+            let record = SliceRecord::new(self.ids.next(), request, now);
+            if !chosen.contains(&i) {
+                let reason = "outbid for this window's PRB budget".into();
+                self.reject(record, "orchestrator.rejected_policy", reason);
+            } else if let Ok(id) = self.admit_and_allocate(now, record, items[i].0) {
+                admitted.push(id);
             }
         }
+        let rejected = items.len() - admitted.len();
         (admitted, rejected)
+    }
+
+    /// File `record` as rejected, counted under `counter`.
+    fn reject(&mut self, mut record: SliceRecord, counter: &str, reason: String) -> Rejection {
+        record
+            .transition(SliceState::Rejected)
+            .expect("requested→rejected");
+        let slice = record.id;
+        self.records.insert(slice, record);
+        self.metrics.counter(counter).inc();
+        Rejection { slice, reason }
     }
 
     /// Shared tail of online and batch admission: assign a PLMN, run the
@@ -132,103 +112,80 @@ impl Orchestrator {
     fn admit_and_allocate(
         &mut self,
         now: SimTime,
-        id: SliceId,
         mut record: SliceRecord,
-        request: SliceRequest,
         reserved: Prbs,
     ) -> Result<SliceId, Rejection> {
+        const NO_RESOURCES: &str = "orchestrator.rejected_resources";
+        let id = record.id;
         let Some(plmn) = self.allocate_plmn() else {
-            record
-                .transition(SliceState::Rejected)
-                .expect("requested→rejected");
-            self.records.insert(id, record);
-            self.metrics
-                .counter("orchestrator.rejected_resources")
-                .inc();
-            return Err(Rejection {
-                slice: id,
-                reason: "PLMN pool exhausted".into(),
-            });
+            return Err(self.reject(record, NO_RESOURCES, "PLMN pool exhausted".into()));
         };
-
-        match self.allocator.allocate(
+        let placement = match self.allocator.allocate(
             id,
             plmn,
-            &request,
+            &record.request,
             reserved,
             &mut self.ran,
             &mut self.transport,
             &mut self.cloud,
         ) {
-            Ok(placement) => {
-                record
-                    .transition(SliceState::Deploying)
-                    .expect("requested→deploying");
-                record.plmn = Some(plmn);
-                self.ready_at.insert(id, now + placement.deploy_time);
-                self.sla.book_admission(now, &record);
-                self.metrics.counter("orchestrator.admitted").inc();
-                self.events.log(
-                    now,
-                    "orchestrator",
-                    format!(
-                        "{id} admitted as {plmn}: {} on {}, {} hops to {}, deploys in {}",
-                        placement.reserved,
-                        placement.enb,
-                        placement.path_hops,
-                        placement.dc,
-                        placement.deploy_time
-                    ),
-                );
-
-                // Per-slice traffic process and UE population.
-                let spec = match request.class {
-                    SliceClass::Embb => TraceSpec::embb(self.config.overbooking.season_period),
-                    SliceClass::Urllc => TraceSpec::urllc(self.config.overbooking.season_period),
-                    SliceClass::Mmtc => TraceSpec::mmtc(self.config.overbooking.season_period),
-                };
-                // Streams are keyed by the slice's id, so each slice's
-                // realization depends only on its identity (admission itself
-                // is serial, keeping the parent stream deterministic).
-                let trace_rng = self.rng.fork(&format!("traffic-{id}"));
-                let radio_rng = self.rng.fork(&format!("radio-{id}"));
-                let (lo, hi) = self.config.ue_distance_range;
-                let mut ues = UePopulation::new(plmn);
-                for _ in 0..self.config.ues_per_slice {
-                    let ue_id: UeId = self.ue_ids.next();
-                    ues.push(Ue::new(ue_id, plmn, self.rng.uniform_range(lo, hi)));
-                }
-                self.sim_state.insert(
-                    id,
-                    SliceSimState {
-                        traffic: TraceGenerator::new(spec, trace_rng),
-                        ues,
-                        channels: Vec::new(),
-                        rng: radio_rng,
-                    },
-                );
-                self.engine.track(id, request.class);
-                self.placements.insert(id, placement);
-                self.records.insert(id, record);
-                Ok(id)
-            }
+            Ok(placement) => placement,
             Err(e) => {
                 self.free_plmns.push(plmn);
-                record
-                    .transition(SliceState::Rejected)
-                    .expect("requested→rejected");
                 self.events
                     .log(now, "orchestrator", format!("{id} rejected: {e}"));
-                self.records.insert(id, record);
-                self.metrics
-                    .counter("orchestrator.rejected_resources")
-                    .inc();
-                Err(Rejection {
-                    slice: id,
-                    reason: e.to_string(),
-                })
+                return Err(self.reject(record, NO_RESOURCES, e.to_string()));
             }
+        };
+        record
+            .transition(SliceState::Deploying)
+            .expect("requested→deploying");
+        record.plmn = Some(plmn);
+        self.ready_at.insert(id, now + placement.deploy_time);
+        self.sla.book_admission(now, &record);
+        let line = format!(
+            "{id} admitted as {plmn}: {} on {}, {} hops to {}, deploys in {}",
+            placement.reserved,
+            placement.enb,
+            placement.path_hops,
+            placement.dc,
+            placement.deploy_time
+        );
+        self.note(now, "orchestrator", "orchestrator.admitted", line);
+
+        // Per-slice traffic process and UE population.
+        let period = self.config.overbooking.season_period;
+        let spec = match record.request.class {
+            SliceClass::Embb => TraceSpec::embb(period),
+            SliceClass::Urllc => TraceSpec::urllc(period),
+            SliceClass::Mmtc => TraceSpec::mmtc(period),
+        };
+        // Streams are keyed by the slice's id, so each slice's realization
+        // depends only on its identity (admission itself is serial, keeping
+        // the parent stream deterministic).
+        let trace_rng = self.rng.fork(&format!("traffic-{id}"));
+        let radio_rng = self.rng.fork(&format!("radio-{id}"));
+        let (lo, hi) = self.config.ue_distance_range;
+        let mut ues = UePopulation::new(plmn);
+        for _ in 0..self.config.ues_per_slice {
+            let ue_id: UeId = self.ue_ids.next();
+            ues.push(Ue::new(ue_id, plmn, self.rng.uniform_range(lo, hi)));
         }
+        self.sim_state.insert(
+            id,
+            SliceSimState {
+                durable: SliceSimSnapshot {
+                    traffic: TraceGenerator::new(spec, trace_rng),
+                    ues,
+                    rng: radio_rng,
+                },
+                channels: Vec::new(),
+            },
+        );
+        self.engine.track(id, record.request.class);
+        self.placements.insert(id, placement);
+        self.records.insert(id, record);
+        Ok(id)
     }
 
     fn allocate_plmn(&mut self) -> Option<PlmnId> {
@@ -246,16 +203,10 @@ impl Orchestrator {
     /// The admission policy's view of current resources.
     fn resource_view(&self) -> ResourceView {
         let snap = self.ran.snapshot();
-        let available = snap
-            .enbs
-            .iter()
-            .map(|r| r.total.saturating_sub(r.reserved))
-            .max()
-            .unwrap_or(Prbs::ZERO);
         let grid: Prbs = snap.enbs.iter().map(|r| r.total).sum();
         let reserved: Prbs = snap.enbs.iter().map(|r| r.reserved).sum();
         ResourceView {
-            available_prbs: available,
+            available_prbs: free_prbs(&snap).max().unwrap_or(Prbs::ZERO),
             ran_utilization: reserved.ratio(grid),
             planning_prb_rate: self.allocator.config().planning_prb_rate,
             class_demand: if self.config.overbooking_enabled {
@@ -266,54 +217,54 @@ impl Orchestrator {
         }
     }
 
-    /// Phase 1: activate slices whose deployment completed.
+    /// Phase: activate the slices whose deployment completed by `now`.
+    /// Reads `ready_at`; writes their records and attaches their UEs.
     pub(super) fn activate_deployed(&mut self, now: SimTime) -> Vec<SliceId> {
-        let activated: Vec<SliceId> = self
-            .ready_at
-            .iter()
-            .filter(|&(_, &t)| t <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &activated {
-            self.ready_at.remove(id);
+        let ready = self.ready_at.iter().filter(|&(_, &t)| t <= now);
+        let activated: Vec<SliceId> = ready.map(|(&id, _)| id).collect();
+        for &id in &activated {
+            self.ready_at.remove(&id);
             let record = self
                 .records
-                .get_mut(id)
+                .get_mut(&id)
                 .expect("deploying slice has a record");
             record.activate(now).expect("deploying→active");
-            self.sim_state
-                .get_mut(id)
-                .expect("slice has UEs")
-                .ues
-                .attach_all();
-            self.metrics.counter("orchestrator.activated").inc();
-            self.events
-                .log(now, "orchestrator", format!("{id} active: UEs attached"));
+            let sim = self.sim_state.get_mut(&id).expect("slice has UEs");
+            sim.durable.ues.attach_all();
+            let line = format!("{id} active: UEs attached");
+            self.note(now, "orchestrator", "orchestrator.activated", line);
         }
         activated
     }
 
-    /// Phase 2: expire slices that ran their duration (degraded ones too:
-    /// the data plane kept serving through the control-plane outage).
-    pub(super) fn expire_due(&mut self, now: SimTime) -> Vec<SliceId> {
-        let expired: Vec<SliceId> = self
+    /// Phase: expire the slices that ran their duration (degraded ones too:
+    /// the data plane kept serving through the control-plane outage) and
+    /// reclaim their resources. Takes the epoch's one listing of the
+    /// records; returns `(expired, live)` — `live` being every slice still
+    /// `Active` or `Degraded`, ascending, which the later phases share.
+    pub(super) fn expire_due(&mut self, now: SimTime) -> (Vec<SliceId>, Vec<SliceId>) {
+        let serving = self
             .records
             .values()
-            .filter(|r| {
-                matches!(r.state, SliceState::Active | SliceState::Degraded)
-                    && r.expires_at.is_some_and(|t| t <= now)
-            })
-            .map(|r| r.id)
-            .collect();
-        for id in &expired {
-            self.teardown(*id, SliceState::Expired);
-            self.events.log(
-                now,
-                "orchestrator",
-                format!("{id} expired, resources reclaimed"),
-            );
+            .filter(|r| matches!(r.state, SliceState::Active | SliceState::Degraded));
+        let serving: Vec<SliceId> = serving.map(|r| r.id).collect();
+        let (expired, live): (Vec<SliceId>, Vec<SliceId>) = serving
+            .into_iter()
+            .partition(|id| self.records[id].expires_at.is_some_and(|t| t <= now));
+        for &id in &expired {
+            self.teardown(id, SliceState::Expired);
+            let line = format!("{id} expired, resources reclaimed");
+            self.events.log(now, "orchestrator", line);
         }
-        expired
+        (expired, live)
+    }
+
+    /// Flip every slice of `ids` to `to` — the `Active ↔ Degraded` edges.
+    pub(super) fn set_state(&mut self, ids: &[SliceId], to: SliceState) {
+        for id in ids {
+            let record = self.records.get_mut(id).expect("listed from the records");
+            record.transition(to).expect("active↔degraded");
+        }
     }
 
     pub(super) fn teardown(&mut self, id: SliceId, end_state: SliceState) {
@@ -355,10 +306,14 @@ impl Orchestrator {
             }
             _ => 1.0, // never activated: full refund
         };
-        let record = self.records.get(&id).expect("checked").clone();
-        self.sla.book_early_termination(now, &record, unused);
+        self.sla.book_early_termination(now, record, unused);
         self.ready_at.remove(&id);
         self.teardown(id, SliceState::Terminated);
         true
     }
+}
+
+/// Unreserved PRBs of every cell, ascending eNB id.
+fn free_prbs(snap: &RanSnapshot) -> impl Iterator<Item = Prbs> + '_ {
+    snap.enbs.iter().map(|r| r.total.saturating_sub(r.reserved))
 }

@@ -1,47 +1,26 @@
 //! The data plane of an epoch: per-slice traffic and radio sampling (the
-//! parallel hot path), then measurement, SLA judgement and the forecaster
-//! feed, serially in slice-id order.
+//! parallel hot path), the RAN schedule, then measurement, SLA judgement
+//! and the forecaster feed, serially in slice-id order.
 
-use super::{Orchestrator, SliceTimeline};
-use crate::lifecycle::SliceState;
+use super::{Orchestrator, SliceSimSnapshot, SliceTimeline};
 use crate::sla::SlaVerdict;
-use ovnes_forecast::TraceGenerator;
 use ovnes_model::{Latency, Prbs, RateMbps, SliceId, UeId};
 use ovnes_ran::controller::OfferedLoad;
-use ovnes_ran::{
-    jain_index, PfScratch, SliceScheduleOutcome, UeChannel, UePopulation, UeShare,
-};
-use ovnes_sim::{SimRng, SimTime, TimeSeries};
-use std::collections::{BTreeMap, BTreeSet};
+use ovnes_ran::{jain_index, PfScratch, SliceScheduleOutcome, UeChannel, UeShare};
+use ovnes_sim::{SimTime, TimeSeries};
 
-/// Per-slice simulation state mutated by the epoch hot path: the traffic
-/// process, the UE population, and the slice's private radio RNG stream.
-/// Grouped in one struct so the parallel compute phase can hand each slice
-/// to a worker as a single disjoint `&mut` borrow.
+/// Per-slice simulation state mutated by the epoch hot path. Grouped in one
+/// struct so the parallel compute phase can hand each slice to a worker as
+/// a single disjoint `&mut` borrow.
 pub(super) struct SliceSimState {
-    pub(super) traffic: TraceGenerator,
-    pub(super) ues: UePopulation,
+    /// The checkpointed part: traffic process, UE population and the
+    /// slice's private radio RNG stream.
+    pub(super) durable: SliceSimSnapshot,
     /// This epoch's per-UE channel draws for the PF fairness split, written
     /// by the parallel compute phase and read by the serial apply (empty
     /// unless fairness tracking is on). Persistent so steady-state epochs
     /// reuse its capacity instead of allocating a fresh vector per slice.
     pub(super) channels: Vec<UeChannel>,
-    /// Every draw the epoch hot path makes for this slice (mobility, CQI,
-    /// fairness channels) comes from this stream. It is forked at admission
-    /// under a label keyed by the slice's id, so what a slice draws is a
-    /// function of its identity — never of shard or thread scheduling order.
-    pub(super) rng: SimRng,
-}
-
-/// What the parallel compute phase produces per active slice; applied
-/// serially afterwards in id order. (The fairness channel samples stay in
-/// the slice's [`SliceSimState::channels`] buffer rather than moving
-/// through here.)
-struct SliceEpochSample {
-    slice: SliceId,
-    demand_fraction: f64,
-    offered: RateMbps,
-    prb_rate: RateMbps,
 }
 
 /// Reusable buffers for the epoch hot path, threaded through every
@@ -51,33 +30,26 @@ struct SliceEpochSample {
 /// fairness telemetry reduces over.
 #[derive(Default)]
 pub(super) struct EpochScratch {
-    pub(super) outcomes: Vec<SliceScheduleOutcome>,
+    outcomes: Vec<SliceScheduleOutcome>,
     shares: Vec<UeShare>,
     rates: Vec<f64>,
     pf: PfScratch,
 }
 
 impl Orchestrator {
-    /// Phase 3: generate traffic and sample radio quality for active slices
-    /// (degraded slices keep serving: the outage is control, not data).
-    /// Returns the active ids, their offered loads and demand fractions,
-    /// all in ascending slice-id order.
-    pub(super) fn sample_slices(&mut self) -> (Vec<SliceId>, Vec<OfferedLoad>, BTreeMap<SliceId, f64>) {
-        //
-        //    This is the epoch hot path, run as collect → par-compute →
-        //    ordered-apply. Collect: shard the per-slice sim state in
-        //    ascending slice-id order (each shard is a disjoint `&mut`).
-        //    Par-compute: mobility, traffic, and channel sampling per slice,
-        //    each drawing only from that slice's private RNG stream — no
-        //    shard touches shared state, so thread count cannot change any
-        //    draw. Ordered-apply: fold results back in the same id order.
-        let active_ids: Vec<SliceId> = self
-            .records
-            .values()
-            .filter(|r| matches!(r.state, SliceState::Active | SliceState::Degraded))
-            .map(|r| r.id)
-            .collect();
-        let active: BTreeSet<SliceId> = active_ids.iter().copied().collect();
+    /// Phase: generate traffic and sample radio quality for the `live`
+    /// slices (degraded ones keep serving: the outage is control, not
+    /// data). Returns their offered loads and demand fractions, both in
+    /// `live`'s ascending slice-id order.
+    ///
+    /// This is the epoch hot path, run as collect → par-compute →
+    /// ordered-apply. Collect: shard the per-slice sim state in ascending
+    /// slice-id order (each shard is a disjoint `&mut`). Par-compute:
+    /// mobility, traffic, and channel sampling per slice, each drawing only
+    /// from that slice's private RNG stream — no shard touches shared
+    /// state, so thread count cannot change any draw. Ordered-apply: the
+    /// results come back in the same id order.
+    pub(super) fn sample_slices(&mut self, live: &[SliceId]) -> (Vec<OfferedLoad>, Vec<f64>) {
         let mobility = self.config.mobility;
         let cell = self.cell;
         // Per-PRB rates precomputed once per epoch; lookups are
@@ -89,74 +61,80 @@ impl Orchestrator {
         let shards: Vec<(SliceId, &mut SliceSimState)> = self
             .sim_state
             .iter_mut()
-            .filter(|(id, _)| active.contains(id))
+            .filter(|(id, _)| live.binary_search(id).is_ok())
             .map(|(&id, state)| (id, state))
             .collect();
         let samples = ovnes_sim::par::par_map(shards, move |(id, state)| {
+            let SliceSimState {
+                durable: sim,
+                channels,
+            } = state;
             // UEs drift before this epoch's channel sampling.
-            state.ues.step_all(&mobility, &mut state.rng);
-            let demand_fraction = state.traffic.next_demand();
+            sim.ues.step_all(&mobility, &mut sim.rng);
+            let demand_fraction = sim.traffic.next_demand();
             let committed = records[&id].request.sla.throughput;
-            let prb_rate = state
+            let prb_rate = sim
                 .ues
-                .average_cqi(channel, &mut state.rng)
+                .average_cqi(channel, &mut sim.rng)
                 .map(|cqi| cell.prb_rate(cqi))
                 .unwrap_or(RateMbps::ZERO);
             // Per-UE channel draws for the PF fairness split; sampled here
             // (from this slice's stream, into the slice's persistent
-            // buffer) so the serial apply phase below needs no RNG at all.
+            // buffer) so the serial apply phase needs no RNG at all.
             if fairness {
-                state.ues.sample_channels_into(
-                    channel,
-                    &rate_table,
-                    &mut state.rng,
-                    &mut state.channels,
-                );
+                sim.ues
+                    .sample_channels_into(channel, &rate_table, &mut sim.rng, channels);
             } else {
-                state.channels.clear();
+                channels.clear();
             }
-            SliceEpochSample {
-                slice: id,
+            let offered = committed * demand_fraction;
+            (
+                OfferedLoad {
+                    slice: id,
+                    offered,
+                    prb_rate,
+                },
                 demand_fraction,
-                offered: committed * demand_fraction,
-                prb_rate,
-            }
+            )
         });
-        let mut offered_loads = Vec::with_capacity(samples.len());
-        let mut fractions: BTreeMap<SliceId, f64> = BTreeMap::new();
-        for sample in samples {
-            fractions.insert(sample.slice, sample.demand_fraction);
-            offered_loads.push(OfferedLoad {
-                slice: sample.slice,
-                offered: sample.offered,
-                prb_rate: sample.prb_rate,
-            });
-        }
-        (active_ids, offered_loads, fractions)
+        samples.into_iter().unzip()
     }
 
-    /// Phase 5: measure, judge, book, and feed the forecaster.
+    /// Phase: the RAN epoch. Schedules `loads` cell by cell into the reused
+    /// outcome buffer, then sorts it by slice for the measurement phase to
+    /// search. Draws nothing.
+    pub(super) fn schedule_ran(&mut self, now: SimTime, loads: &[OfferedLoad]) {
+        let outcomes = &mut self.epoch_scratch.outcomes;
+        self.ran.run_epoch_into(now, loads, outcomes);
+        outcomes.sort_unstable_by_key(|o| o.slice);
+    }
+
+    /// Phase: measure, judge, book, and feed the forecaster, slice by slice
+    /// in id order. Reads the RAN outcomes, the transport shares and the
+    /// outage books; writes SLA accounting, timelines, forecaster
+    /// observations and (fairness on) PF state and the Jain series. Draws
+    /// nothing: the fairness channels were sampled in the parallel phase.
     pub(super) fn measure_and_judge(
         &mut self,
         now: SimTime,
-        active_ids: &[SliceId],
-        offered_loads: &[OfferedLoad],
-        fractions: &BTreeMap<SliceId, f64>,
+        loads: &[OfferedLoad],
+        fractions: &[f64],
     ) -> Vec<SlaVerdict> {
-        let outcomes = &self.epoch_scratch.outcomes;
-        let outcome_by_slice: BTreeMap<SliceId, SliceScheduleOutcome> =
-            outcomes.iter().map(|o| (o.slice, o.clone())).collect();
-
-        let mut verdicts = Vec::with_capacity(active_ids.len());
-        for load in offered_loads {
+        let mut verdicts = Vec::with_capacity(loads.len());
+        for (load, &fraction) in loads.iter().zip(fractions) {
             let id = load.slice;
             // The radio outcome is missing when the serving cell is down:
             // the scheduler dropped the load, so nothing crossed the air.
-            let (radio_allocated, radio_delivered, radio_unserved) = match outcome_by_slice.get(&id)
-            {
-                Some(o) => (o.allocated, o.delivered, o.unserved),
-                None => (Prbs::ZERO, RateMbps::ZERO, load.offered),
-            };
+            let outcomes = &self.epoch_scratch.outcomes;
+            let (radio_allocated, radio_delivered, radio_unserved) =
+                match outcomes.binary_search_by_key(&id, |o| o.slice) {
+                    Ok(i) => (
+                        outcomes[i].allocated,
+                        outcomes[i].delivered,
+                        outcomes[i].unserved,
+                    ),
+                    Err(_) => (Prbs::ZERO, RateMbps::ZERO, load.offered),
+                };
             // A slice whose vEPC is redeploying after a host failure serves
             // nothing, whatever the radio delivered.
             let epc_down = self.epc_down_until.get(&id).is_some_and(|&t| t > now);
@@ -203,13 +181,12 @@ impl Orchestrator {
             timeline.delivered.record(now, delivered.value());
             timeline.latency.record(now, latency.value());
             verdicts.push(verdict);
-            self.engine.observe(id, fractions[&id]);
+            self.engine.observe(id, fraction);
 
             // Optional: intra-slice PF split of the allocated PRBs, for the
             // per-UE fairness the demo's verticals care about (every device
-            // in a fleet must work, not just the aggregate). The channels
-            // were sampled in the parallel phase from this slice's stream;
-            // PF state mutation stays here in the serial apply.
+            // in a fleet must work, not just the aggregate). PF state
+            // mutation stays here in the serial apply.
             if self.config.ue_fairness_tracking {
                 let channels: &[UeChannel] = self
                     .sim_state
@@ -264,7 +241,7 @@ impl Orchestrator {
         let Some(state) = self.sim_state.get_mut(&slice) else {
             return false;
         };
-        if state.ues.remove(ue).is_none() {
+        if state.durable.ues.remove(ue).is_none() {
             return false;
         }
         if let Some(pf) = self.pf.get_mut(&slice) {
@@ -275,7 +252,9 @@ impl Orchestrator {
 
     /// Number of UEs currently in a slice's population (0 when unknown).
     pub fn ue_count(&self, slice: SliceId) -> usize {
-        self.sim_state.get(&slice).map(|s| s.ues.len()).unwrap_or(0)
+        self.sim_state
+            .get(&slice)
+            .map_or(0, |s| s.durable.ues.len())
     }
 
     /// Number of UEs the proportional-fair tracker holds state for (0 when
@@ -283,5 +262,4 @@ impl Orchestrator {
     pub fn pf_tracked(&self, slice: SliceId) -> usize {
         self.pf.get(&slice).map(|pf| pf.tracked()).unwrap_or(0)
     }
-
 }

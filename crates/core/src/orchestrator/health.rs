@@ -10,38 +10,33 @@ use ovnes_model::SliceId;
 use ovnes_sim::SimTime;
 
 impl Orchestrator {
-    /// Phase 0a: probe each domain controller's health endpoint (with
-    /// retry/backoff). A domain that stays unreachable is skipped for
-    /// reconfiguration and monitoring this epoch, and its slices degrade.
-    /// Returns the domains whose probe failed.
+    /// Phase: probe each domain controller's health endpoint (with
+    /// retry/backoff) and fold the answers into the heartbeat machines.
+    /// Reads the control plane (drawing from its fault and jitter streams
+    /// only); writes `supervision` and, on a transition, the `supervise.*`
+    /// telemetry and the control event line. A domain that stays
+    /// unreachable is skipped for reconfiguration and monitoring this
+    /// epoch, and its slices degrade. Returns the unreachable domains.
     pub(super) fn probe_health(&mut self, now: SimTime) -> Vec<String> {
         for domain in DOMAINS {
             let up = self.control.probe(now, domain);
-            let health = (self.supervision.get_mut(domain)).expect("every domain is tracked");
+            let health = self.supervision.get_mut(domain);
             // Transitions only — a faultless probe history books nothing,
             // so plan-less runs stay byte-identical.
-            match health.observe(now, up) {
+            match health.expect("every domain is tracked").observe(now, up) {
                 Some(HealthTransition::Suspected) => {
-                    self.metrics.counter("supervise.suspects").inc();
-                    self.events.log(
-                        now,
-                        "control",
-                        format!("{domain} controller unreachable (retries exhausted)"),
-                    );
+                    let line = format!("{domain} controller unreachable (retries exhausted)");
+                    self.note(now, "control", "supervise.suspects", line);
                 }
                 Some(HealthTransition::WentDown) => {
                     self.metrics.counter("supervise.downs").inc();
                 }
                 Some(HealthTransition::Recovered { downtime }) => {
-                    self.metrics.counter("supervise.repairs").inc();
                     self.metrics
                         .series("supervise.time_to_repair")
                         .record(now, downtime.as_secs_f64());
-                    self.events.log(
-                        now,
-                        "control",
-                        format!("{domain} controller reachable again"),
-                    );
+                    let line = format!("{domain} controller reachable again");
+                    self.note(now, "control", "supervise.repairs", line);
                 }
                 None => {}
             }
@@ -56,78 +51,47 @@ impl Orchestrator {
         self.supervision[domain].state == HealthState::Up
     }
 
-    /// Phase 2b: degrade/restore on control-plane reachability. Every slice
+    /// Phase: degrade/restore on control-plane reachability. Every slice
     /// spans all three domains, so one unreachable controller degrades
     /// every active slice: the orchestrator can no longer reconfigure or
     /// monitor it end-to-end, though its data plane keeps forwarding.
-    /// Returns `(degraded, restored)`.
+    /// Reads `live` and the probe result; writes record states. Returns
+    /// `(degraded, restored)`.
     pub(super) fn follow_reachability(
         &mut self,
         now: SimTime,
+        live: &[SliceId],
         unreachable_domains: &[String],
     ) -> (Vec<SliceId>, Vec<SliceId>) {
-        let mut degraded: Vec<SliceId> = Vec::new();
-        let mut restored: Vec<SliceId> = Vec::new();
+        let state = |id: &SliceId| self.records[id].state;
         if unreachable_domains.is_empty() {
             // Slices held down by an unrepaired substrate fault are not
-            // restored here: the recovery loop below owns them until their
+            // restored here: the substrate phase owns them until their
             // element recovers or a repair lands.
-            let ids: Vec<SliceId> = self
-                .records
-                .values()
-                .filter(|r| {
-                    r.state == SliceState::Degraded && !self.substrate_degraded.contains_key(&r.id)
-                })
-                .map(|r| r.id)
-                .collect();
-            for id in ids {
-                self.records
-                    .get_mut(&id)
-                    .expect("listed above")
-                    .transition(SliceState::Active)
-                    .expect("degraded→active");
-                restored.push(id);
-            }
+            let held = &self.substrate_degraded;
+            let restorable =
+                |id: &SliceId| state(id) == SliceState::Degraded && !held.contains_key(id);
+            let restored: Vec<SliceId> = live.iter().copied().filter(restorable).collect();
+            self.set_state(&restored, SliceState::Active);
             if !restored.is_empty() {
-                self.metrics
-                    .counter("orchestrator.restored")
-                    .add(restored.len() as u64);
-                self.events.log(
-                    now,
-                    "control",
-                    format!("{} slice(s) restored to active", restored.len()),
-                );
+                let n = restored.len();
+                self.metrics.counter("orchestrator.restored").add(n as u64);
+                let line = format!("{n} slice(s) restored to active");
+                self.events.log(now, "control", line);
             }
+            (Vec::new(), restored)
         } else {
-            let ids: Vec<SliceId> = self
-                .records
-                .values()
-                .filter(|r| r.state == SliceState::Active)
-                .map(|r| r.id)
-                .collect();
-            for id in ids {
-                self.records
-                    .get_mut(&id)
-                    .expect("listed above")
-                    .transition(SliceState::Degraded)
-                    .expect("active→degraded");
-                degraded.push(id);
-            }
+            let active = |id: &SliceId| state(id) == SliceState::Active;
+            let degraded: Vec<SliceId> = live.iter().copied().filter(active).collect();
+            self.set_state(&degraded, SliceState::Degraded);
             if !degraded.is_empty() {
-                self.metrics
-                    .counter("orchestrator.degraded")
-                    .add(degraded.len() as u64);
-                self.events.log(
-                    now,
-                    "control",
-                    format!(
-                        "{} slice(s) degraded: {} unreachable",
-                        degraded.len(),
-                        unreachable_domains.join(", ")
-                    ),
-                );
+                let n = degraded.len();
+                self.metrics.counter("orchestrator.degraded").add(n as u64);
+                let unreachable = unreachable_domains.join(", ");
+                let line = format!("{n} slice(s) degraded: {unreachable} unreachable");
+                self.events.log(now, "control", line);
             }
+            (degraded, Vec::new())
         }
-        (degraded, restored)
     }
 }

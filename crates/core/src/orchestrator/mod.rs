@@ -16,12 +16,13 @@
 //!   reconfigures reservations. Domain telemetry is pulled through the
 //!   JSON API boundary exactly as the testbed's REST monitoring was.
 //!
-//! The epoch is a list of phases, one file per kind: [`admission`]
-//! (submit, batch decision, activate, expire, teardown), [`health`]
-//! (probes, reachability degrade/restore), [`substrate`] (weather, fault
-//! detect-assess-heal, host-failure injection), [`dataplane`] (traffic and
-//! radio sampling, SLA judgement, forecaster feed), [`reconfigure`],
-//! [`telemetry`] (series, monitoring push) and [`state`] (checkpoint).
+//! `run_epoch` is a list of phases, each a `&mut self` function in the file
+//! of its kind: `admission` (submit, batch decision, activate, expire,
+//! teardown), `health` (probes, reachability degrade/restore), `substrate`
+//! (weather, fault detect-assess-heal, host-failure injection),
+//! `dataplane` (traffic and radio sampling, RAN epoch, SLA judgement,
+//! forecaster feed), `reconfigure`, `telemetry` (series, monitoring push)
+//! and `state` (checkpoint/restore and the snapshot sections).
 
 mod admission;
 mod dataplane;
@@ -31,6 +32,7 @@ mod state;
 mod substrate;
 mod telemetry;
 
+pub(crate) use state::section_of;
 pub use state::{OrchestratorState, SliceSimSnapshot};
 
 use crate::admission::{AdmissionPolicy, PolicyKind};
@@ -41,7 +43,7 @@ use crate::overbooking::{GainReport, OverbookingConfig, OverbookingEngine};
 use crate::sla::{SlaMonitor, SlaVerdict};
 use crate::supervise::DomainHealth;
 use dataplane::{EpochScratch, SliceSimState};
-use ovnes_api::{FaultPlan, MonitoringReport, RetryPolicy, SubstrateElement, SubstrateFaultPlan};
+use ovnes_api::{FaultPlan, MonitoringReport, SubstrateElement, SubstrateFaultPlan};
 use ovnes_cloud::CloudController;
 use ovnes_model::ids::IdAllocator;
 use ovnes_model::{Money, PlmnId, SliceId, SliceRequest};
@@ -190,8 +192,10 @@ pub struct Orchestrator {
     /// Slices whose vEPC is redeploying after a host failure: total service
     /// outage until the instant recorded here.
     epc_down_until: BTreeMap<SliceId, SimTime>,
-    /// Per-slice measurement history (kept after the slice ends, for
-    /// post-run analysis; bounded by the retention window below).
+    /// Per-slice measurement history, kept after the slice ends for
+    /// post-run analysis. Each series is capped at 4096 points but the map
+    /// itself never sheds an ended slice: it grows with every slice ever
+    /// admitted (ROADMAP item 2's leak).
     timelines: BTreeMap<SliceId, SliceTimeline>,
     /// Proportional-fair state per slice (only when fairness tracking is on).
     pf: BTreeMap<SliceId, PfState>,
@@ -252,21 +256,17 @@ impl Orchestrator {
         cell: CellConfig,
         mut rng: SimRng,
     ) -> Orchestrator {
-        let channel = ChannelModel::urban_small_cell();
-        let policy = config.policy.build();
-        let engine = OverbookingEngine::new(config.overbooking.clone());
-        let allocator = MultiDomainAllocator::new(config.allocator.clone());
         let mut rng = rng.fork("orchestrator");
         let weather_rng = rng.fork("weather");
         Orchestrator {
+            allocator: MultiDomainAllocator::new(config.allocator.clone()),
+            policy: config.policy.build(),
+            engine: OverbookingEngine::new(config.overbooking.clone()),
             config,
             ran,
             transport,
             cloud,
             cell,
-            allocator,
-            policy,
-            engine,
             sla: SlaMonitor::default(),
             records: BTreeMap::new(),
             placements: BTreeMap::new(),
@@ -277,7 +277,7 @@ impl Orchestrator {
             pf: BTreeMap::new(),
             sim_state: BTreeMap::new(),
             epoch_scratch: EpochScratch::default(),
-            channel,
+            channel: ChannelModel::urban_small_cell(),
             rng,
             ids: IdAllocator::new(),
             ue_ids: IdAllocator::new(),
@@ -306,11 +306,6 @@ impl Orchestrator {
         self.control.set_fault_plan(plan);
     }
 
-    /// Replace the control-plane retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.control.set_retry_policy(retry);
-    }
-
     /// Swap the control plane onto a socket transport: probes and
     /// monitoring pushes now cross real TCP connections to controller
     /// server tasks (see [`ControlPlane::install_socket`]). Accounting
@@ -318,29 +313,6 @@ impl Orchestrator {
     /// byte-identical to the in-process oracle.
     pub fn set_control_socket(&mut self, socket: ovnes_api::SocketBus) {
         self.control.install_socket(socket);
-    }
-
-    /// Install a substrate (data-plane) fault plan. The plan carries its
-    /// own precomputed schedule, so the orchestrator's simulation streams
-    /// are untouched; a quiet plan is an exact no-op.
-    pub fn set_substrate_plan(&mut self, plan: SubstrateFaultPlan) {
-        self.substrate_plan = Some(plan);
-    }
-
-    /// The installed substrate fault plan, if any.
-    pub fn substrate_plan(&self) -> Option<&SubstrateFaultPlan> {
-        self.substrate_plan.as_ref()
-    }
-
-    /// Substrate elements currently failed, ascending.
-    pub fn substrate_down(&self) -> Vec<SubstrateElement> {
-        self.substrate_down.iter().copied().collect()
-    }
-
-    /// Slices currently out of service behind an unrepaired substrate
-    /// fault, ascending.
-    pub fn substrate_degraded(&self) -> Vec<SliceId> {
-        self.substrate_degraded.keys().copied().collect()
     }
 
     /// The control plane (for endpoint/retry stats in dashboards/benches).
@@ -354,17 +326,10 @@ impl Orchestrator {
         &mut self.control
     }
 
-    /// The heartbeat health machine for `domain`, if tracked.
-    pub fn domain_health(&self, domain: &str) -> Option<&DomainHealth> {
-        self.supervision.get(domain)
-    }
-
     /// Every tracked domain's health machine, ascending by domain.
     pub fn supervision(&self) -> &BTreeMap<String, DomainHealth> {
         &self.supervision
     }
-
-    // ---- the monitoring epoch ---------------------------------------------
 
     /// Advance one monitoring epoch ending at `now`.
     ///
@@ -384,30 +349,22 @@ impl Orchestrator {
         self.epoch_count += 1;
 
         let unreachable_domains = self.probe_health(now);
-
-        // 0. Batch-broker decision on the configured cadence.
-        let (batch_admitted, batch_rejected) = match self.config.batch_window {
-            Some(w) if self.epoch_count.is_multiple_of(w) => self.decide_batch(now),
-            _ => (Vec::new(), 0),
-        };
-
+        let (batch_admitted, batch_rejected) = self.decide_batch(now);
         let sky = self.step_weather(now);
         let activated = self.activate_deployed(now);
-        let expired = self.expire_due(now);
-        let (mut degraded, mut restored) = self.follow_reachability(now, &unreachable_domains);
+        let (expired, live) = self.expire_due(now);
+        let (mut degraded, mut restored) =
+            self.follow_reachability(now, &live, &unreachable_domains);
         self.heal_substrate(now, &mut degraded, &mut restored);
-        let (active_ids, offered_loads, fractions) = self.sample_slices();
-
-        // 4. Schedule the RAN (into the reused outcome buffer).
-        let outcomes = &mut self.epoch_scratch.outcomes;
-        self.ran.run_epoch_into(now, &offered_loads, outcomes);
-        let verdicts = self.measure_and_judge(now, &active_ids, &offered_loads, &fractions);
-        let reconfigured = self.reconfigure_on_cadence(&active_ids);
-        let (gain, cstats) = self.push_telemetry(now, &unreachable_domains);
+        let (loads, fractions) = self.sample_slices(&live);
+        self.schedule_ran(now, &loads);
+        let verdicts = self.measure_and_judge(now, &loads, &fractions);
+        let reconfigured = self.reconfigure_on_cadence(&live);
+        let (gain, control) = self.push_telemetry(now, &unreachable_domains);
 
         EpochReport {
             now,
-            active: active_ids.len(),
+            active: live.len(),
             verdicts,
             gain,
             net_revenue: self.sla.net(),
@@ -417,16 +374,14 @@ impl Orchestrator {
             batch_admitted,
             batch_rejected,
             sky,
-            control_retries: cstats.retries,
-            control_failures: cstats.failures,
+            control_retries: control.retries,
+            control_failures: control.failures,
             degraded,
             restored,
             unreachable_domains,
             substrate_down: self.substrate_down.iter().copied().collect(),
         }
     }
-
-    // ---- accessors ---------------------------------------------------------
 
     /// The configuration in force.
     pub fn config(&self) -> &OrchestratorConfig {
@@ -505,7 +460,6 @@ impl Orchestrator {
     pub fn epochs(&self) -> u64 {
         self.epoch_count
     }
-
 }
 
 #[cfg(test)]

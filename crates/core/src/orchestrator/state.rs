@@ -1,28 +1,15 @@
 //! Checkpoint state: what an [`Orchestrator`] serializes to, how it is
 //! captured and rebuilt, and which snapshot section each field lands in.
 
-use super::dataplane::{EpochScratch, SliceSimState};
-use super::{Orchestrator, OrchestratorConfig, SliceTimeline};
-use crate::allocator::{MultiDomainAllocator, Placement};
-use crate::control::{ControlPlane, DOMAINS};
+// The state mirrors the `Orchestrator` struct field for field, so it
+// names the same types the parent module already imports.
+use super::*;
+use crate::control::DOMAINS;
 use crate::lifecycle::SliceRecord;
-use crate::overbooking::OverbookingEngine;
-use crate::sla::SlaMonitor;
-use crate::supervise::DomainHealth;
-use ovnes_api::{MonitoringReport, SubstrateElement, SubstrateFaultPlan};
-use ovnes_cloud::CloudController;
 use ovnes_forecast::TraceGenerator;
-use ovnes_model::ids::IdAllocator;
-use ovnes_model::{PlmnId, SliceId, SliceRequest};
-use ovnes_ran::{CellConfig, ChannelModel, PfState, RanController, UePopulation};
-use ovnes_sim::{EventLog, MetricRegistry, SimRng, SimTime};
-use ovnes_transport::{Sky, TransportController, WeatherProcess};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use ovnes_ran::UePopulation;
 
 impl Orchestrator {
-    // ---- checkpoint / restore ----------------------------------------------
-
     /// The orchestrator's complete serializable state: every domain
     /// controller, the overbooking engine (forecasters mid-warm-up), the
     /// SLA ledger, per-slice traffic/UE/RNG streams, the control plane with
@@ -52,16 +39,7 @@ impl Orchestrator {
             sim_state: self
                 .sim_state
                 .iter()
-                .map(|(&id, s)| {
-                    (
-                        id,
-                        SliceSimSnapshot {
-                            traffic: s.traffic.clone(),
-                            ues: s.ues.clone(),
-                            rng: s.rng.clone(),
-                        },
-                    )
-                })
+                .map(|(&id, s)| (id, s.durable.clone()))
                 .collect(),
             channel: self.channel.clone(),
             rng: self.rng.clone(),
@@ -110,16 +88,9 @@ impl Orchestrator {
             sim_state: state
                 .sim_state
                 .iter()
-                .map(|(&id, s)| {
-                    (
-                        id,
-                        SliceSimState {
-                            traffic: s.traffic.clone(),
-                            ues: s.ues.clone(),
-                            channels: Vec::new(),
-                            rng: s.rng.clone(),
-                        },
-                    )
+                .map(|(&id, durable)| {
+                    let (durable, channels) = (durable.clone(), Vec::new());
+                    (id, SliceSimState { durable, channels })
                 })
                 .collect(),
             epoch_scratch: EpochScratch::default(),
@@ -155,14 +126,19 @@ impl Orchestrator {
 
 /// Serializable state of one slice's simulation loop: the traffic process,
 /// the UE population, and the slice's private radio RNG stream at its exact
-/// position. The per-epoch channel sample buffer is scratch and excluded.
+/// position. The live orchestrator holds exactly this per slice, next to a
+/// per-epoch channel sample buffer that is scratch and excluded.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SliceSimSnapshot {
     /// The slice's traffic trace process.
     pub traffic: TraceGenerator,
     /// The slice's UE population (positions, attachment, CQI state).
     pub ues: UePopulation,
-    /// The slice's private radio RNG stream.
+    /// The slice's private radio RNG stream. Every draw the epoch hot path
+    /// makes for this slice (mobility, CQI, fairness channels) comes from
+    /// it. It is forked at admission under a label keyed by the slice's id,
+    /// so what a slice draws is a function of its identity — never of shard
+    /// or thread scheduling order.
     pub rng: SimRng,
 }
 
@@ -240,4 +216,26 @@ pub struct OrchestratorState {
     pub substrate_degraded: BTreeMap<SliceId, SimTime>,
     /// Per-domain heartbeat health state machines.
     pub supervision: BTreeMap<String, DomainHealth>,
+}
+
+/// The snapshot section a field of [`OrchestratorState`] belongs to — the
+/// granularity `replay_bisect` names divergences at. Unlisted fields
+/// (including any added later) fall into the `orchestrator` catch-all, so
+/// a new field can never be silently dropped from snapshots.
+pub(crate) fn section_of(field: &str) -> &'static str {
+    match field {
+        "ran" => "ran",
+        "transport" => "transport",
+        "cloud" => "cloud",
+        "engine" => "forecast",
+        "control" => "control",
+        "sla" => "sla",
+        "metrics" | "events" => "telemetry",
+        "rng" => "rng",
+        "records" | "placements" | "pending" | "ready_at" | "epc_down_until" | "timelines"
+        | "pf" | "sim_state" | "free_plmns" | "next_plmn" | "ids" | "ue_ids" => "slices",
+        "weather" | "weather_rng" | "last_sky" | "substrate_plan" | "substrate_down"
+        | "substrate_degraded" => "environment",
+        _ => "orchestrator",
+    }
 }

@@ -5,53 +5,87 @@
 use super::Orchestrator;
 use crate::control::DOMAINS;
 use crate::lifecycle::SliceState;
-use ovnes_api::SubstrateElement;
-use ovnes_cloud::{epc_template, DeployedStack, EpcSizing, StackState};
-use ovnes_model::SliceId;
+use ovnes_api::{SubstrateElement, SubstrateFaultPlan};
+use ovnes_cloud::{epc_template, CloudError, DeployedStack, EpcSizing, StackState};
+use ovnes_model::{DcId, HostId, SliceId};
 use ovnes_sim::SimTime;
 use ovnes_transport::{Sky, WeatherProcess};
 use std::collections::BTreeSet;
 
 impl Orchestrator {
-    /// Phase 0b: weather over the wireless transport. On a change of sky,
-    /// re-degrade every mmWave link and reroute whoever no longer fits —
-    /// the testbed's µwave hops exist for exactly this. `None` when the
-    /// weather process is off.
-    pub(super) fn step_weather(&mut self, now: SimTime) -> Option<Sky> {
-        if self.config.weather_enabled {
-            let sky = self.weather.step(&mut self.weather_rng);
-            if sky != self.last_sky {
-                self.last_sky = sky;
-                self.events.log(now, "weather", format!("sky now {sky}"));
-                let factor = sky.mmwave_factor();
-                let links = WeatherProcess::sensitive_links(self.transport.topology());
-                let mut affected = Vec::new();
-                for link in links {
-                    affected.extend(self.transport.degrade_link(link, factor));
-                }
-                affected.sort();
-                affected.dedup();
-                for slice in affected {
-                    if self.transport.reroute(slice) == Ok(true) {
-                        self.metrics.counter("orchestrator.weather_reroutes").inc();
-                        self.events.log(
-                            now,
-                            "transport",
-                            format!("{slice} rerouted off faded mmWave"),
-                        );
-                    }
-                }
-            }
-            Some(sky)
-        } else {
-            None
-        }
+    /// Install a substrate (data-plane) fault plan. The plan carries its
+    /// own precomputed schedule, so the orchestrator's simulation streams
+    /// are untouched; a quiet plan is an exact no-op.
+    pub fn set_substrate_plan(&mut self, plan: SubstrateFaultPlan) {
+        self.substrate_plan = Some(plan);
     }
 
-    /// Phase 2c: substrate self-healing. Applies the fault plan's schedule,
-    /// then detect → assess → repair → degrade → account. Skipped entirely
-    /// (no state, no telemetry) without an active plan, so plan-less and
-    /// quiet-plan runs stay byte-identical.
+    /// The installed substrate fault plan, if any.
+    pub fn substrate_plan(&self) -> Option<&SubstrateFaultPlan> {
+        self.substrate_plan.as_ref()
+    }
+
+    /// Substrate elements currently failed, ascending.
+    pub fn substrate_down(&self) -> Vec<SubstrateElement> {
+        self.substrate_down.iter().copied().collect()
+    }
+
+    /// Slices currently out of service behind an unrepaired substrate
+    /// fault, ascending.
+    pub fn substrate_degraded(&self) -> Vec<SliceId> {
+        self.substrate_degraded.keys().copied().collect()
+    }
+
+    /// Phase: weather over the wireless transport. On a change of sky,
+    /// re-degrade every mmWave link and reroute whoever no longer fits —
+    /// the testbed's µwave hops exist for exactly this. Draws one step from
+    /// `weather_rng` (a stream of its own, so clear-sky and rainy runs stay
+    /// comparable); writes link capacities and transport reservations.
+    /// `None`, and no draw, when the weather process is off.
+    pub(super) fn step_weather(&mut self, now: SimTime) -> Option<Sky> {
+        if !self.config.weather_enabled {
+            return None;
+        }
+        let sky = self.weather.step(&mut self.weather_rng);
+        if sky != self.last_sky {
+            self.last_sky = sky;
+            self.events.log(now, "weather", format!("sky now {sky}"));
+            let factor = sky.mmwave_factor();
+            let links = WeatherProcess::sensitive_links(self.transport.topology());
+            let mut affected = Vec::new();
+            for link in links {
+                affected.extend(self.transport.degrade_link(link, factor));
+            }
+            affected.sort();
+            affected.dedup();
+            for slice in affected {
+                if self.transport.reroute(slice) == Ok(true) {
+                    let line = format!("{slice} rerouted off faded mmWave");
+                    self.note(now, "transport", "orchestrator.weather_reroutes", line);
+                }
+            }
+        }
+        Some(sky)
+    }
+
+    /// Phase: substrate self-healing. Applies the fault plan's schedule,
+    /// then detect → assess → repair → degrade → account, pushing the
+    /// slices it degrades or restores onto the epoch's lists. Without an
+    /// active plan only the vEPC outage sweep runs (no state, no
+    /// telemetry), so plan-less and quiet-plan runs stay byte-identical.
+    ///
+    /// Detect: diff the plan's schedule at `now` against the applied outage
+    /// set and forward the edges to the domain controllers (link/switch →
+    /// transport, cell → RAN, host → cloud), collecting the slices each
+    /// failure touches. Assess + repair: see [`Self::repair_legs`], for
+    /// every touched or still-degraded slice. Degrade what stays broken and
+    /// restore it (with a time-to-repair sample) once repairs land or the
+    /// element recovers.
+    ///
+    /// Every set here is a `BTreeSet`/`BTreeMap` iterated in ascending
+    /// element/slice order and nothing draws from an RNG, so the pipeline
+    /// is a pure function of the plan and the epoch clock — bitwise
+    /// identical at any worker count.
     pub(super) fn heal_substrate(
         &mut self,
         now: SimTime,
@@ -60,37 +94,9 @@ impl Orchestrator {
     ) {
         // Outages that ended before this epoch are over.
         self.epc_down_until.retain(|_, &mut t| t > now);
-        let substrate_active = self.substrate_plan.as_ref().is_some_and(|p| !p.is_quiet());
-        if substrate_active {
-            self.run_substrate_recovery(now, degraded, restored);
-        }
-    }
-
-    /// Substrate self-healing, phase 2c of the epoch.
-    ///
-    /// Detect: diff the plan's schedule at `now` against the applied outage
-    /// set and forward the edges to the domain controllers (link/switch →
-    /// transport, cell → RAN, host → cloud), collecting the slices each
-    /// failure touches. Assess + repair: for every touched or still-degraded
-    /// slice, fix each broken leg in priority order — transport reroute via
-    /// the virtual-release machinery, cell re-attach, vEPC re-placement.
-    /// Degrade what stays broken and restore it (with a time-to-repair
-    /// sample) once repairs land or the element recovers.
-    ///
-    /// Every set here is a `BTreeSet`/`BTreeMap` iterated in ascending
-    /// element/slice order and nothing draws from an RNG, so the pipeline
-    /// is a pure function of the plan and the epoch clock — bitwise
-    /// identical at any worker count.
-    fn run_substrate_recovery(
-        &mut self,
-        now: SimTime,
-        degraded: &mut Vec<SliceId>,
-        restored: &mut Vec<SliceId>,
-    ) {
-        let plan = self
-            .substrate_plan
-            .as_ref()
-            .expect("phase is gated on a plan");
+        let Some(plan) = self.substrate_plan.as_ref().filter(|p| !p.is_quiet()) else {
+            return;
+        };
         let desired: BTreeSet<SubstrateElement> = plan.down_elements_at(now).into_iter().collect();
 
         // Detect: edge-trigger failures and recoveries.
@@ -106,12 +112,8 @@ impl Orchestrator {
                 SubstrateElement::Cell(e) => self.ran.fail_cell(e),
                 SubstrateElement::Host(dc, h) => self.cloud.fail_host(dc, h),
             };
-            self.metrics.counter("substrate.element_failures").inc();
-            self.events.log(
-                now,
-                "substrate",
-                format!("{element} down; {} slice(s) impacted", slices.len()),
-            );
+            let line = format!("{element} down; {} slice(s) impacted", slices.len());
+            self.note(now, "substrate", "substrate.element_failures", line);
             touched.extend(slices);
         }
         for element in newly_up {
@@ -125,157 +127,49 @@ impl Orchestrator {
                 }
                 SubstrateElement::Host(dc, h) => self.cloud.revive_host(dc, h),
             }
-            self.metrics.counter("substrate.element_recoveries").inc();
-            self.events
-                .log(now, "substrate", format!("{element} back in service"));
+            let line = format!("{element} back in service");
+            self.note(now, "substrate", "substrate.element_recoveries", line);
         }
         self.substrate_down = desired;
 
         // Assess + repair, ascending slice id.
         for id in touched {
-            let request = match self.records.get(&id) {
-                Some(r) if !r.state.is_terminal() => r.request.clone(),
-                _ => {
-                    // The slice ended (expired/terminated) while degraded;
-                    // its resources are already reclaimed.
-                    self.substrate_degraded.remove(&id);
-                    continue;
-                }
-            };
-            let mut impacted = false;
-            let mut healthy = true;
-
-            // Transport: a reservation crossing a dead link. Mass reroute
-            // through the virtual-release machinery; dead links are
-            // rejected during cache revalidation and fresh searches alike.
-            let path_dead = self
-                .transport
-                .reservation(id)
-                .is_some_and(|r| r.path.links.iter().any(|&l| !self.transport.link_is_up(l)));
-            if path_dead {
-                impacted = true;
-                if self.transport.reroute(id) == Ok(true) {
-                    self.metrics.counter("substrate.reroutes").inc();
-                    self.events.log(
-                        now,
-                        "substrate",
-                        format!("{id} rerouted around a dead link"),
-                    );
-                } else {
-                    healthy = false;
-                }
+            if self.records.get(&id).is_none_or(|r| r.state.is_terminal()) {
+                // The slice ended (expired/terminated) while degraded; its
+                // resources are already reclaimed.
+                self.substrate_degraded.remove(&id);
+                continue;
             }
-
-            // RAN: the serving cell is down. Re-attach the slice's PLMN to
-            // the best surviving cell that fits its reservation.
-            let cell_dead = self
-                .ran
-                .placement(id)
-                .is_some_and(|enb| !self.ran.cell_is_up(enb));
-            if cell_dead {
-                impacted = true;
-                match self.ran.reattach(id) {
-                    Ok(target) => {
-                        if let Some(p) = self.placements.get_mut(&id) {
-                            p.enb = target;
-                        }
-                        self.metrics.counter("substrate.reattaches").inc();
-                        self.events.log(
-                            now,
-                            "substrate",
-                            format!("{id} re-attached to surviving cell {target}"),
-                        );
-                    }
-                    Err(_) => healthy = false,
-                }
-            }
-
-            // Cloud: the vEPC lost a VM to a host crash — or an earlier
-            // re-placement deleted the corpse and then found no capacity,
-            // leaving the slice with no stack at all. Redeploy; the fresh
-            // stack's deploy time is a real service interruption booked
-            // through `epc_down_until`.
-            let stack_bad = match self.cloud.stack_for_slice(id) {
-                Some(stack) => stack.state == StackState::Degraded,
-                None => true,
-            };
-            if stack_bad {
-                impacted = true;
-                let template = epc_template(id, &request.compute_demand(), &EpcSizing::default());
-                let fresh: Option<DeployedStack> = if self.cloud.stack_for_slice(id).is_some() {
-                    self.cloud.redeploy_for_slice(id, &template).ok()
-                } else {
-                    let kind = self
-                        .placements
-                        .get(&id)
-                        .and_then(|p| self.cloud.dc(p.dc))
-                        .map(|dc| dc.kind());
-                    let target = kind.and_then(|k| self.cloud.find_dc(k, &template));
-                    target.and_then(|dc| self.cloud.deploy(id, dc, &template).ok())
-                };
-                match fresh {
-                    Some(stack) => {
-                        self.epc_down_until.insert(id, now + stack.deploy_time);
-                        self.metrics.counter("substrate.replacements").inc();
-                        self.events.log(
-                            now,
-                            "substrate",
-                            format!(
-                                "{id} vEPC re-placed on {}; boots in {}",
-                                stack.dc, stack.deploy_time
-                            ),
-                        );
-                    }
-                    None => healthy = false,
-                }
-            }
-
+            let (impacted, healthy) = self.repair_legs(now, id);
             if healthy {
-                if let Some(since) = self.substrate_degraded.remove(&id) {
-                    let ttr = now.saturating_duration_since(since).as_secs_f64();
+                let since = self.substrate_degraded.remove(&id);
+                if since.is_some() || impacted {
+                    // Repaired — within the epoch the fault was detected,
+                    // unless the slice sat degraded since an earlier one.
+                    let ttr = since.map_or(0.0, |since| {
+                        now.saturating_duration_since(since).as_secs_f64()
+                    });
                     self.metrics
                         .series("substrate.time_to_repair")
                         .record(now, ttr);
                     self.metrics.counter("substrate.repaired").inc();
-                    if self.records[&id].state == SliceState::Degraded
-                        && DOMAINS.iter().all(|d| self.reachable(d))
-                    {
-                        self.records
-                            .get_mut(&id)
-                            .expect("checked above")
-                            .transition(SliceState::Active)
-                            .expect("degraded→active");
-                        restored.push(id);
-                        self.metrics.counter("substrate.restored").inc();
-                        self.events.log(
-                            now,
-                            "substrate",
-                            format!("{id} restored: substrate fault cleared"),
-                        );
-                    }
-                } else if impacted {
-                    // Repaired within the epoch the fault was detected.
-                    self.metrics
-                        .series("substrate.time_to_repair")
-                        .record(now, 0.0);
-                    self.metrics.counter("substrate.repaired").inc();
+                }
+                let control_up = DOMAINS.iter().all(|d| self.reachable(d));
+                let held = since.is_some() && self.records[&id].state == SliceState::Degraded;
+                if held && control_up {
+                    self.set_state(&[id], SliceState::Active);
+                    restored.push(id);
+                    let line = format!("{id} restored: substrate fault cleared");
+                    self.note(now, "substrate", "substrate.restored", line);
                 }
             } else {
                 if !self.substrate_degraded.contains_key(&id) {
                     self.substrate_degraded.insert(id, now);
-                    self.metrics.counter("substrate.degraded").inc();
-                    self.events.log(
-                        now,
-                        "substrate",
-                        format!("{id} degraded: substrate fault not repairable"),
-                    );
+                    let line = format!("{id} degraded: substrate fault not repairable");
+                    self.note(now, "substrate", "substrate.degraded", line);
                 }
                 if self.records[&id].state == SliceState::Active {
-                    self.records
-                        .get_mut(&id)
-                        .expect("checked above")
-                        .transition(SliceState::Degraded)
-                        .expect("active→degraded");
+                    self.set_state(&[id], SliceState::Degraded);
                     degraded.push(id);
                 }
             }
@@ -285,29 +179,87 @@ impl Orchestrator {
             .set(self.substrate_down.len() as f64);
     }
 
-    // ---- fault injection ----------------------------------------------------
+    /// Assess one live slice's three legs and repair each broken one, in
+    /// priority order: transport reroute via the virtual-release machinery,
+    /// cell re-attach, vEPC re-placement. Returns `(impacted, healthy)`:
+    /// whether any leg was broken, and whether none still is.
+    fn repair_legs(&mut self, now: SimTime, id: SliceId) -> (bool, bool) {
+        let mut healthy = true;
 
-    /// Fault injection: degrade a transport link to `factor` of nominal
-    /// capacity *without* triggering the orchestrator's reroute reaction.
-    /// Returns the slices left oversubscribed. Experiments use this to
-    /// measure the counterfactual where no µwave fallback exists.
-    pub fn inject_link_degradation(
-        &mut self,
-        link: ovnes_model::LinkId,
-        factor: f64,
-    ) -> Vec<SliceId> {
-        self.transport.degrade_link(link, factor)
+        // Transport: a reservation crossing a dead link. Mass reroute
+        // through the virtual-release machinery; dead links are rejected
+        // during cache revalidation and fresh searches alike.
+        let path_dead = self
+            .transport
+            .reservation(id)
+            .is_some_and(|r| r.path.links.iter().any(|&l| !self.transport.link_is_up(l)));
+        if path_dead {
+            if self.transport.reroute(id) == Ok(true) {
+                let line = format!("{id} rerouted around a dead link");
+                self.note(now, "substrate", "substrate.reroutes", line);
+            } else {
+                healthy = false;
+            }
+        }
+
+        // RAN: the serving cell is down. Re-attach the slice's PLMN to the
+        // best surviving cell that fits its reservation.
+        let cell_dead = self
+            .ran
+            .placement(id)
+            .is_some_and(|enb| !self.ran.cell_is_up(enb));
+        if cell_dead {
+            match self.ran.reattach(id) {
+                Ok(target) => {
+                    if let Some(p) = self.placements.get_mut(&id) {
+                        p.enb = target;
+                    }
+                    let line = format!("{id} re-attached to surviving cell {target}");
+                    self.note(now, "substrate", "substrate.reattaches", line);
+                }
+                Err(_) => healthy = false,
+            }
+        }
+
+        // Cloud: the vEPC lost a VM to a host crash — or an earlier
+        // re-placement deleted the corpse and then found no capacity,
+        // leaving the slice with no stack at all.
+        let stack_bad = self
+            .cloud
+            .stack_for_slice(id)
+            .is_none_or(|stack| stack.state == StackState::Degraded);
+        if stack_bad {
+            match self.redeploy_vepc(now, id) {
+                Ok(stack) => {
+                    let (dc, boot) = (stack.dc, stack.deploy_time);
+                    let line = format!("{id} vEPC re-placed on {dc}; boots in {boot}");
+                    self.note(now, "substrate", "substrate.replacements", line);
+                }
+                Err(_) => healthy = false,
+            }
+        }
+        (path_dead || cell_dead || stack_bad, healthy)
     }
 
-    /// Fault injection: restore a previously degraded link.
-    pub fn restore_link(&mut self, link: ovnes_model::LinkId) {
-        self.transport.restore_link(link);
-    }
-
-    /// Ask the orchestrator to reroute one slice's transport path now
-    /// (operator action / fault recovery). Returns `true` if it moved.
-    pub fn reroute_slice(&mut self, slice: SliceId) -> bool {
-        self.transport.reroute(slice) == Ok(true)
+    /// Redeploy `id`'s vEPC at its original sizing — in place, or on a
+    /// same-kind DC when the stack is gone altogether. The fresh stack's
+    /// deploy time is a real service interruption, booked through
+    /// `epc_down_until`.
+    fn redeploy_vepc(&mut self, now: SimTime, id: SliceId) -> Result<DeployedStack, CloudError> {
+        let demand = self.records[&id].request.compute_demand();
+        let template = epc_template(id, &demand, &EpcSizing::default());
+        let stack = if self.cloud.stack_for_slice(id).is_some() {
+            self.cloud.redeploy_for_slice(id, &template)?
+        } else {
+            let home = self.placements.get(&id).and_then(|p| self.cloud.dc(p.dc));
+            let target = home.and_then(|dc| self.cloud.find_dc(dc.kind(), &template));
+            let dc = target.ok_or_else(|| CloudError::PlacementFailed {
+                resource: "no capacity for redeploy".into(),
+            })?;
+            self.cloud.deploy(id, dc, &template)?
+        };
+        self.epc_down_until.insert(id, now + stack.deploy_time);
+        Ok(stack)
     }
 
     /// Fault injection: a compute host dies at `now`. Every slice whose
@@ -318,40 +270,26 @@ impl Orchestrator {
     pub fn inject_host_failure(
         &mut self,
         now: SimTime,
-        dc: ovnes_model::DcId,
-        host: ovnes_model::HostId,
+        dc: DcId,
+        host: HostId,
     ) -> (Vec<SliceId>, Vec<SliceId>) {
-        let affected = self.cloud.fail_host(dc, host);
         let mut redeployed = Vec::new();
         let mut lost = Vec::new();
-        for slice in affected {
-            let Some(record) = self.records.get(&slice) else {
+        for slice in self.cloud.fail_host(dc, host) {
+            if !self.records.contains_key(&slice) {
                 continue;
-            };
-            let template = epc_template(
-                slice,
-                &record.request.compute_demand(),
-                &EpcSizing::default(),
-            );
-            match self.cloud.redeploy_for_slice(slice, &template) {
+            }
+            match self.redeploy_vepc(now, slice) {
                 Ok(stack) => {
-                    self.epc_down_until.insert(slice, now + stack.deploy_time);
-                    self.events.log(
-                        now,
-                        "cloud",
-                        format!(
-                            "{slice} vEPC lost to host failure; redeployed in {} ({})",
-                            stack.deploy_time, stack.dc
-                        ),
-                    );
+                    let (dc, boot) = (stack.dc, stack.deploy_time);
+                    let line =
+                        format!("{slice} vEPC lost to host failure; redeployed in {boot} ({dc})");
+                    self.events.log(now, "cloud", line);
                     redeployed.push(slice);
                 }
                 Err(e) => {
-                    self.events.log(
-                        now,
-                        "cloud",
-                        format!("{slice} vEPC unrecoverable after host failure: {e}"),
-                    );
+                    let line = format!("{slice} vEPC unrecoverable after host failure: {e}");
+                    self.events.log(now, "cloud", line);
                     self.terminate(now, slice);
                     lost.push(slice);
                 }
@@ -361,7 +299,7 @@ impl Orchestrator {
     }
 
     /// Fault injection: return a failed compute host to service.
-    pub fn revive_host(&mut self, dc: ovnes_model::DcId, host: ovnes_model::HostId) {
+    pub fn revive_host(&mut self, dc: DcId, host: HostId) {
         self.cloud.revive_host(dc, host);
     }
 }

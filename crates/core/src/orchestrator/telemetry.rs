@@ -8,9 +8,18 @@ use ovnes_api::{decode, encode, MonitoringReport, Status};
 use ovnes_sim::SimTime;
 
 impl Orchestrator {
-    /// Phase 7: telemetry. Domain snapshots cross the JSON API boundary, as
-    /// the testbed's REST monitoring did; the gain series and the epoch's
-    /// control-plane call accounting are booked.
+    /// Count one occurrence under `counter` and put `line` on the
+    /// dashboard's event feed as `component` — the pair every lifecycle
+    /// and repair step books.
+    pub(super) fn note(&mut self, now: SimTime, component: &str, counter: &str, line: String) {
+        self.metrics.counter(counter).inc();
+        self.events.log(now, component, line);
+    }
+
+    /// Phase: telemetry. Domain snapshots cross the JSON API boundary, as
+    /// the testbed's REST monitoring did (reachable domains only; the
+    /// control plane draws from its fault and jitter streams); the gain
+    /// series and the epoch's control-plane call accounting are booked.
     pub(super) fn push_telemetry(
         &mut self,
         now: SimTime,
@@ -78,5 +87,4 @@ impl Orchestrator {
         }
         reports
     }
-
 }

@@ -214,7 +214,10 @@ fn terminate_refunds_and_frees() {
     assert_eq!(o.record(id).unwrap().state, SliceState::Terminated);
     assert_eq!(o.transport().snapshot().paths, 0);
     // A termination is not an expiry.
-    assert_eq!(o.metrics().counter_value("orchestrator.terminated"), Some(1));
+    assert_eq!(
+        o.metrics().counter_value("orchestrator.terminated"),
+        Some(1)
+    );
     assert_eq!(o.metrics().counter_value("orchestrator.expired"), None);
     // Refund is half the price (±epoch rounding).
     let net = o.ledger().net().as_f64();
@@ -362,7 +365,7 @@ fn detaching_a_ue_evicts_its_fairness_state() {
     let fleet = o.ue_count(id);
     assert_eq!(fleet, 4, "default ues_per_slice");
     assert_eq!(o.pf_tracked(id), fleet, "PF tracks the whole fleet");
-    let victim = o.sim_state.get(&id).unwrap().ues.ids()[0];
+    let victim = o.sim_state.get(&id).unwrap().durable.ues.ids()[0];
     assert!(o.detach_ue(id, victim));
     assert!(!o.detach_ue(id, victim), "already detached");
     assert_eq!(o.ue_count(id), fleet - 1);
@@ -558,27 +561,27 @@ fn health_machine_classifies_outages_with_hysteresis() {
     for e in 1..=4 {
         o.run_epoch(minute(e));
     }
-    assert_eq!(o.domain_health("ran").unwrap().state, HealthState::Up);
+    assert_eq!(o.supervision()["ran"].state, HealthState::Up);
 
     // First failed probe: Suspect, not yet Down.
     o.run_epoch(minute(5));
-    assert_eq!(o.domain_health("ran").unwrap().state, HealthState::Suspect);
+    assert_eq!(o.supervision()["ran"].state, HealthState::Suspect);
     assert_eq!(o.metrics().counter_value("supervise.suspects"), Some(1));
     assert_eq!(o.metrics().counter_value("supervise.downs"), None);
 
     // Second consecutive failure confirms the outage.
     o.run_epoch(minute(6));
-    assert_eq!(o.domain_health("ran").unwrap().state, HealthState::Down);
+    assert_eq!(o.supervision()["ran"].state, HealthState::Down);
     assert_eq!(o.metrics().counter_value("supervise.downs"), Some(1));
 
     o.run_epoch(minute(7));
     o.run_epoch(minute(8));
-    assert_eq!(o.domain_health("ran").unwrap().state, HealthState::Down);
+    assert_eq!(o.supervision()["ran"].state, HealthState::Down);
 
     // First successful probe repairs; downtime spans from the first
     // failed probe (minute 5) to the recovery probe (minute 9).
     o.run_epoch(minute(9));
-    let health = o.domain_health("ran").unwrap();
+    let health = o.supervision()["ran"];
     assert_eq!(health.state, HealthState::Up);
     assert_eq!(health.incidents, 1);
     assert_eq!(health.repairs, 1);
@@ -588,11 +591,8 @@ fn health_machine_classifies_outages_with_hysteresis() {
     assert_eq!(ttr.values(), vec![240.0]);
 
     // The other two domains never left Up and booked nothing.
-    assert_eq!(
-        o.domain_health("transport").unwrap().state,
-        HealthState::Up
-    );
-    assert_eq!(o.domain_health("cloud").unwrap().incidents, 0);
+    assert_eq!(o.supervision()["transport"].state, HealthState::Up);
+    assert_eq!(o.supervision()["cloud"].incidents, 0);
 }
 
 #[test]
@@ -651,7 +651,9 @@ fn restored_orchestrator_tracks_exactly_the_known_domains() {
     o.run_epoch(minute(1));
     let mut state = o.export_state();
     state.supervision.remove("ran");
-    state.supervision.insert("atm".into(), DomainHealth::default());
+    state
+        .supervision
+        .insert("atm".into(), DomainHealth::default());
     let mut restored = Orchestrator::from_state(&state);
     let tracked: Vec<&str> = restored.supervision().keys().map(String::as_str).collect();
     let mut known = DOMAINS.to_vec();

@@ -22,6 +22,7 @@
 //! world blob differs".
 
 use crate::federation::FederationState;
+use crate::orchestrator::section_of;
 use crate::scenario::ScenarioState;
 use ovnes_api::{
     replay_bisect as api_replay_bisect, Divergence, SnapshotError, SnapshotManifest, SnapshotStore,
@@ -32,27 +33,6 @@ use std::path::PathBuf;
 
 /// Sections stored directly from the top level of [`ScenarioState`].
 const TOP_SECTIONS: [&str; 3] = ["config", "generator", "cursor"];
-
-/// The section a field of the orchestrator state belongs to. Unlisted
-/// fields (including any added later) fall into the `orchestrator`
-/// catch-all, so a new field can never be silently dropped from snapshots.
-fn section_of(field: &str) -> &'static str {
-    match field {
-        "ran" => "ran",
-        "transport" => "transport",
-        "cloud" => "cloud",
-        "engine" => "forecast",
-        "control" => "control",
-        "sla" => "sla",
-        "metrics" | "events" => "telemetry",
-        "rng" => "rng",
-        "records" | "placements" | "pending" | "ready_at" | "epc_down_until" | "timelines"
-        | "pf" | "sim_state" | "free_plmns" | "next_plmn" | "ids" | "ue_ids" => "slices",
-        "weather" | "weather_rng" | "last_sky" | "substrate_plan" | "substrate_down"
-        | "substrate_degraded" => "environment",
-        _ => "orchestrator",
-    }
-}
 
 /// Split a scenario state into named section blobs.
 ///

@@ -364,7 +364,7 @@ impl DashboardView {
             Align::Right,
         ]);
         for domain in DOMAINS {
-            if let Some(h) = o.domain_health(domain) {
+            if let Some(h) = o.supervision().get(domain) {
                 t.row(&[
                     domain.to_string(),
                     h.state.to_string(),

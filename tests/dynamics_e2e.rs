@@ -70,14 +70,15 @@ fn injected_fade_caps_throughput_and_reroute_recovers() {
     // Blackout-grade fade: 1000 → 10 Mbps under 25 reserved per link.
     let mut affected = Vec::new();
     for &mm in &mm_links {
-        affected.extend(o.inject_link_degradation(mm, 0.01));
+        affected.extend(o.transport_mut().degrade_link(mm, 0.01));
     }
     assert!(!affected.is_empty(), "links were oversubscribed");
     for slice in &affected {
         // Before reroute, the slice's deliverable share is cut hard.
         let share = o.transport().capacity_share(*slice).unwrap();
         assert!(share < 0.5, "{slice} share {share}");
-        assert!(o.reroute_slice(*slice), "µwave has room for {slice}");
+        let moved = o.transport_mut().reroute(*slice);
+        assert_eq!(moved, Ok(true), "µwave has room for {slice}");
     }
     let report = o.run_epoch(minutes(2));
     // After rerouting, the fade caps nobody; any violation left is radio
@@ -89,7 +90,7 @@ fn injected_fade_caps_throughput_and_reroute_recovers() {
         }
     }
     for &mm in &mm_links {
-        o.restore_link(mm);
+        o.transport_mut().restore_link(mm);
     }
 }
 

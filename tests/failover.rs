@@ -28,7 +28,7 @@ fn unsupervised_outage_walks_the_health_machine() {
     }
     for domain in DOMAINS {
         assert_eq!(
-            s.orchestrator().domain_health(domain).unwrap().state,
+            s.orchestrator().supervision()[domain].state,
             HealthState::Up
         );
     }
@@ -42,11 +42,11 @@ fn unsupervised_outage_walks_the_health_machine() {
     // One failed probe suspects, a second declares the domain down.
     assert!(s.step_epoch());
     assert_eq!(
-        s.orchestrator().domain_health("ran").unwrap().state,
+        s.orchestrator().supervision()["ran"].state,
         HealthState::Suspect
     );
     assert!(s.step_epoch());
-    let health = *s.orchestrator().domain_health("ran").unwrap();
+    let health = s.orchestrator().supervision()["ran"];
     assert_eq!(health.state, HealthState::Down);
     assert_eq!(health.incidents, 1);
 
@@ -56,7 +56,7 @@ fn unsupervised_outage_walks_the_health_machine() {
     // The next successful probe books the repair: two minutes of downtime
     // from the first failed probe to the recovering one.
     assert!(s.step_epoch());
-    let health = *s.orchestrator().domain_health("ran").unwrap();
+    let health = s.orchestrator().supervision()["ran"];
     assert_eq!(health.state, HealthState::Up);
     assert_eq!(health.repairs, 1);
     assert_eq!(health.failed_probes, 2);
