@@ -2,7 +2,8 @@
 //!
 //! The repo's oracles all have one shape: run two configurations, compare
 //! the run summary, the rendered dashboard, the monitoring JSON and the
-//! orchestrator's metric registry byte for byte. A [`Cell`] names a configuration along the axes the suites vary,
+//! orchestrator's metric registry byte for byte. A [`Cell`] names a
+//! configuration along the axes the suites vary,
 //! [`observe`] is the only code that builds the world, installs the plans,
 //! sockets and supervisor, cuts and restores, and pins the workers while
 //! the epochs run; [`Observed`] is those artefacts as bytes and
@@ -397,7 +398,13 @@ fn differ(what: &str, a: &[String], b: &[String]) -> Option<String> {
     let i = a.iter().zip(b).position(|(x, y)| x != y)?;
     let (x, y) = (a[i].lines().zip(b[i].lines()).find(|(x, y)| x != y))
         .unwrap_or((a[i].as_str(), b[i].as_str()));
-    Some(format!("{what} {i}:\n  reference: {x}\n  variant:   {y}"))
+    // A registry's JSON is one long line: show the neighbourhood of the
+    // first differing byte, not all of it.
+    let at = x.bytes().zip(y.bytes()).position(|(p, q)| p != q);
+    let lo = at.unwrap_or(x.len().min(y.len())).saturating_sub(120);
+    let near = |s: &str| s.get(lo..).map_or(s, |t| t.get(..240).unwrap_or(t)).to_owned();
+    let (x, y) = (near(x), near(y));
+    Some(format!("{what} {i}, byte {lo}:\n  reference: {x}\n  variant:   {y}"))
 }
 
 /// What proves a cell's perturbation happened: counters that must move (or
@@ -595,12 +602,11 @@ pub fn observe_with(cell: &Cell, on_sockets_up: impl FnOnce(&[RpcServer])) -> (O
         witness.control_retries += counter(o, "control.retries");
         witness.element_failures += counter(o, "substrate.element_failures");
         witness.weather_reroutes += counter(o, "orchestrator.weather_reroutes");
-        witness.fairness_samples += (o.records())
-            .filter_map(|r| {
-                let name = format!("orchestrator.{}.ue_fairness", r.id);
-                o.metrics().series_ref(&name).map(|s| s.len() as u64)
-            })
-            .sum::<u64>();
+        for record in o.records() {
+            let name = format!("orchestrator.{}.ue_fairness", record.id);
+            let series = o.metrics().series_ref(&name);
+            witness.fairness_samples += series.map_or(0, |s| s.len() as u64);
+        }
         let cache = o.transport().route_cache().stats();
         witness.route_cache_queries += cache.hits + cache.misses;
         witness.stale_rejections += o.control().stale_rejections();

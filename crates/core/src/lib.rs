@@ -20,7 +20,12 @@
 //! * [`sla`] — per-epoch SLA monitoring and penalty accounting (the
 //!   dashboard's "gains vs. penalties").
 //! * [`orchestrator`] — the event-driven composition of all of the above
-//!   over the three domain controllers.
+//!   over the three domain controllers. A directory module: `run_epoch` is
+//!   a list of phases, each in the file of its kind — `admission` (submit,
+//!   batch, activate, expire, teardown), `health` (probes, reachability),
+//!   `substrate` (weather, self-healing, host failures), `dataplane`
+//!   (sampling, RAN epoch, SLA, forecaster feed), `reconfigure`,
+//!   `telemetry` (series, monitoring push), `state` (checkpoint/restore).
 //! * [`control`] — the survivable REST boundary: health probes, monitoring
 //!   pushes, retry/backoff, and deterministic fault injection — over the
 //!   one [`ControlTransport`](ovnes_api::ControlTransport) seam: in-process

@@ -5,7 +5,6 @@
 // names the same types the parent module already imports.
 use super::*;
 use crate::control::DOMAINS;
-use crate::lifecycle::SliceRecord;
 use ovnes_forecast::TraceGenerator;
 use ovnes_ran::UePopulation;
 

@@ -10,6 +10,7 @@ use ovnes_cloud::{epc_template, CloudError, DeployedStack, EpcSizing, StackState
 use ovnes_model::{DcId, HostId, SliceId};
 use ovnes_sim::SimTime;
 use ovnes_transport::{Sky, WeatherProcess};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeSet;
 
 impl Orchestrator {
@@ -163,8 +164,8 @@ impl Orchestrator {
                     self.note(now, "substrate", "substrate.restored", line);
                 }
             } else {
-                if !self.substrate_degraded.contains_key(&id) {
-                    self.substrate_degraded.insert(id, now);
+                if let Entry::Vacant(first_seen) = self.substrate_degraded.entry(id) {
+                    first_seen.insert(now);
                     let line = format!("{id} degraded: substrate fault not repairable");
                     self.note(now, "substrate", "substrate.degraded", line);
                 }

@@ -74,8 +74,9 @@ impl Gauge {
 /// Rolling aggregates of a [`TimeSeries`], maintained incrementally at
 /// `record()` time so the accessors are O(1).
 ///
-/// Every field replicates the left-to-right fold of the corresponding scan
-/// (`scan_mean` etc.) exactly, so reads are bit-identical to rescanning.
+/// Every field replicates the left-to-right fold of the corresponding full
+/// scan (the reference twins in this module's tests) exactly, so reads are
+/// bit-identical to rescanning.
 /// Eviction from a capacity-limited series cannot be folded incrementally
 /// without changing float associativity, so it invalidates the cache; the
 /// next read rebuilds it with the reference scan.
@@ -96,7 +97,7 @@ struct Aggregates {
 ///
 /// `mean`/`max`/`min`/`time_weighted_mean` are O(1): they read rolling
 /// [`Aggregates`] kept up to date by `record()` (lazily rebuilt after an
-/// eviction), and always return the same bits as the `scan_*` references.
+/// eviction), and always return the same bits as a full scan would.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
@@ -197,7 +198,7 @@ impl TimeSeries {
         }
     }
 
-    /// Rolling aggregates, rebuilt by the reference scans when cold.
+    /// Rolling aggregates, rebuilt by one full scan when cold.
     /// `None` when the series is empty.
     fn aggregates(&self) -> Option<Aggregates> {
         if self.points.is_empty() {
@@ -213,10 +214,12 @@ impl TimeSeries {
             weighted += pair[0].1 * dt;
             dt_total += dt;
         }
+        let values = || self.points.iter().map(|&(_, v)| v);
+        let first = self.points[0].1;
         let agg = Aggregates {
-            sum: self.points.iter().map(|&(_, v)| v).sum::<f64>(),
-            min: self.scan_min().expect("non-empty"),
-            max: self.scan_max().expect("non-empty"),
+            sum: values().sum::<f64>(),
+            min: values().fold(first, f64::min),
+            max: values().fold(first, f64::max),
             weighted,
             dt_total,
         };
@@ -281,50 +284,6 @@ impl TimeSeries {
             return self.mean();
         }
         Some(agg.weighted / agg.dt_total)
-    }
-
-    /// Reference full-scan mean — the pre-aggregate implementation, kept as
-    /// the oracle the O(1) path is tested against.
-    pub fn scan_mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-    }
-
-    /// Reference full-scan maximum (oracle for [`TimeSeries::max`]).
-    pub fn scan_max(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Reference full-scan minimum (oracle for [`TimeSeries::min`]).
-    pub fn scan_min(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// Reference full-scan time-weighted mean (oracle for
-    /// [`TimeSeries::time_weighted_mean`]).
-    pub fn scan_time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for pair in self.points.windows(2) {
-            let dt = (pair[1].0 - pair[0].0).as_micros() as f64;
-            weighted += pair[0].1 * dt;
-            total += dt;
-        }
-        if total == 0.0 {
-            return self.scan_mean();
-        }
-        Some(weighted / total)
     }
 }
 
@@ -599,6 +558,54 @@ impl fmt::Display for MetricRegistry {
 mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
+
+    /// The pre-aggregate implementations: one full scan per read. Kept as
+    /// the oracles the O(1) accessors are tested against.
+    impl TimeSeries {
+        /// Reference full-scan mean — the pre-aggregate implementation, kept as
+        /// the oracle the O(1) path is tested against.
+        fn scan_mean(&self) -> Option<f64> {
+            if self.points.is_empty() {
+                return None;
+            }
+            Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
+        }
+
+        /// Reference full-scan maximum (oracle for [`TimeSeries::max`]).
+        fn scan_max(&self) -> Option<f64> {
+            self.points
+                .iter()
+                .map(|&(_, v)| v)
+                .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
+        }
+
+        /// Reference full-scan minimum (oracle for [`TimeSeries::min`]).
+        fn scan_min(&self) -> Option<f64> {
+            self.points
+                .iter()
+                .map(|&(_, v)| v)
+                .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
+        }
+
+        /// Reference full-scan time-weighted mean (oracle for
+        /// [`TimeSeries::time_weighted_mean`]).
+        fn scan_time_weighted_mean(&self) -> Option<f64> {
+            if self.points.len() < 2 {
+                return None;
+            }
+            let mut weighted = 0.0;
+            let mut total = 0.0;
+            for pair in self.points.windows(2) {
+                let dt = (pair[1].0 - pair[0].0).as_micros() as f64;
+                weighted += pair[0].1 * dt;
+                total += dt;
+            }
+            if total == 0.0 {
+                return self.scan_mean();
+            }
+            Some(weighted / total)
+        }
+    }
 
     #[test]
     fn counter_accumulates() {

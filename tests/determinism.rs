@@ -39,33 +39,38 @@ fn different_seeds_diverge() {
 
 #[test]
 fn rolling_aggregates_match_scan_reference() {
-    // Every TimeSeries keeps O(1) rolling aggregates; the full-scan
-    // reference implementations stay in the tree as oracles. After a real
-    // scenario, both views must agree bit-for-bit on every series in every
-    // domain registry and every per-slice timeline.
+    // Every TimeSeries keeps O(1) rolling aggregates. After a real scenario
+    // they must agree bit-for-bit with one full left-to-right scan of
+    // `points()` (the same folds as `sim::metrics::tests`' `scan_*` twins),
+    // on every series in every domain registry and every per-slice timeline.
     let mut s = DemoScenario::build(config(888));
     s.run();
     let orch = s.orchestrator();
     let mut checked = 0usize;
     let mut check = |name: &str, series: &ovnes_sim::TimeSeries| {
+        let points = series.points();
+        let values = || points.iter().map(|&(_, v)| v);
+        let scan_mean = (!points.is_empty()).then(|| values().sum::<f64>() / points.len() as f64);
+        let scan_max = values().fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))));
+        let scan_min = values().fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))));
+        let (mut weighted, mut total) = (0.0, 0.0);
+        for pair in points.windows(2) {
+            let dt = (pair[1].0 - pair[0].0).as_micros() as f64;
+            weighted += pair[0].1 * dt;
+            total += dt;
+        }
+        let scan_time_weighted_mean = match points.len() {
+            0 | 1 => None,
+            _ if total == 0.0 => scan_mean,
+            _ => Some(weighted / total),
+        };
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        assert_eq!(bits(series.mean()), bits(scan_mean), "{name} mean");
+        assert_eq!(bits(series.max()), bits(scan_max), "{name} max");
+        assert_eq!(bits(series.min()), bits(scan_min), "{name} min");
         assert_eq!(
-            series.mean().map(f64::to_bits),
-            series.scan_mean().map(f64::to_bits),
-            "{name} mean"
-        );
-        assert_eq!(
-            series.max().map(f64::to_bits),
-            series.scan_max().map(f64::to_bits),
-            "{name} max"
-        );
-        assert_eq!(
-            series.min().map(f64::to_bits),
-            series.scan_min().map(f64::to_bits),
-            "{name} min"
-        );
-        assert_eq!(
-            series.time_weighted_mean().map(f64::to_bits),
-            series.scan_time_weighted_mean().map(f64::to_bits),
+            bits(series.time_weighted_mean()),
+            bits(scan_time_weighted_mean),
             "{name} time_weighted_mean"
         );
         checked += 1;
