@@ -27,7 +27,7 @@ fn health_handler(req: Request) -> Response {
 /// The canonical `{domain}/monitoring` handler: acknowledge by echoing the
 /// posted report (so the payload demonstrably survived the wire).
 fn monitoring_echo_handler(req: Request) -> Response {
-    Response::ok(req.id, req.body)
+    Response::ok(req.id, req.body.0)
 }
 
 /// Register the control-plane surface (`{domain}/health`,

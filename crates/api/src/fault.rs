@@ -313,11 +313,11 @@ impl FaultInjector {
         let mut response = bus.call(endpoint, body).map_err(bus_failure)?;
         if faults.corrupt_prob > 0.0 && self.rng.chance(faults.corrupt_prob) {
             stats.corruptions += 1;
-            if response.body.is_empty() {
-                response.body.push(0xFF);
+            if response.body.0.is_empty() {
+                response.body.0.push(0xFF);
             } else {
-                let i = self.rng.uniform_usize(0, response.body.len());
-                response.body[i] ^= 0xFF;
+                let i = self.rng.uniform_usize(0, response.body.0.len());
+                response.body.0[i] ^= 0xFF;
             }
         }
         Ok((response, latency))
@@ -557,7 +557,7 @@ mod tests {
 
     fn echo_bus() -> ControlTransport {
         let mut bus = MessageBus::new();
-        bus.register("echo", |req| Response::ok(req.id, req.body));
+        bus.register("echo", |req| Response::ok(req.id, req.body.0));
         ControlTransport::InProcess(bus)
     }
 
@@ -669,11 +669,11 @@ mod tests {
             .call(&mut bus, SimTime::ZERO, "echo", b"payload".to_vec())
             .unwrap();
         assert_eq!(resp.status, Status::Ok);
-        assert_ne!(resp.body, b"payload", "exactly one byte flipped");
-        assert_eq!(resp.body.len(), b"payload".len());
+        assert_ne!(resp.body.0, b"payload", "exactly one byte flipped");
+        assert_eq!(resp.body.0.len(), b"payload".len());
         // Empty bodies still end up visibly corrupt.
         let (resp, _) = inj.call(&mut bus, SimTime::ZERO, "echo", vec![]).unwrap();
-        assert_eq!(resp.body, vec![0xFF]);
+        assert_eq!(resp.body.0, vec![0xFF]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub mod transport;
 pub use bus::{BusError, BusState, MessageBus};
 pub use codec::{decode, encode, CodecError, WIRE_VERSION};
 pub use domain::{register_control_endpoints, serve_control, serve_control_incarnation};
-pub use envelope::{Request, Response, Status};
+pub use envelope::{Body, Request, Response, Status};
 pub use fault::{
     CallFailure, CrashEvent, CrashPlan, EndpointFaults, EndpointStats, FaultInjector, FaultPlan,
     ProcessFault, RetryPolicy,

@@ -12,6 +12,8 @@
 //!   reject oversized frames before allocating ([`MAX_FRAME_BYTES`]), and
 //!   keeps the payload format identical to the in-process bus (the same
 //!   [`Request`]/[`Response`] envelopes, the same [`crate::codec`] bodies).
+//!   A body is one base64 string inside its envelope ([`Body`]), so the
+//!   largest body a frame holds is ≈ 12 MiB (3⁄4 of the cap).
 //! * **[`Router`] / [`RpcServer`]** — a server task: an accept loop plus a
 //!   thread per connection, dispatching [`WireFrame::Request`] frames to
 //!   registered handlers behind a mutex (controllers are stateful; calls
@@ -37,8 +39,8 @@
 //!   minimum acceptable term ([`SocketBus::fence`]) and rejects anything
 //!   older, so a zombie connection into a crashed-and-replaced server can
 //!   never be believed.
-//! * **Survivable clients** — connects and reads run under wall-clock
-//!   deadlines ([`BusDeadlines`], surfaced as
+//! * **Survivable clients** — connects, reads and writes run under
+//!   wall-clock deadlines ([`BusDeadlines`], surfaced as
 //!   [`BusError::Deadline`](crate::bus::BusError::Deadline)), and redials
 //!   of a dead address back off on a seeded [`RetryPolicy`] schedule
 //!   instead of storming the socket.
@@ -46,7 +48,7 @@
 //! [`FaultInjector`]: crate::fault::FaultInjector
 
 use crate::bus::{BusError, BusState};
-use crate::envelope::{Request, Response, Status};
+use crate::envelope::{Body, Request, Response, Status};
 use crate::fault::RetryPolicy;
 use ovnes_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -59,8 +61,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Hard cap on a single frame's payload size. Large enough for any
-/// monitoring report the repo produces, small enough that a corrupt or
-/// hostile length prefix cannot trigger a giant allocation.
+/// monitoring report the repo produces (a body of up to ≈ 12 MiB: the
+/// envelope spells it in base64, 4 characters per 3 bytes), small enough
+/// that a corrupt or hostile length prefix cannot trigger a giant
+/// allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// Everything that can travel on an RPC connection, in both directions.
@@ -94,7 +98,7 @@ pub enum WireFrame {
         /// The topic this body was published under.
         topic: String,
         /// The monitoring report bytes, exactly as posted.
-        body: Vec<u8>,
+        body: Body,
     },
     /// Client → server chaos directive: close this connection immediately
     /// without replying. Lets a deterministic fault plan realize a decided
@@ -484,7 +488,8 @@ fn serve_connection(
                 }
                 stats.requests.fetch_add(1, Ordering::Relaxed);
                 let endpoint = req.endpoint.clone();
-                let report = req.body.clone();
+                // The fan-out copy: only monitoring posts are published.
+                let report = endpoint.ends_with("/monitoring").then(|| req.body.clone());
                 let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     lock(&router).dispatch(req)
                 }));
@@ -500,8 +505,8 @@ fn serve_connection(
                 }
                 // Monitoring posts fan out to subscribers after the ack, so
                 // a push is only ever observed for an accepted report.
-                if delivered && endpoint.ends_with("/monitoring") {
-                    publish(&subscribers, &stats, &endpoint, &report);
+                if let Some(body) = report.filter(|_| delivered) {
+                    publish(&subscribers, &stats, &endpoint, body);
                 }
             }
             WireFrame::Subscribe { id, topic } => {
@@ -532,16 +537,25 @@ fn serve_connection(
     }
 }
 
-fn publish(subscribers: &Subscribers, stats: &StatsInner, topic: &str, body: &[u8]) {
-    lock(subscribers).retain(|sub| {
+/// Push `body` to every subscriber of `topic`: one frame, serialized once
+/// (and only if somebody listens), written to each.
+fn publish(subscribers: &Subscribers, stats: &StatsInner, topic: &str, body: Body) {
+    let mut subscribers = lock(subscribers);
+    if !subscribers.iter().any(|sub| sub.topic == topic) {
+        return;
+    }
+    let push = WireFrame::Push {
+        topic: topic.to_owned(),
+        body,
+    };
+    let Ok(frame) = serde_json::to_vec(&push) else {
+        return;
+    };
+    subscribers.retain(|sub| {
         if sub.topic != topic {
             return true;
         }
-        let frame = WireFrame::Push {
-            topic: topic.to_owned(),
-            body: body.to_vec(),
-        };
-        match write_frame(&mut *lock(&sub.writer), &frame) {
+        match write_frame_bytes(&mut *lock(&sub.writer), &frame) {
             Ok(()) => {
                 stats.pushes.fetch_add(1, Ordering::Relaxed);
                 true
@@ -555,15 +569,17 @@ fn publish(subscribers: &Subscribers, stats: &StatsInner, topic: &str, body: &[u
 /// Wall-clock deadlines bounding the socket client's blocking operations.
 ///
 /// A hung server (process alive, dispatch stalled) used to stall the whole
-/// control plane on a read that never returned. With deadlines, a connect
-/// or read that exceeds its bound surfaces as
-/// [`BusError::Deadline`](crate::bus::BusError::Deadline) — a bounded,
-/// accounted delay instead of a forever-stall.
+/// control plane on a read that never returned — or, once both socket
+/// buffers were full of frames nobody drained, on a write that never
+/// did. With deadlines, a connect, read or write that exceeds its bound
+/// surfaces as [`BusError::Deadline`](crate::bus::BusError::Deadline) — a
+/// bounded, accounted delay instead of a forever-stall.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BusDeadlines {
     /// Deadline on establishing a connection.
     pub connect: Duration,
-    /// Deadline on waiting for a response frame.
+    /// Deadline on waiting for a response frame, and on each blocked
+    /// write of a request frame.
     pub read: Duration,
 }
 
@@ -589,13 +605,25 @@ fn domain_of(endpoint: &str) -> &str {
     endpoint.split('/').next().unwrap_or(endpoint)
 }
 
-/// True for the error kinds a `connect_timeout`/`set_read_timeout` expiry
-/// produces (platform-dependently one or the other).
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
+/// The bus error for a failed socket operation on `what`: an expired
+/// connect/read/write deadline (platform-dependently `WouldBlock` or
+/// `TimedOut`) is a [`BusError::Deadline`], anything else a
+/// [`BusError::Transport`].
+fn io_failure(what: &str, e: &io::Error) -> BusError {
+    if matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
+    ) {
+        BusError::Deadline(format!("{what}: {e}"))
+    } else {
+        BusError::Transport(format!("{what}: {e}"))
+    }
+}
+
+/// The slot error of a pipelined request whose connection went away with
+/// its answer still owed.
+fn lost_before_response(endpoint: &str) -> BusError {
+    BusError::Transport(format!("{endpoint}: connection lost before response"))
 }
 
 /// The socket client: the same call surface and accounting contract as the
@@ -707,6 +735,7 @@ impl SocketBus {
             Ok(stream) => {
                 stream.set_nodelay(true).ok();
                 stream.set_read_timeout(Some(self.deadlines.read)).ok();
+                stream.set_write_timeout(Some(self.deadlines.read)).ok();
                 self.backoff.remove(&addr);
                 self.conns.insert(addr, stream);
                 Ok(())
@@ -724,11 +753,7 @@ impl SocketBus {
                         retry_at: Instant::now() + Duration::from_secs_f64(wait.as_secs_f64()),
                     },
                 );
-                if is_timeout(&e) {
-                    Err(BusError::Deadline(format!("connect {addr}: {e}")))
-                } else {
-                    Err(BusError::Transport(format!("connect {addr}: {e}")))
-                }
+                Err(io_failure(&format!("connect {addr}"), &e))
             }
         }
     }
@@ -772,11 +797,7 @@ impl SocketBus {
             }
             Err(e) => {
                 self.conns.remove(&addr);
-                if is_timeout(&e) {
-                    Err(BusError::Deadline(format!("{endpoint}: {e}")))
-                } else {
-                    Err(BusError::Transport(format!("{endpoint}: {e}")))
-                }
+                Err(io_failure(endpoint, &e))
             }
         }
     }
@@ -791,7 +812,7 @@ impl SocketBus {
             WireFrame::Request(Request {
                 id,
                 endpoint: endpoint.to_owned(),
-                body,
+                body: Body(body),
             })
         })?;
         *self
@@ -806,6 +827,12 @@ impl SocketBus {
     /// in order (ids ascend in call order); responses are demultiplexed by
     /// correlation id per connection. One failed slot does not fail the
     /// batch.
+    ///
+    /// Nothing is read while the batch is written, so a batch whose
+    /// answers outgrow the socket buffers stalls both ends; the write
+    /// deadline ([`BusDeadlines::read`]) turns that stall into a failed
+    /// write, which abandons the connection, fails the slots in flight on
+    /// it, and lets the rest of the batch redial.
     ///
     /// Accounting: a pipelined request's id commits at *send* (it reached
     /// a server and will dispatch), and its served count at response
@@ -837,7 +864,7 @@ impl SocketBus {
             let frame = WireFrame::Request(Request {
                 id,
                 endpoint: endpoint.clone(),
-                body,
+                body: Body(body),
             });
             let stream = self.conns.get_mut(&addr).expect("ensured above");
             match write_frame(stream, &frame) {
@@ -849,8 +876,14 @@ impl SocketBus {
                         .insert(id, Pending { slot, endpoint });
                 }
                 Err(e) => {
+                    // A frame cut short desynchronizes the stream: the
+                    // connection goes, and with it every answer still owed
+                    // on it.
                     self.conns.remove(&addr);
-                    results[slot] = Some(Err(BusError::Transport(format!("{endpoint}: {e}"))));
+                    for (_, p) in per_addr.remove(&addr).unwrap_or_default() {
+                        results[p.slot] = Some(Err(lost_before_response(&p.endpoint)));
+                    }
+                    results[slot] = Some(Err(io_failure(&endpoint, &e)));
                 }
             }
         }
@@ -867,7 +900,7 @@ impl SocketBus {
                     break;
                 };
                 match read_frame(stream) {
-                    Ok(WireFrame::Push { topic, body }) => pushed.push((topic, body)),
+                    Ok(WireFrame::Push { topic, body }) => pushed.push((topic, body.0)),
                     Ok(WireFrame::Response { term, response }) => {
                         let Some(p) = pending.remove(&response.id) else {
                             // A response nobody asked for: the stream is
@@ -903,10 +936,7 @@ impl SocketBus {
                 }
             }
             for (_, p) in pending {
-                results[p.slot] = Some(Err(BusError::Transport(format!(
-                    "{}: connection lost before response",
-                    p.endpoint
-                ))));
+                results[p.slot] = Some(Err(lost_before_response(&p.endpoint)));
             }
         }
 
@@ -1000,7 +1030,7 @@ fn exchange(
     write_frame(stream, frame)?;
     loop {
         match read_frame(stream)? {
-            WireFrame::Push { topic, body } => pushed.push((topic, body)),
+            WireFrame::Push { topic, body } => pushed.push((topic, body.0)),
             WireFrame::Response { term, response } if response.id == want_id => {
                 return Ok((term, response))
             }
@@ -1021,7 +1051,7 @@ mod tests {
 
     fn echo_server() -> RpcServer {
         let mut router = Router::new();
-        router.register("echo", |req: Request| Response::ok(req.id, req.body));
+        router.register("echo", |req: Request| Response::ok(req.id, req.body.0));
         register_control_endpoints(&mut router, "ran");
         RpcServer::spawn(router).expect("bind loopback")
     }
@@ -1061,7 +1091,7 @@ mod tests {
         bus.attach(&server);
         let resp = bus.call("echo", b"over tcp".to_vec()).unwrap();
         assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.body, b"over tcp");
+        assert_eq!(resp.body.0, b"over tcp");
         assert_eq!(resp.id, 0);
         assert_eq!(bus.served("echo"), 1);
         assert!(server.stats().connections >= 1);
@@ -1093,7 +1123,7 @@ mod tests {
         assert_eq!(results.len(), 32);
         for (i, r) in results.into_iter().enumerate() {
             let resp = r.unwrap();
-            assert_eq!(resp.body, vec![i as u8]);
+            assert_eq!(resp.body.0, vec![i as u8]);
             assert_eq!(resp.id, i as u64);
         }
         assert_eq!(bus.served("echo"), 32);
@@ -1109,9 +1139,9 @@ mod tests {
             ("nowhere".to_owned(), vec![]),
             ("echo".to_owned(), b"b".to_vec()),
         ]);
-        assert_eq!(results[0].as_ref().unwrap().body, b"a");
+        assert_eq!(results[0].as_ref().unwrap().body.0, b"a");
         assert!(matches!(results[1], Err(BusError::NoSuchEndpoint(_))));
-        assert_eq!(results[2].as_ref().unwrap().body, b"b");
+        assert_eq!(results[2].as_ref().unwrap().body.0, b"b");
     }
 
     #[test]
@@ -1124,6 +1154,9 @@ mod tests {
         let mut poster = SocketBus::new();
         poster.attach(&server);
         poster.call("ran/monitoring", b"report-1".to_vec()).unwrap();
+        // The server publishes after the ack, on the poster's connection
+        // thread: once that thread answers again, the push is written.
+        poster.call("ran/health", vec![]).unwrap();
 
         // The push lands on the subscriber's connection; a call drains it.
         let resp = subscriber.call("ran/health", vec![]).unwrap();
@@ -1153,7 +1186,7 @@ mod tests {
         // The connection really died: the next call transparently
         // reconnects (a new accepted connection on the server side).
         let resp = bus.call("echo", b"after".to_vec()).unwrap();
-        assert_eq!(resp.body, b"after");
+        assert_eq!(resp.body.0, b"after");
         assert!(server.stats().connections > conns_before);
     }
 
@@ -1180,7 +1213,7 @@ mod tests {
 
         for i in 0..100u8 {
             bus.realize_drop("echo");
-            assert_eq!(bus.call("echo", vec![i]).unwrap().body, vec![i]);
+            assert_eq!(bus.call("echo", vec![i]).unwrap().body.0, vec![i]);
         }
         assert_eq!(server.stats().chaos_resets, 101);
         // A connection thread takes its socket out of the table before it
@@ -1241,7 +1274,7 @@ mod tests {
             WireFrame::Request(Request {
                 id: 1,
                 endpoint: "e".into(),
-                body: vec![1, 2],
+                body: Body(vec![1, 2]),
             }),
             WireFrame::Response {
                 term: 7,
@@ -1253,7 +1286,7 @@ mod tests {
             },
             WireFrame::Push {
                 topic: "t".into(),
-                body: vec![4],
+                body: Body(vec![4]),
             },
             WireFrame::ChaosReset,
         ];
@@ -1317,7 +1350,45 @@ mod tests {
 
         server.resume();
         let resp = bus.call("echo", b"alive".to_vec()).unwrap();
-        assert_eq!(resp.body, b"alive");
+        assert_eq!(resp.body.0, b"alive");
+    }
+
+    #[test]
+    fn pipelined_large_echoes_end_in_a_deadline_not_a_deadlock() {
+        // Regression: the batch is written in full before anything is
+        // read, the server blocks writing echoes nobody drains, both socket
+        // buffers fill, and the client's `write_all` had no deadline — 4 ×
+        // 1 MiB to an echoing endpoint never returned.
+        let server = echo_server();
+        let mut bus = SocketBus::new();
+        bus.set_deadlines(BusDeadlines {
+            read: Duration::from_millis(250),
+            ..BusDeadlines::default()
+        });
+        bus.attach(&server);
+        let calls: Vec<(String, Vec<u8>)> = (0..16u8)
+            .map(|i| ("ran/monitoring".to_owned(), vec![i; 1 << 20]))
+            .collect();
+
+        let t0 = Instant::now();
+        let results = bus.call_pipelined(calls);
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the batch stalled for {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(results.len(), 16);
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(resp) => assert_eq!(resp.body.0, vec![i as u8; 1 << 20], "slot {i}"),
+                Err(BusError::Deadline(_) | BusError::Transport(_)) => {}
+                Err(other) => panic!("slot {i}: {other:?}"),
+            }
+        }
+
+        // Whatever the batch did to its connections, the bus redials.
+        let resp = bus.call("echo", b"after".to_vec()).unwrap();
+        assert_eq!(resp.body.0, b"after");
     }
 
     #[test]
@@ -1360,7 +1431,7 @@ mod tests {
                 if deaths.fetch_add(1, Ordering::SeqCst) == 2 {
                     panic!("injected crash mid-batch");
                 }
-                Response::ok(req.id, req.body)
+                Response::ok(req.id, req.body.0)
             });
             router
         };
@@ -1376,7 +1447,7 @@ mod tests {
         // Already-received slots stay Ok; unfilled slots report Transport
         // errors at exactly the right indices.
         for (i, r) in results.iter().enumerate().take(2) {
-            assert_eq!(r.as_ref().unwrap().body, vec![i as u8], "slot {i}");
+            assert_eq!(r.as_ref().unwrap().body.0, vec![i as u8], "slot {i}");
         }
         for (i, r) in results.iter().enumerate().skip(2) {
             assert!(
@@ -1401,7 +1472,7 @@ mod tests {
         for (k, r) in results.iter().enumerate() {
             let resp = r.as_ref().unwrap();
             assert_eq!(resp.id, 5 + k as u64);
-            assert_eq!(resp.body, vec![2 + k as u8]);
+            assert_eq!(resp.body.0, vec![2 + k as u8]);
         }
         assert_eq!(bus.export_state().next_id, 8);
         assert_eq!(bus.served("flaky/op"), 5);
@@ -1437,11 +1508,11 @@ mod tests {
 
         // The term-2 incarnation (counters carried over) is believed.
         let mut router = Router::new();
-        router.register("echo", |req: Request| Response::ok(req.id, req.body));
+        router.register("echo", |req: Request| Response::ok(req.id, req.body.0));
         let next = RpcServer::spawn_incarnation(router, 2, server.stats()).unwrap();
         bus.attach(&next);
         let resp = bus.call("echo", b"fresh".to_vec()).unwrap();
-        assert_eq!(resp.body, b"fresh");
+        assert_eq!(resp.body.0, b"fresh");
         assert_eq!(bus.fenced_term("echo"), 2);
     }
 
@@ -1456,7 +1527,7 @@ mod tests {
         assert_eq!(carried.requests, 2);
 
         let mut router = Router::new();
-        router.register("echo", |req: Request| Response::ok(req.id, req.body));
+        router.register("echo", |req: Request| Response::ok(req.id, req.body.0));
         let next = RpcServer::spawn_incarnation(router, 5, carried).unwrap();
         assert_eq!(next.term(), 5);
         assert_eq!(next.stats(), carried, "restart restores the snapshot");

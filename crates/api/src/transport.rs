@@ -99,10 +99,10 @@ mod tests {
     #[test]
     fn in_process_arm_honours_the_contract() {
         let mut bus = MessageBus::new();
-        bus.register("e", |req| Response::ok(req.id, req.body));
+        bus.register("e", |req| Response::ok(req.id, req.body.0));
         let mut t = ControlTransport::InProcess(bus);
         let r = t.call("e", b"x".to_vec()).unwrap();
-        assert_eq!(r.body, b"x");
+        assert_eq!(r.body.0, b"x");
         assert_eq!(t.served("e"), 1);
         assert_eq!(t.export_state().next_id, 1);
         // Realize hooks are accounting no-ops.

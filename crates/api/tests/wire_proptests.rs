@@ -4,11 +4,20 @@
 //! ([`encode`]/[`decode`]) wrapped in a [`WireFrame::Request`] and
 //! length-prefix-framed onto the wire — and the frame reader rejects the
 //! malformed inputs a real TCP peer can produce: truncated frames, trailing
-//! garbage, and wrong-version envelopes.
+//! garbage, wrong-version envelopes, and a body that is not base64. Bodies
+//! are arbitrary bytes, and every frame kind that carries one returns it
+//! bit for bit.
 
 use ovnes_api::rpc::{read_frame_bytes, write_frame_bytes};
-use ovnes_api::{decode, encode, CodecError, MonitoringReport, Request, WireFrame, WIRE_VERSION};
+use ovnes_api::{
+    decode, encode, read_frame, register_control_endpoints, write_frame, Body, CodecError,
+    MonitoringReport, Request, Response, Router, RpcServer, SocketBus, Status, WireFrame,
+    WIRE_VERSION,
+};
 use ovnes_sim::{SimRng, SimTime};
+use std::io::{self, Read};
+use std::net::TcpStream;
+use std::time::Duration;
 
 const CASES: u64 = 256;
 
@@ -38,7 +47,7 @@ fn framed(report: &MonitoringReport, id: u64) -> (WireFrame, Vec<u8>) {
     let frame = WireFrame::Request(Request {
         id,
         endpoint: "ran/monitoring".to_owned(),
-        body: encode(report).expect("encode"),
+        body: Body(encode(report).expect("encode")),
     });
     let mut wire = Vec::new();
     write_frame_bytes(&mut wire, &serde_json::to_vec(&frame).unwrap()).expect("write");
@@ -61,7 +70,7 @@ fn monitoring_reports_survive_the_framed_wire() {
                 assert_eq!(req.id, id, "case {case}");
                 assert_eq!(req.endpoint, "ran/monitoring", "case {case}");
                 assert_eq!(
-                    decode::<MonitoringReport>(&req.body).expect("decode"),
+                    decode::<MonitoringReport>(&req.body.0).expect("decode"),
                     report,
                     "case {case}"
                 );
@@ -129,4 +138,116 @@ fn wrong_version_frames_report_the_mismatch_not_a_schema_error() {
             other => panic!("case {case}: expected VersionMismatch, got {other:?}"),
         }
     }
+}
+
+/// A body no text format would pass: empty, all-ones, random, or a report
+/// with one byte flipped the way `FaultInjector` corrupts a response
+/// (which leaves UTF-8 behind).
+fn arbitrary_body(rng: &mut SimRng) -> Vec<u8> {
+    match rng.uniform_usize(0, 4) {
+        0 => Vec::new(),
+        1 => vec![0xFF; rng.uniform_usize(1, 9)],
+        2 => (0..rng.uniform_usize(1, 200))
+            .map(|_| rng.next_u64() as u8)
+            .collect(),
+        _ => {
+            let mut body = encode(&monitoring_report(rng)).expect("encode");
+            let i = rng.uniform_usize(0, body.len());
+            body[i] ^= 0xFF;
+            body
+        }
+    }
+}
+
+#[test]
+fn arbitrary_bodies_survive_every_frame_that_carries_one() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let body = Body(arbitrary_body(&mut rng));
+        let frames = [
+            WireFrame::Request(Request {
+                id: rng.next_u64(),
+                endpoint: "transport/monitoring".to_owned(),
+                body: body.clone(),
+            }),
+            WireFrame::Response {
+                term: rng.next_u64(),
+                response: Response {
+                    id: rng.next_u64(),
+                    status: Status::Rejected,
+                    body: body.clone(),
+                },
+            },
+            WireFrame::Push {
+                topic: "transport/monitoring".to_owned(),
+                body,
+            },
+        ];
+        let mut wire = Vec::new();
+        for frame in &frames {
+            write_frame(&mut wire, frame).expect("write");
+        }
+        let mut reader = wire.as_slice();
+        for frame in &frames {
+            assert_eq!(
+                &read_frame(&mut reader).expect("read"),
+                frame,
+                "case {case}"
+            );
+        }
+        assert!(reader.is_empty(), "case {case}");
+    }
+}
+
+/// A well-framed request whose `body` string is `text`.
+fn request_with_body_text(text: &str) -> Vec<u8> {
+    let json = format!(r#"{{"Request":{{"id":7,"endpoint":"ran/monitoring","body":"{text}"}}}}"#);
+    let mut wire = Vec::new();
+    write_frame_bytes(&mut wire, json.as_bytes()).expect("write");
+    wire
+}
+
+#[test]
+fn a_body_that_is_not_base64_is_invalid_data() {
+    // The helper writes what `write_frame` writes …
+    let good = request_with_body_text("Zm9v");
+    match read_frame(&mut good.as_slice()).expect("read") {
+        WireFrame::Request(req) => assert_eq!(req.body.0, b"foo"),
+        other => panic!("wrong frame kind: {other:?}"),
+    }
+    // … so these fail on the body alone: bad length, bad character,
+    // padding in the middle, trailing bits, and the array spelling.
+    for text in ["Zm9", "Zm9*", "Zg==Zm9v", "Zh==", "102,111,111"] {
+        let wire = request_with_body_text(text);
+        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}: {err}");
+    }
+}
+
+#[test]
+fn a_malformed_body_drops_its_own_connection_and_no_other() {
+    let mut router = Router::new();
+    register_control_endpoints(&mut router, "ran");
+    let server = RpcServer::spawn(router).expect("bind loopback");
+    let mut healthy = SocketBus::new();
+    healthy.attach(&server);
+    healthy
+        .call("ran/health", Vec::new())
+        .expect("served before");
+
+    let mut confused = TcpStream::connect(server.addr()).expect("connect");
+    confused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    io::Write::write_all(&mut confused, &request_with_body_text("Zm9*")).expect("send");
+    // The server hangs up without answering: the read sees EOF, not a frame.
+    let mut answer = Vec::new();
+    confused.read_to_end(&mut answer).expect("a clean hang-up");
+    assert!(answer.is_empty(), "the malformed request was answered");
+    assert_eq!(server.stats().requests, 1, "and it was never dispatched");
+
+    let resp = healthy
+        .call("ran/monitoring", b"still here".to_vec())
+        .expect("served after");
+    assert_eq!(resp.body.0, b"still here");
 }

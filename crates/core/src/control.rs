@@ -364,7 +364,7 @@ mod tests {
         // Every response is corrupted, so the decode check rejects all
         // attempts and the call fails.
         let got = cp.call_checked(SimTime::ZERO, "ran/monitoring", body, |r| {
-            ovnes_api::decode::<u32>(&r.body).is_ok()
+            ovnes_api::decode::<u32>(&r.body.0).is_ok()
         });
         assert!(got.is_none());
         assert_eq!(cp.take_epoch_stats().failures, 1);

@@ -77,7 +77,7 @@ impl Orchestrator {
             let endpoint = format!("{domain}/monitoring");
             let mut echoed = None;
             let accepted = self.control.call_checked(now, &endpoint, bytes, |r| {
-                echoed = decode::<MonitoringReport>(&r.body).ok();
+                echoed = decode::<MonitoringReport>(&r.body.0).ok();
                 echoed.is_some()
             });
             // A rejection comes back without passing the acceptor.

@@ -90,7 +90,7 @@ impl TelemetryFeed {
         match serde_json::from_slice::<WireFrame>(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
         {
-            WireFrame::Push { topic, body } => Ok(Some((topic, body))),
+            WireFrame::Push { topic, body } => Ok(Some((topic, body.0))),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected frame on subscription stream: {other:?}"),

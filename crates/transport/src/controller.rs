@@ -100,8 +100,18 @@ pub struct TransportController {
     tables: BTreeMap<SwitchId, FlowTable>,
     reservations: BTreeMap<SliceId, PathReservation>,
     metrics: MetricRegistry,
+    /// Name of each link's utilization series, indexed by link id: derived
+    /// from the topology (which never grows), so not part of the state.
+    utilization_series: Vec<String>,
     scratch: RoutingScratch,
     route_cache: RouteCache,
+}
+
+fn utilization_series(topo: &Topology) -> Vec<String> {
+    topo.links()
+        .iter()
+        .map(|l| format!("transport.{}.utilization", l.id))
+        .collect()
 }
 
 impl TransportController {
@@ -123,6 +133,7 @@ impl TransportController {
             .collect();
         let down_reasons = vec![0; usage.len()];
         TransportController {
+            utilization_series: utilization_series(&topo),
             topo,
             usage,
             down_reasons,
@@ -581,11 +592,14 @@ impl TransportController {
 
     /// Record per-link utilization telemetry at `now`.
     pub fn record_epoch(&mut self, now: SimTime) {
-        for link in self.topo.links() {
-            let util = self.usage[link.id.value() as usize].utilization();
-            self.metrics
-                .series(&format!("transport.{}.utilization", link.id))
-                .record(now, if util.is_finite() { util } else { 1.0 });
+        for (usage, name) in self.usage.iter().zip(&self.utilization_series) {
+            let util = usage.utilization();
+            let util = if util.is_finite() { util } else { 1.0 };
+            match self.metrics.series_mut(name) {
+                Some(series) => series.record(now, util),
+                // First epoch: the series does not exist until recorded to.
+                None => self.metrics.series(name).record(now, util),
+            }
         }
     }
 
@@ -649,6 +663,7 @@ impl TransportController {
             tables: state.tables.clone(),
             reservations: state.reservations.clone(),
             metrics: state.metrics.clone(),
+            utilization_series: utilization_series(&state.topo),
             scratch: RoutingScratch::new(),
             route_cache: RouteCache::from_state(&state.route_cache),
         }

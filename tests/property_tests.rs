@@ -447,7 +447,7 @@ fn quiet_fault_plan_is_an_exact_noop() {
         // latency, no recorded faults.
         let echo_bus = || {
             let mut bus = MessageBus::new();
-            bus.register("echo", |req| Response::ok(req.id, req.body));
+            bus.register("echo", |req| Response::ok(req.id, req.body.0));
             ControlTransport::InProcess(bus)
         };
         let mut plain = echo_bus();

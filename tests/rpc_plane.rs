@@ -4,12 +4,15 @@
 //! finishes byte-identical to the same seed in-process at 1, 2 and 8
 //! workers and under combined chaos, with every drop a physical teardown —
 //! is the `socket-*` rows of `tests/identity_matrix.rs`. What stays here is
-//! behaviour: pipelining across the three domain servers, and monitoring
-//! pushed to subscribers rather than polled for.
+//! behaviour: pipelining across the three domain servers, monitoring
+//! pushed to subscribers rather than polled for, and an operator-sized
+//! report answered the same on both transports.
 
+use ovnes_api::{decode, encode, MonitoringReport};
 use ovnes_bench::identity::{observe_with, Cell, Control};
 use ovnes_dashboard::{FeedState, TelemetryFeed};
-use ovnes_orchestrator::{spawn_domain_control_servers, DOMAINS};
+use ovnes_orchestrator::{spawn_domain_control_servers, ControlPlane, DOMAINS};
+use ovnes_sim::SimTime;
 use std::time::Duration;
 
 #[test]
@@ -72,4 +75,53 @@ fn subscribed_feeds_receive_an_orchestrated_runs_monitoring_pushes() {
     }
     assert!(state.updates() > 0, "subscribed feeds must receive pushes");
     assert_eq!(state.domains().len(), DOMAINS.len(), "{:?}", state.domains());
+}
+
+#[test]
+fn an_operator_sized_report_is_answered_identically_on_both_transports() {
+    // The transport report of a mesh with thousands of links: one scalar
+    // per link, ≥ 200 KB on the wire.
+    let report = MonitoringReport {
+        domain: "transport".into(),
+        at: SimTime::from_secs(300),
+        scalars: (0..6_000)
+            .map(|l| {
+                (
+                    format!("transport.link-{l}.utilization"),
+                    l as f64 / 6_000.0,
+                )
+            })
+            .collect(),
+    };
+    let bytes = encode(&report).unwrap();
+    assert!(bytes.len() >= 200_000, "{} bytes", bytes.len());
+    let echoes_the_report = |r: &ovnes_api::Response| {
+        decode::<MonitoringReport>(&r.body.0).ok().as_ref() == Some(&report)
+    };
+
+    let mut in_process = ControlPlane::new();
+    let (_servers, socket) = spawn_domain_control_servers().unwrap();
+    let mut over_sockets = ControlPlane::new();
+    over_sockets.install_socket(socket);
+
+    let now = SimTime::from_secs(300);
+    let a = in_process
+        .call_checked(
+            now,
+            "transport/monitoring",
+            bytes.clone(),
+            echoes_the_report,
+        )
+        .expect("the bus answers");
+    let b = over_sockets
+        .call_checked(
+            now,
+            "transport/monitoring",
+            bytes.clone(),
+            echoes_the_report,
+        )
+        .expect("the socket answers");
+    assert_eq!(a, b);
+    assert_eq!(a.body.0, bytes, "echoed bit for bit");
+    assert_eq!(in_process.export_state(), over_sockets.export_state());
 }
