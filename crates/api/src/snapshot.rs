@@ -22,6 +22,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const ROUND_CONSTANTS: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -40,57 +41,22 @@ pub fn sha256(bytes: &[u8]) -> [u8; 32] {
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
         0x5be0cd19,
     ];
-    // Pad: message, 0x80, zeros, 64-bit big-endian bit length.
-    let mut msg = bytes.to_vec();
-    let bit_len = (bytes.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    // Full blocks are compressed where they lie; only the tail is copied,
+    // into a buffer that holds the padding: 0x80, zeros, and the 64-bit
+    // big-endian bit length closing the last block.
+    let mut blocks = bytes.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(ROUND_CONSTANTS[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
-        }
+    let tail = blocks.remainder();
+    let mut last = [0u8; 128];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] = 0x80;
+    let padded = if tail.len() < 56 { 64 } else { 128 };
+    let bit_len = (bytes.len() as u64).wrapping_mul(8);
+    last[padded - 8..padded].copy_from_slice(&bit_len.to_be_bytes());
+    for block in last[..padded].chunks_exact(64) {
+        compress(&mut h, block);
     }
     let mut out = [0u8; 32];
     for (i, word) in h.iter().enumerate() {
@@ -99,11 +65,53 @@ pub fn sha256(bytes: &[u8]) -> [u8; 32] {
     out
 }
 
+/// Fold one 64-byte block into the running hash state.
+fn compress(h: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(ROUND_CONSTANTS[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *slot = slot.wrapping_add(v);
+    }
+}
+
 /// Lowercase hex SHA-256 of `bytes` — the object address.
 pub fn sha256_hex(bytes: &[u8]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
     for b in sha256(bytes) {
-        s.push_str(&format!("{b:02x}"));
+        s.push(NIBBLES[usize::from(b >> 4)] as char);
+        s.push(NIBBLES[usize::from(b & 0x0f)] as char);
     }
     s
 }
@@ -152,8 +160,9 @@ impl SnapshotManifest {
 pub enum SnapshotError {
     /// Filesystem failure.
     Io(io::Error),
-    /// Stored bytes did not hash to their address, or a manifest broke the
-    /// parent chain.
+    /// What is stored is not a snapshot this build can read: bytes that do
+    /// not hash to their address, an address that is not one, a manifest
+    /// that breaks the parent chain, a section or field that is absent.
     Corrupt(String),
     /// (De)serialization failure.
     Codec(serde_json::Error),
@@ -204,22 +213,26 @@ impl SnapshotStore {
         &self.root
     }
 
-    fn object_path(&self, hash: &str) -> PathBuf {
-        self.root.join("objects").join(&hash[..2]).join(&hash[2..])
+    /// Where the object addressed `hash` lives. An address is read from
+    /// manifest files, so it is checked before it becomes a path: anything
+    /// but 64 lowercase hex digits is refused.
+    fn object_path(&self, hash: &str) -> Result<PathBuf, SnapshotError> {
+        if hash.len() != 64 || !is_lower_hex(hash) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{hash:?} is not an object address"
+            )));
+        }
+        Ok(self.root.join("objects").join(&hash[..2]).join(&hash[2..]))
     }
 
     /// Store `bytes`, returning its address. Writing the same content twice
     /// is free: the object already exists under its hash.
     pub fn put_object(&self, bytes: &[u8]) -> Result<SectionRef, SnapshotError> {
         let hash = sha256_hex(bytes);
-        let path = self.object_path(&hash);
+        let path = self.object_path(&hash)?;
         if !path.exists() {
             fs::create_dir_all(path.parent().expect("object path has a shard dir"))?;
-            // Write-then-rename so a crashed writer never leaves a torn
-            // object at its final address.
-            let tmp = path.with_extension("tmp");
-            fs::write(&tmp, bytes)?;
-            fs::rename(&tmp, &path)?;
+            write_then_rename(&path, bytes)?;
         }
         Ok(SectionRef {
             hash,
@@ -229,7 +242,7 @@ impl SnapshotStore {
 
     /// Fetch the object at `hash`, verifying its content address.
     pub fn get_object(&self, hash: &str) -> Result<Vec<u8>, SnapshotError> {
-        let bytes = fs::read(self.object_path(hash))?;
+        let bytes = fs::read(self.object_path(hash)?)?;
         let actual = sha256_hex(&bytes);
         if actual != hash {
             return Err(SnapshotError::Corrupt(format!(
@@ -241,7 +254,7 @@ impl SnapshotStore {
 
     /// True when an object is already stored at `hash`.
     pub fn contains(&self, hash: &str) -> bool {
-        self.object_path(hash).exists()
+        self.object_path(hash).is_ok_and(|path| path.exists())
     }
 
     fn manifest_path(&self, epoch: u64) -> PathBuf {
@@ -256,26 +269,52 @@ impl SnapshotStore {
     /// manifest's `parent` must be the latest one's root hash, and its epoch
     /// must be strictly later.
     pub fn append_manifest(&self, manifest: &SnapshotManifest) -> Result<(), SnapshotError> {
-        if let Some(last) = self.latest_manifest()? {
+        self.append_onto(self.latest_manifest()?.as_ref(), manifest)
+    }
+
+    /// Chain a checkpoint of `sections` at `epoch` onto the series tip and
+    /// return its manifest. The tip is read once, for the parent link and
+    /// for the chain check both.
+    pub fn append_checkpoint(
+        &self,
+        epoch: u64,
+        sections: BTreeMap<String, SectionRef>,
+    ) -> Result<SnapshotManifest, SnapshotError> {
+        let tip = self.latest_manifest()?;
+        let manifest = SnapshotManifest {
+            epoch,
+            parent: tip.as_ref().map(SnapshotManifest::root_hash),
+            sections,
+        };
+        self.append_onto(tip.as_ref(), &manifest)?;
+        Ok(manifest)
+    }
+
+    /// Write `manifest`, after checking that it extends the chain at `tip`.
+    fn append_onto(
+        &self,
+        tip: Option<&SnapshotManifest>,
+        manifest: &SnapshotManifest,
+    ) -> Result<(), SnapshotError> {
+        if let Some(last) = tip {
             if manifest.epoch <= last.epoch {
                 return Err(SnapshotError::Corrupt(format!(
                     "manifest epoch {} not after chain tip {}",
                     manifest.epoch, last.epoch
                 )));
             }
-            if manifest.parent.as_deref() != Some(last.root_hash().as_str()) {
+            let tip_hash = last.root_hash();
+            if manifest.parent.as_deref() != Some(tip_hash.as_str()) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "manifest at epoch {} does not chain to tip {}",
-                    manifest.epoch,
-                    last.root_hash()
+                    "manifest at epoch {} does not chain to tip {tip_hash}",
+                    manifest.epoch
                 )));
             }
         }
-        let path = self.manifest_path(manifest.epoch);
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, serde_json::to_vec_pretty(manifest)?)?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        write_then_rename(
+            &self.manifest_path(manifest.epoch),
+            &serde_json::to_vec_pretty(manifest)?,
+        )
     }
 
     /// Checkpointed epochs, ascending.
@@ -314,28 +353,73 @@ impl SnapshotStore {
     /// Total bytes of stored objects (deduplicated on-disk footprint).
     pub fn object_bytes(&self) -> Result<u64, SnapshotError> {
         let mut total = 0;
-        for shard in fs::read_dir(self.root.join("objects"))? {
-            let shard = shard?;
-            if shard.file_type()?.is_dir() {
-                for obj in fs::read_dir(shard.path())? {
-                    total += obj?.metadata()?.len();
-                }
-            }
-        }
+        self.for_each_object(|object| {
+            total += object.metadata()?.len();
+            Ok(())
+        })?;
         Ok(total)
     }
 
     /// Number of distinct stored objects.
     pub fn object_count(&self) -> Result<u64, SnapshotError> {
         let mut count = 0;
-        for shard in fs::read_dir(self.root.join("objects"))? {
-            let shard = shard?;
-            if shard.file_type()?.is_dir() {
-                count += fs::read_dir(shard.path())?.count() as u64;
-            }
-        }
+        self.for_each_object(|_| {
+            count += 1;
+            Ok(())
+        })?;
         Ok(count)
     }
+
+    /// Visit every stored object: the files whose shard and name spell an
+    /// address. What a crashed writer left behind under a temporary name is
+    /// not an object.
+    fn for_each_object(
+        &self,
+        mut visit: impl FnMut(&fs::DirEntry) -> io::Result<()>,
+    ) -> Result<(), SnapshotError> {
+        for shard in fs::read_dir(self.root.join("objects"))? {
+            let shard = shard?;
+            let prefix = shard.file_name();
+            if !shard.file_type()?.is_dir() || prefix.len() != 2 || !is_lower_hex(&prefix) {
+                continue;
+            }
+            for object in fs::read_dir(shard.path())? {
+                let object = object?;
+                let rest = object.file_name();
+                if rest.len() == 62 && is_lower_hex(&rest) {
+                    visit(&object)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// True when `text` is made of lowercase hex digits only.
+fn is_lower_hex(text: impl AsRef<std::ffi::OsStr>) -> bool {
+    text.as_ref()
+        .as_encoded_bytes()
+        .iter()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
+/// Write `bytes` beside `path` and rename them into place, so a crashed
+/// writer never leaves a torn file at a final address. The temporary name is
+/// this writer's own (process id plus a process-wide counter): two writers
+/// of one target — clones of a store, worker threads storing byte-identical
+/// sections — each rename their own file, and the target holds one of them.
+fn write_then_rename(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    static NEXT_WRITE: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        NEXT_WRITE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 /// Where and how two manifest chains first disagree.
@@ -484,15 +568,41 @@ mod tests {
             sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
-        // Padding edge: 55/56/64-byte messages straddle the length block.
-        for n in [55usize, 56, 63, 64, 65] {
-            let msg = vec![0x61u8; n];
-            assert_eq!(sha256(&msg).len(), 32, "length {n}");
+        // Padding edges: the tail leaves room for the length (55), does not
+        // (56, 63), is empty (64), and the same one full block later.
+        for (n, expect) in [
+            (
+                55usize,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+            // FIPS 180-4: one million repetitions of 'a'.
+            (
+                1_000_000,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ] {
+            assert_eq!(sha256_hex(&vec![b'a'; n]), expect, "{n} bytes of 'a'");
         }
-        assert_eq!(
-            sha256_hex(&[0x61u8; 56]),
-            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
-        );
     }
 
     #[test]
@@ -517,7 +627,7 @@ mod tests {
     fn corrupted_object_is_detected() {
         let store = scratch("corrupt");
         let section = store.put_object(b"precious state").unwrap();
-        let path = store.object_path(&section.hash);
+        let path = store.object_path(&section.hash).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
@@ -525,6 +635,91 @@ mod tests {
             store.get_object(&section.hash),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn concurrent_puts_of_identical_content_all_succeed() {
+        let store = scratch("concurrent");
+        let payloads: [&[u8]; 4] = [b"config", b"topology", b"quiet controller", b"rng"];
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for writer in 0..8usize {
+                // Clones of one store, as two checkpointing handles would be.
+                let (store, start) = (store.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..200 {
+                        let payload = payloads[(writer + i) % payloads.len()];
+                        let stored = store.put_object(payload).unwrap_or_else(|e| {
+                            panic!("writer {writer}, put {i}: {e}");
+                        });
+                        assert_eq!(stored.hash, sha256_hex(payload));
+                    }
+                });
+            }
+        });
+        assert_eq!(store.object_count().unwrap(), 4);
+        for payload in payloads {
+            assert_eq!(store.get_object(&sha256_hex(payload)).unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn malformed_addresses_are_corrupt_not_a_panic_or_a_path() {
+        let store = scratch("addresses");
+        let upper = sha256_hex(b"x").to_uppercase();
+        let long = format!("{}0", sha256_hex(b"x"));
+        for hash in [
+            "",
+            "zz",
+            "../../etc/hostname",
+            upper.as_str(),
+            long.as_str(),
+        ] {
+            assert!(
+                matches!(store.get_object(hash), Err(SnapshotError::Corrupt(_))),
+                "get_object({hash:?})"
+            );
+            assert!(!store.contains(hash), "contains({hash:?})");
+        }
+        // The same address, read back from a manifest file.
+        let mut hostile = manifest(1, None, &[("ran", "r1")]);
+        hostile.sections.get_mut("ran").unwrap().hash = "../../etc/hostname".into();
+        store.append_manifest(&hostile).unwrap();
+        let loaded = store.load_manifest(1).unwrap();
+        assert!(matches!(
+            store.get_object(&loaded.sections["ran"].hash),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn leftover_temp_files_are_not_objects() {
+        let store = scratch("leftover");
+        let stored = store.put_object(b"whole").unwrap();
+        let shard = store.object_path(&stored.hash).unwrap();
+        let shard = shard.parent().unwrap();
+        fs::write(shard.join(format!("{}.tmp-1-0", &stored.hash[2..])), b"to").unwrap();
+        fs::write(store.root().join("objects").join("stray"), b"file").unwrap();
+        assert_eq!(store.object_count().unwrap(), 1);
+        assert_eq!(store.object_bytes().unwrap(), 5);
+    }
+
+    #[test]
+    fn append_checkpoint_links_to_the_tip_it_read() {
+        let store = scratch("checkpoint");
+        let sections = |content: &str| manifest(0, None, &[("ran", content)]).sections;
+        let m1 = store.append_checkpoint(10, sections("r1")).unwrap();
+        assert_eq!(m1.parent, None);
+        let m2 = store.append_checkpoint(20, sections("r2")).unwrap();
+        assert_eq!(m2.parent, Some(m1.root_hash()));
+        assert_eq!(store.latest_manifest().unwrap(), Some(m2));
+        // Non-advancing epoch: rejected, and nothing is written.
+        assert!(matches!(
+            store.append_checkpoint(20, sections("r3")),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert_eq!(store.epochs().unwrap(), vec![10, 20]);
     }
 
     #[test]

@@ -32,7 +32,6 @@ mod state;
 mod substrate;
 mod telemetry;
 
-pub(crate) use state::section_of;
 pub use state::{OrchestratorState, SliceSimSnapshot};
 
 use crate::admission::{AdmissionPolicy, PolicyKind};

@@ -5,6 +5,8 @@
 // names the same types the parent module already imports.
 use super::*;
 use crate::control::DOMAINS;
+use crate::snapshot::{RawFields, SectionWriter};
+use ovnes_api::SnapshotError;
 use ovnes_forecast::TraceGenerator;
 use ovnes_ran::UePopulation;
 
@@ -217,24 +219,60 @@ pub struct OrchestratorState {
     pub supervision: BTreeMap<String, DomainHealth>,
 }
 
-/// The snapshot section a field of [`OrchestratorState`] belongs to — the
-/// granularity `replay_bisect` names divergences at. Unlisted fields
-/// (including any added later) fall into the `orchestrator` catch-all, so
-/// a new field can never be silently dropped from snapshots.
-pub(crate) fn section_of(field: &str) -> &'static str {
-    match field {
-        "ran" => "ran",
-        "transport" => "transport",
-        "cloud" => "cloud",
-        "engine" => "forecast",
-        "control" => "control",
-        "sla" => "sla",
-        "metrics" | "events" => "telemetry",
-        "rng" => "rng",
-        "records" | "placements" | "pending" | "ready_at" | "epc_down_until" | "timelines"
-        | "pf" | "sim_state" | "free_plmns" | "next_plmn" | "ids" | "ue_ids" => "slices",
-        "weather" | "weather_rng" | "last_sky" | "substrate_plan" | "substrate_down"
-        | "substrate_degraded" => "environment",
-        _ => "orchestrator",
+/// Which snapshot section each field of [`OrchestratorState`] is stored in
+/// — the granularity `replay_bisect` names divergences at — and, from that
+/// one table, both directions of the split: [`OrchestratorState::to_sections`]
+/// writes every section's JSON object straight from the typed fields, in the
+/// order listed, and [`OrchestratorState::from_fields`] parses every field
+/// back into its type.
+///
+/// Both expansions name every field without a `..` (a destructuring `let`
+/// and a struct literal), so a field added to the struct does not compile
+/// until it is listed here: it can neither be dropped from snapshots nor
+/// land in a section by accident.
+macro_rules! orchestrator_sections {
+    ($($section:literal { $($field:ident),+ $(,)? })+) => {
+        impl OrchestratorState {
+            /// Every snapshot section of this state as `(name, JSON bytes)`.
+            pub(crate) fn to_sections(
+                &self,
+            ) -> Result<Vec<(&'static str, Vec<u8>)>, serde_json::Error> {
+                let OrchestratorState { $($($field,)+)+ } = self;
+                Ok(vec![$({
+                    let mut section = SectionWriter::default();
+                    $(section.field(stringify!($field), $field)?;)+
+                    ($section, section.finish())
+                },)+])
+            }
+
+            /// The state whose fields are `fields`, however they were
+            /// grouped into sections when written.
+            pub(crate) fn from_fields(fields: &RawFields<'_>) -> Result<Self, SnapshotError> {
+                Ok(OrchestratorState {
+                    $($($field: fields.parse(stringify!($field))?,)+)+
+                })
+            }
+        }
+    };
+}
+
+orchestrator_sections! {
+    "orchestrator" {
+        config, cell, channel, epoch_count, last_epoch_at, last_monitoring, supervision,
     }
+    "ran" { ran }
+    "transport" { transport }
+    "cloud" { cloud }
+    "forecast" { engine }
+    "sla" { sla }
+    "slices" {
+        records, placements, pending, ready_at, epc_down_until, timelines, pf, sim_state, ids,
+        ue_ids, free_plmns, next_plmn,
+    }
+    "rng" { rng }
+    "telemetry" { metrics, events }
+    "environment" {
+        weather, weather_rng, last_sky, substrate_plan, substrate_down, substrate_degraded,
+    }
+    "control" { control }
 }

@@ -1,12 +1,17 @@
 //! Properties of the checkpoint/restore subsystem, as seeded loops: for
 //! six seeds, workloads and cut points each (the case index seeds the
 //! draw), `restore(snapshot(s)) == s` structurally, and a restored world's
-//! next epoch is bitwise-equal to the uninterrupted one's. Plus one hostile
-//! input: a stored section naming a domain this build never heard of.
+//! next epoch is bitwise-equal to the uninterrupted one's — for a federation
+//! too, with the checkpoint hashed, stored and parsed by one worker and by
+//! two. Plus one hostile input: a stored section naming a domain this build
+//! never heard of.
 
 use ovnes_api::{EndpointFaults, FaultPlan, SnapshotManifest};
 use ovnes_bench::ScratchWorld;
-use ovnes_orchestrator::{DemoScenario, RequestMix, ScenarioConfig};
+use ovnes_orchestrator::{
+    DemoScenario, FederationBroker, FederationConfig, RequestMix, ScenarioConfig,
+};
+use ovnes_sim::par::pin_threads;
 use ovnes_sim::{SimDuration, SimRng};
 
 // A full scenario run per case is expensive; a handful of cases per property
@@ -71,6 +76,49 @@ fn post_restore_epoch_is_bitwise_equal_to_uninterrupted() {
         let a = serde_json::to_vec(&uninterrupted.export_state()).unwrap();
         let b = serde_json::to_vec(&restored.export_state()).unwrap();
         assert!(a == b, "case {case}: first post-restore epoch diverged bitwise");
+    }
+}
+
+/// The federated checkpoint path fans its hashing, storing, reading and
+/// per-region parsing out over the workers: at one worker and at two, the
+/// manifest is the same, the restored federation equals the checkpointed
+/// one, and its next epoch is the uninterrupted run's, byte for byte.
+#[test]
+fn federated_post_restore_epoch_is_bitwise_equal_at_one_and_two_workers() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(case);
+        let config = FederationConfig {
+            seed: rng.uniform_usize(0, 10_000) as u64,
+            regions: rng.uniform_usize(2, 4),
+            arrivals_per_hour: 40.0,
+            mean_duration: SimDuration::from_mins(45),
+            horizon: SimDuration::from_hours(2),
+            ..FederationConfig::default()
+        };
+        let cut = rng.uniform_usize(1, 12);
+        let mut uninterrupted = FederationBroker::build(config);
+        for _ in 0..cut {
+            assert!(uninterrupted.step_epoch());
+        }
+        let state = uninterrupted.export_state();
+        assert!(uninterrupted.step_epoch());
+        let expect = serde_json::to_vec(&uninterrupted.export_state()).unwrap();
+
+        let mut roots = Vec::new();
+        for workers in [1, 2] {
+            let _pin = pin_threads(workers);
+            let world = ScratchWorld::open("federated");
+            let manifest = world.snapshot_federation(&state).unwrap();
+            assert_eq!(manifest.epoch as usize, cut, "case {case}");
+            roots.push(manifest.root_hash());
+            let restored = world.restore_federation(manifest.epoch).unwrap();
+            assert!(restored == state, "case {case}, {workers} workers: restore != snapshot");
+            let mut restored = FederationBroker::from_state(&restored);
+            assert!(restored.step_epoch());
+            let got = serde_json::to_vec(&restored.export_state()).unwrap();
+            assert!(got == expect, "case {case}, {workers} workers: post-restore epoch diverged");
+        }
+        assert_eq!(roots[0], roots[1], "case {case}: manifest depends on the worker count");
     }
 }
 
