@@ -431,7 +431,7 @@ impl CrashPlan {
             span >= crashes_per_domain,
             "storm window of {span} epochs cannot hold {crashes_per_domain} distinct crashes"
         );
-        let mut rng = SimRng::seed_from(self.seed ^ 0xC4A5_4057_04A1_1E5);
+        let mut rng = SimRng::seed_from(self.seed ^ 0xC4A_5405_704A_11E5);
         for (d, domain) in domains.iter().enumerate() {
             let mut epochs: Vec<u64> = Vec::new();
             while epochs.len() < crashes_per_domain {

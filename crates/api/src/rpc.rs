@@ -463,11 +463,8 @@ fn serve_connection(
     };
     let writer = Arc::new(Mutex::new(writer));
     let mut reader = stream;
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
-            Err(_) => break, // peer hung up or sent garbage: drop the conn
-        };
+    // A read error means the peer hung up or sent garbage: drop the conn.
+    while let Ok(frame) = read_frame(&mut reader) {
         match frame {
             WireFrame::Request(req) => {
                 // Hung-server realization: the request is off the wire,

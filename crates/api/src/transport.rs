@@ -35,8 +35,9 @@ use crate::rpc::SocketBus;
 pub enum ControlTransport {
     /// In-process dispatch (the deterministic oracle).
     InProcess(MessageBus),
-    /// Framed TCP to controller servers.
-    Socket(SocketBus),
+    /// Framed TCP to controller servers (boxed: the socket client is far
+    /// larger than the in-process bus).
+    Socket(Box<SocketBus>),
 }
 
 impl ControlTransport {

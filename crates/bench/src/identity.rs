@@ -215,7 +215,7 @@ impl Cell {
         for r in 0..regions {
             self.install(r, fed.orchestrator_mut(r));
         }
-        World::Federated(fed)
+        World::Federated(Box::new(fed))
     }
 }
 
@@ -443,7 +443,7 @@ pub struct Witness {
 
 enum World {
     Demo(Box<DemoScenario>),
-    Federated(FederationBroker),
+    Federated(Box<FederationBroker>),
 }
 
 impl World {
@@ -495,7 +495,7 @@ impl World {
                     .expect("snapshot writes");
                 drop(fed);
                 let state = store.restore_federation(epoch).expect("restore");
-                World::Federated(FederationBroker::from_state(&state))
+                World::Federated(Box::new(FederationBroker::from_state(&state)))
             }
         }
     }

@@ -3,9 +3,8 @@
 //! file compiles to an empty test binary).
 //!
 //! "Steady state" means: scratch buffers warmed by one prior epoch, and a
-//! roster the same size as the epoch before. The counter is thread-local,
-//! so every claim is asserted at one worker, where the whole epoch runs on
-//! the calling thread.
+//! roster the same size as the epoch before. The counter is thread-local;
+//! nothing measured here leaves the calling thread.
 
 #![cfg(feature = "alloc-count")]
 
@@ -70,38 +69,43 @@ fn slice_schedule_epoch_into_steady_state_allocates_nothing() {
 
 #[test]
 fn ran_controller_epoch_steady_state_allocates_nothing() {
-    // One worker: the whole epoch runs on this thread, so the thread-local
-    // counter sees every allocation the epoch would make.
-    let _pin = ovnes_sim::par::pin_threads(1);
-    let cell = CellConfig::default_20mhz();
-    let mut ran = RanController::new(vec![
-        Enb::new(EnbId::new(0), cell),
-        Enb::new(EnbId::new(1), cell),
-    ]);
-    for (i, enb) in [(0u64, 0u64), (1, 0), (2, 1), (3, 1)] {
-        ran.install(
-            EnbId::new(enb),
-            SliceId::new(i),
-            PlmnId::test_slice_plmn(i),
-            Prbs::new(20),
-            Prbs::new(40),
-        )
-        .expect("capacity fits");
-    }
-    let offered: Vec<OfferedLoad> = (0..4)
-        .map(|i| OfferedLoad {
-            slice: SliceId::new(i),
-            offered: RateMbps::new(5.0 + i as f64 * 3.0),
-            prb_rate: RateMbps::new(0.5),
-        })
-        .collect();
-    let mut out = Vec::new();
-    // Warm-up: batch buffers grow, telemetry series pre-exist from new().
-    ran.run_epoch_into(SimTime::from_secs(0), &offered, &mut out);
-    let (allocs, ()) = alloc_count::count(|| {
-        for e in 1..=10u64 {
-            ran.run_epoch_into(SimTime::from_secs(e * 60), &offered, &mut out);
+    // The RAN epoch forks nothing: at any worker count it runs on this
+    // thread, where the thread-local counter sees every allocation.
+    for workers in [1, 2] {
+        let _pin = ovnes_sim::par::pin_threads(workers);
+        let cell = CellConfig::default_20mhz();
+        let mut ran = RanController::new(vec![
+            Enb::new(EnbId::new(0), cell),
+            Enb::new(EnbId::new(1), cell),
+        ]);
+        for (i, enb) in [(0u64, 0u64), (1, 0), (2, 1), (3, 1)] {
+            ran.install(
+                EnbId::new(enb),
+                SliceId::new(i),
+                PlmnId::test_slice_plmn(i),
+                Prbs::new(20),
+                Prbs::new(40),
+            )
+            .expect("capacity fits");
         }
-    });
-    assert_eq!(allocs, 0, "steady-state RAN epochs allocated");
+        let offered: Vec<OfferedLoad> = (0..4)
+            .map(|i| OfferedLoad {
+                slice: SliceId::new(i),
+                offered: RateMbps::new(5.0 + i as f64 * 3.0),
+                prb_rate: RateMbps::new(0.5),
+            })
+            .collect();
+        let mut out = Vec::new();
+        // Warm-up: batch buffers grow, telemetry series pre-exist from new().
+        ran.run_epoch_into(SimTime::from_secs(0), &offered, &mut out);
+        let (allocs, ()) = alloc_count::count(|| {
+            for e in 1..=10u64 {
+                ran.run_epoch_into(SimTime::from_secs(e * 60), &offered, &mut out);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "steady-state RAN epochs allocated at {workers} workers"
+        );
+    }
 }

@@ -116,6 +116,10 @@ pub struct DcRow {
 }
 
 /// The cloud domain controller. See module docs.
+///
+/// Plain data with no scratch buffers or closures, so the controller is its
+/// own checkpoint: it serializes as it stands.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CloudController {
     dcs: BTreeMap<DcId, DataCenter>,
     stacks: BTreeMap<StackId, DeployedStack>,
@@ -124,6 +128,9 @@ pub struct CloudController {
     stack_ids: IdAllocator,
     metrics: MetricRegistry,
 }
+
+/// Serializable state of a [`CloudController`]: the controller itself.
+pub type CloudControllerState = CloudController;
 
 impl CloudController {
     /// A controller managing `dcs`.
@@ -406,52 +413,20 @@ impl CloudController {
         }
     }
 
-    /// The domain's complete serializable state. Nothing is excluded: the
-    /// cloud controller holds no scratch buffers or closures.
+    /// The domain's complete serializable state: a copy of the controller.
     pub fn export_state(&self) -> CloudControllerState {
-        CloudControllerState {
-            dcs: self.dcs.clone(),
-            stacks: self.stacks.clone(),
-            by_slice: self.by_slice.clone(),
-            vm_ids: self.vm_ids.clone(),
-            stack_ids: self.stack_ids.clone(),
-            metrics: self.metrics.clone(),
-        }
+        self.clone()
     }
 
     /// A controller rebuilt from [`CloudController::export_state`].
     pub fn from_state(state: &CloudControllerState) -> CloudController {
-        CloudController {
-            dcs: state.dcs.clone(),
-            stacks: state.stacks.clone(),
-            by_slice: state.by_slice.clone(),
-            vm_ids: state.vm_ids.clone(),
-            stack_ids: state.stack_ids.clone(),
-            metrics: state.metrics.clone(),
-        }
+        state.clone()
     }
 
     /// The controller's telemetry registry.
     pub fn metrics(&self) -> &MetricRegistry {
         &self.metrics
     }
-}
-
-/// Serializable state of a [`CloudController`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CloudControllerState {
-    /// Managed data centers (hosts, placements, failure marks).
-    pub dcs: BTreeMap<DcId, DataCenter>,
-    /// Deployed stacks by id.
-    pub stacks: BTreeMap<StackId, DeployedStack>,
-    /// Stack lookup by owning slice.
-    pub by_slice: BTreeMap<SliceId, StackId>,
-    /// VM id allocator position.
-    pub vm_ids: IdAllocator,
-    /// Stack id allocator position.
-    pub stack_ids: IdAllocator,
-    /// Telemetry registry of the domain.
-    pub metrics: MetricRegistry,
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ impl ControlPlane {
     /// connection to whatever server tasks the socket bus routes to.
     pub fn install_socket(&mut self, mut socket: SocketBus) {
         socket.restore_state(&self.transport.export_state());
-        self.transport = ControlTransport::Socket(socket);
+        self.transport = ControlTransport::Socket(Box::new(socket));
     }
 
     /// True when calls travel over sockets rather than in-process.
@@ -114,17 +114,6 @@ impl ControlPlane {
         // Jitter gets an independent stream derived from the plan seed.
         self.jitter_rng = Some(SimRng::seed_from(plan.seed() ^ 0x9E37_79B9_7F4A_7C15));
         self.injector = Some(FaultInjector::new(plan));
-    }
-
-    /// Remove any installed fault plan (calls go straight to the bus).
-    pub fn clear_fault_plan(&mut self) {
-        self.injector = None;
-        self.jitter_rng = None;
-    }
-
-    /// Replace the retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// The retry policy in force.

@@ -288,19 +288,6 @@ impl FederationBroker {
         &self.cursor
     }
 
-    /// Total UEs attached across all regions (every non-terminal slice
-    /// carries a `ues_per_slice` fleet; this is the federation's scale
-    /// headline).
-    pub fn total_ues(&self) -> usize {
-        self.regions
-            .iter()
-            .map(|r| {
-                let orch = r.orchestrator();
-                orch.records().map(|rec| orch.ue_count(rec.id)).sum::<usize>()
-            })
-            .sum()
-    }
-
     /// Region `r`'s gateway node on the backbone graph.
     fn gateway(&self, r: usize) -> NodeId {
         self.backbone.topology().nodes()[r + 1].id

@@ -194,7 +194,7 @@ pub struct Orchestrator {
     /// Per-slice measurement history, kept after the slice ends for
     /// post-run analysis. Each series is capped at 4096 points but the map
     /// itself never sheds an ended slice: it grows with every slice ever
-    /// admitted (ROADMAP item 2's leak).
+    /// admitted (ROADMAP item 1's leak).
     timelines: BTreeMap<SliceId, SliceTimeline>,
     /// Proportional-fair state per slice (only when fairness tracking is on).
     pf: BTreeMap<SliceId, PfState>,

@@ -32,13 +32,18 @@ pub struct SlaVerdict {
     pub cause: Option<String>,
 }
 
-/// The SLA monitor: assessment rules + the revenue ledger.
+/// The SLA monitor: assessment rules + the revenue ledger. Plain data, so
+/// the monitor is its own checkpoint.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SlaMonitor {
     ledger: RevenueLedger,
     /// Fractional throughput shortfall tolerated before declaring violation
     /// (measurement noise guard).
     tolerance: f64,
 }
+
+/// Serializable state of an [`SlaMonitor`]: the monitor itself.
+pub type SlaMonitorState = SlaMonitor;
 
 impl Default for SlaMonitor {
     fn default() -> Self {
@@ -149,30 +154,15 @@ impl SlaMonitor {
         self.ledger.net()
     }
 
-    /// The monitor's complete serializable state.
+    /// The monitor's complete serializable state: a copy of the monitor.
     pub fn export_state(&self) -> SlaMonitorState {
-        SlaMonitorState {
-            ledger: self.ledger.clone(),
-            tolerance: self.tolerance,
-        }
+        self.clone()
     }
 
     /// A monitor rebuilt from [`SlaMonitor::export_state`].
     pub fn from_state(state: &SlaMonitorState) -> SlaMonitor {
-        SlaMonitor {
-            ledger: state.ledger.clone(),
-            tolerance: state.tolerance,
-        }
+        state.clone()
     }
-}
-
-/// Serializable state of an [`SlaMonitor`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SlaMonitorState {
-    /// Booked revenue records.
-    pub ledger: RevenueLedger,
-    /// Fractional shortfall tolerance.
-    pub tolerance: f64,
 }
 
 #[cfg(test)]

@@ -27,13 +27,12 @@
 //! tree is built in either direction. Which section a field belongs to is a
 //! compile-time table (beside
 //! [`OrchestratorState`](crate::orchestrator::OrchestratorState)), so a
-//! field that names no section does not build. Serializing stays on the
-//! caller's thread — the states are `Send` but not `Sync`
-//! (`ovnes_sim::TimeSeries` caches through a `Cell`) — and what follows is
-//! spread over `ovnes_sim::par::par_map`'s workers: hashing and storing the
-//! owned blobs, and on restore reading, verifying and (per region) parsing
-//! them. `par_map` joins in input order, so a manifest is the same at any
-//! worker count.
+//! field that names no section does not build. One thread, the caller's,
+//! serializes (a choice, not a constraint: the states are `Sync` plain
+//! data), and what follows is spread over `ovnes_sim::par::par_map`'s
+//! workers: hashing and storing the owned blobs, and on restore reading,
+//! verifying and (per region) parsing them. `par_map` joins in input order,
+//! so a manifest is the same at any worker count.
 
 use crate::federation::FederationState;
 use crate::orchestrator::OrchestratorState;
@@ -335,9 +334,9 @@ impl WorldSnapshot {
 
     /// Hash and store every section, then chain the manifest naming them
     /// onto the series tip. The states were serialized on the caller's
-    /// thread (they are `Send`, not `Sync`); the owned blobs are spread over
-    /// the workers, and `par_map` joins them in input order, so the manifest
-    /// does not depend on the worker count.
+    /// thread; the owned blobs are spread over the workers, and `par_map`
+    /// joins them in input order, so the manifest does not depend on the
+    /// worker count.
     fn store_sections(
         &self,
         epoch: u64,
@@ -671,6 +670,16 @@ mod tests {
             federated_world(65, 2, 3),
             federated_world(66, 2, 9),
         ]
+    }
+
+    /// The world states are plain data a worker may borrow: no interior
+    /// mutability anywhere under them.
+    #[test]
+    fn world_states_are_sync() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<FederationState>();
+        assert_sync::<ScenarioState>();
+        assert_sync::<ovnes_sim::MetricRegistry>();
     }
 
     #[test]

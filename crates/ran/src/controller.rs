@@ -58,7 +58,7 @@ pub struct EnbRow {
 /// collected loads, its scheduling scratch, and its outcomes, reused every
 /// epoch so the pipeline allocates nothing in steady state. One batch per
 /// managed eNB, kept sorted by id (the collect phase binary-searches, the
-/// apply phase iterates in ascending-id order).
+/// schedule loop iterates in ascending-id order).
 struct CellBatch {
     enb: EnbId,
     /// The cell's grid size (immutable per eNB).
@@ -68,7 +68,6 @@ struct CellBatch {
     loads: Vec<SliceLoad>,
     outs: Vec<SliceScheduleOutcome>,
     sched: SliceScratch,
-    util: f64,
 }
 
 /// The RAN domain controller. See module docs.
@@ -111,7 +110,6 @@ impl RanController {
                     loads: Vec::new(),
                     outs: Vec::new(),
                     sched: SliceScratch::new(),
-                    util: 0.0,
                 }
             })
             .collect();
@@ -288,11 +286,9 @@ impl RanController {
     /// Run one scheduling epoch at `now`: split `offered` by serving eNB,
     /// schedule each cell, record telemetry, and return all outcomes.
     ///
-    /// Cells are independent PRB grids, so they are scheduled in parallel
-    /// (collect → par-compute → ordered-apply). `schedule_epoch` is a pure
-    /// function of its cell's inputs, and both the per-cell batches and the
-    /// result apply follow ascending eNB id, so outcome order and telemetry
-    /// are identical at any thread count.
+    /// Cells are independent PRB grids, scheduled one after the other in
+    /// ascending eNB id on the calling thread: a whole domain's scheduling
+    /// costs less than one thread spawn.
     ///
     /// Loads for slices not installed anywhere are ignored (the slice is
     /// mid-teardown); callers detect this by the missing outcome. Failed
@@ -343,24 +339,20 @@ impl RanController {
             });
         }
 
-        // Par-compute: one shard per cell. Idle (and down) cells have no
-        // loads, schedule trivially, and report zero utilization.
-        ovnes_sim::par::par_for_each_mut(&mut self.batches, |b| {
+        // Schedule and apply, one cell after the other in ascending id:
+        // outcome order and per-series values follow the batch order. Idle
+        // (and down) cells have no loads, schedule trivially, and report
+        // zero utilization.
+        out.clear();
+        for b in &mut self.batches {
             schedule_epoch_into(b.total, &b.loads, &mut b.sched, &mut b.outs);
             let used: u32 = b.outs.iter().map(|o| o.allocated.value()).sum();
-            b.util = used as f64 / b.total.value() as f64;
-        });
-
-        // Ordered apply: telemetry and outcome concatenation in ascending
-        // cell-id order (same per-series values and same outcome order as
-        // the busy-cells-then-idle-cells apply this replaced).
-        out.clear();
-        for b in &self.batches {
+            let util = used as f64 / b.total.value() as f64;
             match self.metrics.series_mut(&b.metric_name) {
-                Some(series) => series.record(now, b.util),
+                Some(series) => series.record(now, util),
                 // Unreachable today (series are pre-created in `new`), but
                 // degrade to the allocating path rather than panic.
-                None => self.metrics.series(&b.metric_name).record(now, b.util),
+                None => self.metrics.series(&b.metric_name).record(now, util),
             }
             out.extend_from_slice(&b.outs);
         }
@@ -569,51 +561,6 @@ mod tests {
         assert_eq!(row0.plmns, 2);
         let row1 = snap.enbs.iter().find(|r| r.enb == EnbId::new(1)).unwrap();
         assert_eq!(row1.overbooking_factor, 0.0);
-    }
-
-    #[test]
-    fn run_epoch_outcomes_independent_of_thread_count() {
-        // Eight cells, three slices each; outcomes and telemetry must be
-        // identical whether cells are scheduled serially or in parallel.
-        let run = |threads: usize| {
-            let _pin = ovnes_sim::par::pin_threads(threads);
-            let mut c = RanController::new(
-                (0..8)
-                    .map(|i| Enb::new(EnbId::new(i), CellConfig::default_20mhz()))
-                    .collect(),
-            );
-            let mut loads = Vec::new();
-            for s in 0..24u64 {
-                c.install(
-                    EnbId::new(s % 8),
-                    SliceId::new(s),
-                    plmn(s),
-                    Prbs::new(20),
-                    Prbs::new(30),
-                )
-                .unwrap();
-                loads.push(OfferedLoad {
-                    slice: SliceId::new(s),
-                    offered: RateMbps::new(5.0 + s as f64),
-                    prb_rate: RateMbps::new(0.4),
-                });
-            }
-            let outs = c.run_epoch(SimTime::from_secs(60), &loads);
-            let utils: Vec<f64> = (0..8)
-                .map(|i| {
-                    c.metrics()
-                        .series_ref(&format!("ran.enb-{i}.prb_utilization"))
-                        .unwrap()
-                        .last()
-                        .unwrap()
-                        .1
-                })
-                .collect();
-            (outs, utils)
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(8));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -71,50 +70,17 @@ impl Gauge {
     }
 }
 
-/// Rolling aggregates of a [`TimeSeries`], maintained incrementally at
-/// `record()` time so the accessors are O(1).
-///
-/// Every field replicates the left-to-right fold of the corresponding full
-/// scan (the reference twins in this module's tests) exactly, so reads are
-/// bit-identical to rescanning.
-/// Eviction from a capacity-limited series cannot be folded incrementally
-/// without changing float associativity, so it invalidates the cache; the
-/// next read rebuilds it with the reference scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Aggregates {
-    /// Running `Σ value` (the `Iterator::sum` fold, seeded at 0.0).
-    sum: f64,
-    min: f64,
-    max: f64,
-    /// Running `Σ value·dt` over consecutive sample pairs (dt in µs).
-    weighted: f64,
-    /// Running `Σ dt` over consecutive sample pairs (µs).
-    dt_total: f64,
-}
-
 /// Time-stamped sequence of samples, the raw material of every dashboard
 /// chart and of the forecasting engine's training window.
 ///
-/// `mean`/`max`/`min`/`time_weighted_mean` are O(1): they read rolling
-/// [`Aggregates`] kept up to date by `record()` (lazily rebuilt after an
-/// eviction), and always return the same bits as a full scan would.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Plain data: the samples and the window policy. `mean`/`max`/`min` scan
+/// the window on each call — their readers are an on-demand dashboard pane
+/// and one supervision line, while `record()` runs per series per epoch.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
     /// Optional cap: oldest points are dropped beyond it (monitoring window).
     capacity: Option<usize>,
-    /// Rolling aggregates; `None` after an eviction (or deserialization)
-    /// until the next read rebuilds them.
-    #[serde(skip)]
-    agg: Cell<Option<Aggregates>>,
-}
-
-impl PartialEq for TimeSeries {
-    fn eq(&self, other: &Self) -> bool {
-        // The aggregate cache is derived state: two series are equal iff
-        // their samples and window policy are.
-        self.points == other.points && self.capacity == other.capacity
-    }
 }
 
 impl TimeSeries {
@@ -128,7 +94,6 @@ impl TimeSeries {
         TimeSeries {
             points: Vec::new(),
             capacity: Some(capacity.max(1)),
-            agg: Cell::new(None),
         }
     }
 
@@ -143,7 +108,6 @@ impl TimeSeries {
             // capacity + 1 points.
             points: Vec::with_capacity(capacity + 1),
             capacity: Some(capacity),
-            agg: Cell::new(None),
         }
     }
 
@@ -160,71 +124,16 @@ impl TimeSeries {
     /// # Panics
     /// Panics if `at` precedes the previous sample's timestamp.
     pub fn record(&mut self, at: SimTime, value: f64) {
-        let prev = self.points.last().copied();
-        if let Some((last, _)) = prev {
+        if let Some(&(last, _)) = self.points.last() {
             assert!(at >= last, "time series must be recorded in order");
-        }
-        // Fold the new sample into the cached aggregates, continuing the
-        // exact reference folds (see `Aggregates`). A cold cache stays cold:
-        // the next read pays one rebuilding scan instead.
-        match (self.agg.get(), prev) {
-            (Some(mut agg), Some((pt, pv))) => {
-                agg.sum += value;
-                agg.min = agg.min.min(value);
-                agg.max = agg.max.max(value);
-                let dt = (at - pt).as_micros() as f64;
-                agg.weighted += pv * dt;
-                agg.dt_total += dt;
-                self.agg.set(Some(agg));
-            }
-            (_, None) => {
-                self.agg.set(Some(Aggregates {
-                    sum: 0.0 + value,
-                    min: value,
-                    max: value,
-                    weighted: 0.0,
-                    dt_total: 0.0,
-                }));
-            }
-            (None, Some(_)) => {}
         }
         self.points.push((at, value));
         if let Some(cap) = self.capacity {
             if self.points.len() > cap {
                 let excess = self.points.len() - cap;
                 self.points.drain(..excess);
-                self.agg.set(None);
             }
         }
-    }
-
-    /// Rolling aggregates, rebuilt by one full scan when cold.
-    /// `None` when the series is empty.
-    fn aggregates(&self) -> Option<Aggregates> {
-        if self.points.is_empty() {
-            return None;
-        }
-        if let Some(agg) = self.agg.get() {
-            return Some(agg);
-        }
-        let mut weighted = 0.0;
-        let mut dt_total = 0.0;
-        for pair in self.points.windows(2) {
-            let dt = (pair[1].0 - pair[0].0).as_micros() as f64;
-            weighted += pair[0].1 * dt;
-            dt_total += dt;
-        }
-        let values = || self.points.iter().map(|&(_, v)| v);
-        let first = self.points[0].1;
-        let agg = Aggregates {
-            sum: values().sum::<f64>(),
-            min: values().fold(first, f64::min),
-            max: values().fold(first, f64::max),
-            weighted,
-            dt_total,
-        };
-        self.agg.set(Some(agg));
-        Some(agg)
     }
 
     /// All samples, oldest first.
@@ -238,9 +147,14 @@ impl TimeSeries {
         &self.points[self.points.len().saturating_sub(n)..]
     }
 
+    /// The values, oldest first, without their timestamps.
+    fn iter_values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.points.iter().map(|&(_, v)| v)
+    }
+
     /// Just the values, oldest first (forecasting input).
     pub fn values(&self) -> Vec<f64> {
-        self.points.iter().map(|&(_, v)| v).collect()
+        self.iter_values().collect()
     }
 
     /// The most recent sample.
@@ -258,32 +172,20 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Arithmetic mean of the values, or `None` when empty. O(1).
+    /// Arithmetic mean of the values, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        self.aggregates().map(|a| a.sum / self.points.len() as f64)
+        let n = self.points.len();
+        (n > 0).then(|| self.iter_values().sum::<f64>() / n as f64)
     }
 
-    /// Maximum value, or `None` when empty. O(1).
+    /// Maximum value, or `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.aggregates().map(|a| a.max)
+        self.iter_values().reduce(f64::max)
     }
 
-    /// Minimum value, or `None` when empty. O(1).
+    /// Minimum value, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        self.aggregates().map(|a| a.min)
-    }
-
-    /// Time-weighted average over the recorded span: each value is held until
-    /// the next sample. Returns `None` with fewer than two samples. O(1).
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let agg = self.aggregates()?;
-        if agg.dt_total == 0.0 {
-            return self.mean();
-        }
-        Some(agg.weighted / agg.dt_total)
+        self.iter_values().reduce(f64::min)
     }
 }
 
@@ -514,17 +416,6 @@ impl MetricRegistry {
             .collect()
     }
 
-    /// Counters whose name starts with `prefix`, in name order — the way a
-    /// dashboard panel pulls one subsystem's counters (e.g. `control.`)
-    /// without naming each one.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, c)| (k.as_str(), c.get()))
-            .collect()
-    }
-
     /// Flat snapshot of scalar metrics (counters + gauges + last series
     /// values), the payload a controller reports upstream each monitoring
     /// epoch.
@@ -558,54 +449,6 @@ impl fmt::Display for MetricRegistry {
 mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
-
-    /// The pre-aggregate implementations: one full scan per read. Kept as
-    /// the oracles the O(1) accessors are tested against.
-    impl TimeSeries {
-        /// Reference full-scan mean — the pre-aggregate implementation, kept as
-        /// the oracle the O(1) path is tested against.
-        fn scan_mean(&self) -> Option<f64> {
-            if self.points.is_empty() {
-                return None;
-            }
-            Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
-        }
-
-        /// Reference full-scan maximum (oracle for [`TimeSeries::max`]).
-        fn scan_max(&self) -> Option<f64> {
-            self.points
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-        }
-
-        /// Reference full-scan minimum (oracle for [`TimeSeries::min`]).
-        fn scan_min(&self) -> Option<f64> {
-            self.points
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
-        }
-
-        /// Reference full-scan time-weighted mean (oracle for
-        /// [`TimeSeries::time_weighted_mean`]).
-        fn scan_time_weighted_mean(&self) -> Option<f64> {
-            if self.points.len() < 2 {
-                return None;
-            }
-            let mut weighted = 0.0;
-            let mut total = 0.0;
-            for pair in self.points.windows(2) {
-                let dt = (pair[1].0 - pair[0].0).as_micros() as f64;
-                weighted += pair[0].1 * dt;
-                total += dt;
-            }
-            if total == 0.0 {
-                return self.scan_mean();
-            }
-            Some(weighted / total)
-        }
-    }
 
     #[test]
     fn counter_accumulates() {
@@ -684,33 +527,12 @@ mod tests {
         assert_eq!(s.values(), vec![2.0, 3.0, 4.0]);
     }
 
+    /// `mean`/`max`/`min` read the window as it stands: before and after
+    /// evictions (and across a serde round trip) they are the left-to-right
+    /// folds over `points()`, bit for bit.
     #[test]
-    fn time_weighted_mean_weights_by_holding_time() {
-        let mut s = TimeSeries::new();
-        s.record(SimTime::ZERO, 0.0);
-        s.record(SimTime::from_secs(9), 100.0); // 0.0 held for 9s
-        s.record(SimTime::from_secs(10), 0.0); // 100.0 held for 1s
-        let twm = s.time_weighted_mean().unwrap();
-        assert!((twm - 10.0).abs() < 1e-9, "{twm}");
-        // Plain mean would be ~33.3.
-        assert!((s.mean().unwrap() - 100.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_mean_needs_two_points() {
-        let mut s = TimeSeries::new();
-        assert_eq!(s.time_weighted_mean(), None);
-        s.record(SimTime::ZERO, 5.0);
-        assert_eq!(s.time_weighted_mean(), None);
-    }
-
-    /// The O(1) aggregates must return the same bits as the full scans at
-    /// every step — including across capacity evictions (cache rebuild) and
-    /// repeated-timestamp samples (dt = 0).
-    #[test]
-    fn rolling_aggregates_match_scans_bitwise() {
-        let mut unbounded = TimeSeries::new();
-        let mut bounded = TimeSeries::with_capacity_limit(7);
+    fn summaries_are_folds_over_the_window_across_evictions() {
+        let mut s = TimeSeries::with_capacity_limit(7);
         let values = [
             0.3,
             -1.5,
@@ -724,34 +546,24 @@ mod tests {
             7.7,
         ];
         for (i, &v) in values.iter().cycle().take(40).enumerate() {
-            // Repeat some timestamps so zero-dt windows are covered.
-            let at = SimTime::from_secs((i / 2) as u64);
-            for s in [&mut unbounded, &mut bounded] {
-                s.record(at, v);
-                assert_eq!(s.mean().map(f64::to_bits), s.scan_mean().map(f64::to_bits));
-                assert_eq!(s.max().map(f64::to_bits), s.scan_max().map(f64::to_bits));
-                assert_eq!(s.min().map(f64::to_bits), s.scan_min().map(f64::to_bits));
-                assert_eq!(
-                    s.time_weighted_mean().map(f64::to_bits),
-                    s.scan_time_weighted_mean().map(f64::to_bits)
-                );
-            }
+            s.record(SimTime::from_secs((i / 2) as u64), v);
+            let window = || s.points().iter().map(|&(_, v)| v);
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            let n = s.len() as f64;
+            assert_eq!(
+                bits(s.mean()),
+                bits(Some(window().sum::<f64>() / n)),
+                "step {i}"
+            );
+            assert_eq!(bits(s.max()), bits(window().reduce(f64::max)), "step {i}");
+            assert_eq!(bits(s.min()), bits(window().reduce(f64::min)), "step {i}");
+            assert_eq!(s.len(), (i + 1).min(7), "step {i}");
         }
-        assert_eq!(bounded.len(), 7);
-    }
-
-    #[test]
-    fn aggregates_survive_serde_round_trip() {
-        let mut s = TimeSeries::with_capacity_limit(4);
-        for i in 0..9u64 {
-            s.record(SimTime::from_secs(i), i as f64 * 1.5 - 3.0);
-        }
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TimeSeries = serde_json::from_str(&json).unwrap();
+        let back: TimeSeries = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
-        // The cache is not serialized; the deserialized side rebuilds it.
         assert_eq!(back.mean(), s.mean());
-        assert_eq!(back.time_weighted_mean(), s.time_weighted_mean());
+        let empty = TimeSeries::with_capacity_limit(7);
+        assert_eq!((empty.mean(), empty.max(), empty.min()), (None, None, None));
     }
 
     #[test]
@@ -855,29 +667,6 @@ mod tests {
         assert_eq!(snap["ran.prb_used"], 42.0);
         assert_eq!(snap["load"], 2.0);
         assert_eq!(reg.names().len(), 4);
-    }
-
-    #[test]
-    fn counters_with_prefix_selects_one_subsystem() {
-        let mut reg = MetricRegistry::new();
-        reg.counter("control.calls").add(9);
-        reg.counter("control.retries").add(2);
-        reg.counter("controller").add(1); // prefix match is textual
-        reg.counter("orchestrator.admitted").add(5);
-        assert_eq!(
-            reg.counters_with_prefix("control."),
-            vec![("control.calls", 9), ("control.retries", 2)]
-        );
-        assert_eq!(
-            reg.counters_with_prefix("control"),
-            vec![
-                ("control.calls", 9),
-                ("control.retries", 2),
-                ("controller", 1)
-            ]
-        );
-        assert!(reg.counters_with_prefix("zzz").is_empty());
-        assert_eq!(reg.counters_with_prefix("").len(), 4);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic fork/join helpers for the epoch hot path.
+//! Deterministic fork/join for the epoch hot path.
 //!
 //! The simulator's cardinal rule is that a seed fully determines a run, so
 //! parallelism must never be observable in results. This module provides a
@@ -15,6 +15,13 @@
 //! Thread count is therefore a pure throughput knob: `OVNES_THREADS` picks
 //! the worker count, and tests/benches pin it in-process with
 //! [`pin_threads`].
+//!
+//! `par_map` is the only fork/join in the tree, and every call spawns its
+//! scoped workers afresh, so a site earns its place only when its shards
+//! outweigh a spawn: the per-slice UE plane, the federation's regions and a
+//! checkpoint's sections do; the RAN's per-cell PRB scheduling (a few µs
+//! for a whole domain, against tens of µs per spawn) did not and is a plain
+//! loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -119,39 +126,6 @@ where
     })
 }
 
-/// Run `f` over every element of `items` in place, on up to
-/// [`current_threads`] scoped workers. The in-place sibling of [`par_map`]
-/// for callers whose shards live in a persistent buffer (scratch reuse):
-/// chunks are contiguous `&mut` sub-slices, each element is visited exactly
-/// once with no shared state, so results are bit-identical at any thread
-/// count. The serial path (1 worker, or ≤1 item) allocates nothing — this
-/// is what lets a steady-state epoch run allocation-free.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let threads = current_threads();
-    if threads <= 1 || items.len() <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let chunk_len = items.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for chunk in items.chunks_mut(chunk_len) {
-            scope.spawn(move || {
-                for item in chunk {
-                    f(item);
-                }
-            });
-        }
-        // The scope joins every worker (propagating panics) before returning.
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,27 +188,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_item_once_at_every_thread_count() {
-        for threads in [1, 2, 3, 8, 64] {
-            let _pin = pin_threads(threads);
-            let mut cells: Vec<u64> = (0..103).collect();
-            par_for_each_mut(&mut cells, |c| *c = *c * 3 + 1);
-            let expect: Vec<u64> = (0..103).map(|x| x * 3 + 1).collect();
-            assert_eq!(cells, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_singleton() {
-        let _pin = pin_threads(4);
-        let mut empty: Vec<u32> = vec![];
-        par_for_each_mut(&mut empty, |_| unreachable!());
-        let mut one = vec![7u32];
-        par_for_each_mut(&mut one, |x| *x += 1);
-        assert_eq!(one, vec![8]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   delay profiles; the Fig. 2 testbed builder.
 //! * [`switch`] — OpenFlow-style flow tables: priority-matched rules with a
 //!   bounded table, the unit the controller programs per slice path.
-//! * [`routing`] — Dijkstra (min delay), Yen's k-shortest paths, and CSPF
-//!   (capacity-pruned, delay-bounded) over residual capacities.
+//! * [`routing`] — Dijkstra (min delay) and CSPF (capacity-pruned,
+//!   delay-bounded) over residual capacities.
 //! * [`reservation`] — per-link bandwidth accounting with a load-dependent
 //!   delay model; path reservations as first-class objects.
 //! * [`cache`] — generation-stamped memoization of CSPF answers, so
@@ -60,10 +60,7 @@ pub use controller::{
 };
 pub use generators::{line, random_mesh, ring, star};
 pub use reservation::{effective_delay, LinkUsage, PathReservation};
-pub use routing::{
-    cspf_with, dijkstra, dijkstra_with, k_shortest_paths, k_shortest_paths_with, Path,
-    RoutingScratch,
-};
+pub use routing::{cspf_with, dijkstra, dijkstra_with, Path, RoutingScratch};
 pub use switch::{FlowAction, FlowMatch, FlowRule, FlowTable, SwitchError};
 pub use topology::{Link, LinkKind, Node, NodeKind, Topology, TopologyBuilder};
 pub use weather::{Sky, WeatherProcess};

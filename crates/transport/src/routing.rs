@@ -1,6 +1,6 @@
 //! Path computation over the transport graph.
 //!
-//! Three algorithms, all operating on *effective* per-link weights supplied
+//! Two algorithms, both operating on *effective* per-link weights supplied
 //! by the caller (so the controller can route over residual capacities and
 //! degraded delays):
 //!
@@ -9,9 +9,6 @@
 //!   capacity floor, then find the minimum-delay path and check it against a
 //!   delay bound. This is the allocation query of the demo ("dedicated paths
 //!   are selected to guarantee the required delay and capacity", §3).
-//! * [`k_shortest_paths`] — Yen's algorithm. Nothing in the library calls
-//!   it: [`TransportController::reroute`](crate::TransportController::reroute)
-//!   asks the route cache for one CSPF path. It serves the property tests.
 
 use crate::topology::Topology;
 use ovnes_model::{Latency, LinkId, NodeId};
@@ -234,116 +231,6 @@ pub fn cspf_with(
     (path.total_delay(delay_of).value() <= max_delay.value()).then_some(path)
 }
 
-/// Yen's k-shortest loop-free paths by delay, earliest-shortest first.
-///
-/// Returns up to `k` paths; fewer if the graph does not contain that many
-/// distinct loop-free paths.
-pub fn k_shortest_paths(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    usable: impl Fn(LinkId) -> bool + Copy,
-    delay_of: impl Fn(LinkId) -> Latency + Copy,
-) -> Vec<Path> {
-    k_shortest_paths_with(
-        &mut RoutingScratch::new(),
-        topo,
-        src,
-        dst,
-        k,
-        usable,
-        delay_of,
-    )
-}
-
-/// [`k_shortest_paths`] reusing the caller's [`RoutingScratch`] for every
-/// inner shortest-path query.
-pub fn k_shortest_paths_with(
-    scratch: &mut RoutingScratch,
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    usable: impl Fn(LinkId) -> bool + Copy,
-    delay_of: impl Fn(LinkId) -> Latency + Copy,
-) -> Vec<Path> {
-    let Some(first) = dijkstra_with(scratch, topo, src, dst, usable, delay_of) else {
-        return Vec::new();
-    };
-    let mut found = vec![first];
-    let mut candidates: Vec<Path> = Vec::new();
-
-    while found.len() < k {
-        let last = found.last().expect("non-empty").clone();
-        // Branch at every spur node of the last found path.
-        for i in 0..last.nodes.len() - 1 {
-            let spur_node = last.nodes[i];
-            let root_links = &last.links[..i];
-            let root_nodes = &last.nodes[..=i];
-
-            // Links to exclude: any link that an already *found* path with
-            // the same root takes out of the spur node. (Banning candidate
-            // paths' links too would wrongly suppress cheap paths at this
-            // iteration only to resurface them later, breaking the sorted-
-            // output invariant — classic Yen bans the A-list only.)
-            let mut banned_links: Vec<LinkId> = Vec::new();
-            for p in found.iter() {
-                if p.links.len() > i && p.links[..i] == *root_links {
-                    banned_links.push(p.links[i]);
-                }
-            }
-            // Nodes on the root (except the spur node) must not be revisited.
-            let banned_nodes: Vec<NodeId> = root_nodes[..i].to_vec();
-
-            let spur = dijkstra_with(
-                scratch,
-                topo,
-                spur_node,
-                dst,
-                |l| {
-                    if banned_links.contains(&l) || !usable(l) {
-                        return false;
-                    }
-                    let link = topo.link(l);
-                    // Exclude links touching banned nodes.
-                    !banned_nodes.contains(&link.a) && !banned_nodes.contains(&link.b)
-                },
-                delay_of,
-            );
-            if let Some(spur_path) = spur {
-                let mut links = root_links.to_vec();
-                links.extend_from_slice(&spur_path.links);
-                let mut nodes = root_nodes[..i].to_vec();
-                nodes.extend_from_slice(&spur_path.nodes);
-                let candidate = Path { links, nodes };
-                if !found.contains(&candidate) && !candidates.contains(&candidate) {
-                    candidates.push(candidate);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Promote the cheapest candidate (stable on delay then link ids).
-        // Cost must be the sum of per-link *rounded* microsecond weights —
-        // the exact metric `dijkstra` minimizes. Summing the f64 delays and
-        // rounding once can order two near-tied candidates differently from
-        // the shortest-path search, breaking the sortedness of the result.
-        candidates.sort_by_key(|p| {
-            (
-                p.links
-                    .iter()
-                    .map(|&l| delay_of(l).to_duration().as_micros())
-                    .sum::<u64>(),
-                p.links.iter().map(|l| l.value()).collect::<Vec<_>>(),
-            )
-        });
-        found.push(candidates.remove(0));
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,68 +325,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn yen_enumerates_in_delay_order() {
-        let (topo, s, t) = diamond();
-        let paths = k_shortest_paths(&topo, s, t, 5, |_| true, base_delay(&topo));
-        assert_eq!(paths.len(), 3, "diamond has exactly 3 loop-free s→t paths");
-        let delays: Vec<f64> = paths
-            .iter()
-            .map(|p| p.total_delay(base_delay(&topo)).value())
-            .collect();
-        assert_eq!(delays, vec![2.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn yen_k1_equals_dijkstra() {
-        let (topo, s, t) = diamond();
-        let paths = k_shortest_paths(&topo, s, t, 1, |_| true, base_delay(&topo));
-        let best = dijkstra(&topo, s, t, |_| true, base_delay(&topo)).unwrap();
-        assert_eq!(paths, vec![best]);
-    }
-
-    #[test]
-    fn yen_handles_parallel_links() {
-        // Two parallel links of different delay: both must appear as
-        // distinct paths.
-        let mut b = Topology::builder();
-        let a = b.add_node(NodeKind::Switch(SwitchId::new(0)), "a");
-        let c = b.add_node(NodeKind::Switch(SwitchId::new(1)), "c");
-        b.add_link(
-            a,
-            c,
-            LinkKind::MmWave,
-            RateMbps::new(1000.0),
-            Latency::new(0.5),
-        );
-        b.add_link(
-            a,
-            c,
-            LinkKind::MicroWave,
-            RateMbps::new(400.0),
-            Latency::new(1.0),
-        );
-        let topo = b.build();
-        let paths = k_shortest_paths(&topo, a, c, 3, |_| true, base_delay(&topo));
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0].links, vec![LinkId::new(0)]);
-        assert_eq!(paths[1].links, vec![LinkId::new(1)]);
-    }
-
-    #[test]
-    fn yen_on_testbed_radio_to_core() {
-        let topo = Topology::testbed();
-        let src = topo.radio_site(ovnes_model::EnbId::new(0)).unwrap();
-        let dst = topo.dc_node(ovnes_model::DcId::new(1)).unwrap();
-        let paths = k_shortest_paths(&topo, src, dst, 4, |_| true, base_delay(&topo));
-        // mmWave or µwave first hop, then pf → agg → core: exactly 2 paths.
-        assert_eq!(paths.len(), 2);
-        assert!(
-            paths[0].total_delay(base_delay(&topo)).value()
-                <= paths[1].total_delay(base_delay(&topo)).value()
-        );
-    }
-
     /// [`dijkstra_with`] over caller-held nested adjacency rows (row `i` is node
     /// `i`'s `(link, peer)` pairs, as [`Topology::adjacency_rows`] returns
     /// them). Same loop, different neighbour source: the reference tests pin
@@ -567,29 +392,6 @@ mod tests {
                     "case {case}: {s} → {t} over {n} nodes, {chords} chords, mask {mask}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn yen_reuses_the_callers_scratch_for_spur_searches() {
-        // The spur searches used to run on a fresh scratch each: the
-        // caller's query epoch then moved once per call, not once per search.
-        let (topo, s, t) = diamond();
-        let mut scratch = RoutingScratch::new();
-        let paths =
-            k_shortest_paths_with(&mut scratch, &topo, s, t, 5, |_| true, base_delay(&topo));
-        assert_eq!(paths.len(), 3);
-        assert!(scratch.epoch > 1, "spur searches bypassed the scratch");
-    }
-
-    #[test]
-    fn paths_are_loop_free() {
-        let (topo, s, t) = diamond();
-        for p in k_shortest_paths(&topo, s, t, 10, |_| true, base_delay(&topo)) {
-            let mut seen = p.nodes.clone();
-            seen.sort();
-            seen.dedup();
-            assert_eq!(seen.len(), p.nodes.len(), "loop in {:?}", p.nodes);
         }
     }
 }

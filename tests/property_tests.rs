@@ -15,9 +15,7 @@ use ovnes_orchestrator::{
 };
 use ovnes_ran::{schedule_epoch, SliceLoad};
 use ovnes_sim::{Histogram, SimDuration, SimRng, SimTime};
-use ovnes_transport::{
-    dijkstra, k_shortest_paths, LinkKind, NodeKind, Topology, TransportController,
-};
+use ovnes_transport::{Topology, TransportController};
 
 const CASES: u64 = 256;
 
@@ -171,63 +169,6 @@ fn knapsack_fits_capacity_and_beats_fcfs() {
             }
         }
         assert!(knap_rev >= fcfs_rev, "case {case}: knapsack {knap_rev} < FCFS {fcfs_rev}");
-    }
-}
-
-// ---- transport: routing ------------------------------------------------------
-
-#[test]
-fn dijkstra_is_optimal_among_yens_paths() {
-    for case in 0..CASES {
-        // Random ladder topology.
-        let mut rng = SimRng::seed_from(case);
-        let mut b = Topology::builder();
-        let nodes: Vec<_> = (0..6)
-            .map(|i| b.add_node(NodeKind::Switch(SwitchId::new(i)), "s"))
-            .collect();
-        for i in 0..5 {
-            b.add_link(
-                nodes[i],
-                nodes[i + 1],
-                LinkKind::Wired,
-                RateMbps::new(1000.0),
-                Latency::new(rng.uniform_range(0.1, 5.0)),
-            );
-        }
-        // A few random chords.
-        for _ in 0..4 {
-            let a_i = rng.uniform_usize(0, 6);
-            let b_i = rng.uniform_usize(0, 6);
-            if a_i != b_i {
-                b.add_link(
-                    nodes[a_i],
-                    nodes[b_i],
-                    LinkKind::Wired,
-                    RateMbps::new(1000.0),
-                    Latency::new(rng.uniform_range(0.1, 5.0)),
-                );
-            }
-        }
-        let topo = b.build();
-        let delay = |l: LinkId| topo.link(l).delay;
-        let best = dijkstra(&topo, nodes[0], nodes[5], |_| true, delay).unwrap();
-        let paths = k_shortest_paths(&topo, nodes[0], nodes[5], 5, |_| true, delay);
-        assert_eq!(paths[0], best, "case {case}");
-        // Yen's list is sorted by delay. The algorithms compare integer
-        // microseconds (exact arithmetic), so two paths within a microsecond
-        // per hop may order either way in raw f64 terms: the tolerance is
-        // the quantization bound (0.5 us per link, <= 6 links).
-        let delays: Vec<f64> = paths.iter().map(|p| p.total_delay(delay).value()).collect();
-        for w in delays.windows(2) {
-            assert!(w[0] <= w[1] + 0.003, "case {case}: {delays:?}");
-        }
-        // All loop-free.
-        for p in &paths {
-            let mut ns = p.nodes.clone();
-            ns.sort();
-            ns.dedup();
-            assert_eq!(ns.len(), p.nodes.len(), "case {case}: loop in {:?}", p.nodes);
-        }
     }
 }
 
