@@ -1,4 +1,5 @@
-//! Zero-allocation guarantees of the UE-plane epoch, asserted under the
+//! Zero-allocation guarantees of the UE-plane epoch (and of the per-link
+//! telemetry that closes every epoch), asserted under the
 //! counting global allocator (`--features alloc-count`; without it this
 //! file compiles to an empty test binary).
 //!
@@ -16,6 +17,7 @@ use ovnes_ran::{
     SliceScratch, UeChannel,
 };
 use ovnes_sim::SimTime;
+use ovnes_transport::{Topology, TransportController};
 
 fn channels(n: u64) -> Vec<UeChannel> {
     (0..n)
@@ -108,4 +110,18 @@ fn ran_controller_epoch_steady_state_allocates_nothing() {
             "steady-state RAN epochs allocated at {workers} workers"
         );
     }
+}
+
+#[test]
+fn transport_record_epoch_steady_state_allocates_nothing() {
+    // Per-link utilization is a gauge set in place: after the first epoch
+    // created them, an epoch of telemetry is lookups only, however many links.
+    let mut transport = TransportController::new(Topology::testbed(), 64);
+    transport.record_epoch(SimTime::from_secs(0));
+    let (allocs, ()) = alloc_count::count(|| {
+        for e in 1..=10u64 {
+            transport.record_epoch(SimTime::from_secs(e * 60));
+        }
+    });
+    assert_eq!(allocs, 0, "steady-state link telemetry allocated");
 }

@@ -387,12 +387,14 @@ impl CloudController {
         self.dcs.get(&id)
     }
 
-    /// Record per-DC utilization telemetry at `now`.
-    pub fn record_epoch(&mut self, now: SimTime) {
+    /// Record per-DC utilization telemetry: one gauge per DC, because the
+    /// reports and the dashboard read the current value only. A gauge
+    /// holds no timestamp; `_now` stays for the callers.
+    pub fn record_epoch(&mut self, _now: SimTime) {
         for (id, dc) in &self.dcs {
             self.metrics
-                .series(&format!("cloud.{id}.utilization"))
-                .record(now, dc.utilization());
+                .gauge(&format!("cloud.{id}.utilization"))
+                .set(dc.utilization());
         }
     }
 
@@ -581,9 +583,21 @@ mod tests {
         c.deploy(SliceId::new(1), DcId::new(0), &template(1))
             .unwrap();
         c.record_epoch(SimTime::from_secs(5));
-        let s = c.metrics().series_ref("cloud.dc-0.utilization").unwrap();
-        assert_eq!(s.len(), 1);
-        assert!(s.last().unwrap().1 > 0.0);
+        let registry_len =
+            |c: &CloudController| serde_json::to_vec(&c.export_state().metrics).unwrap().len();
+        let after_one = registry_len(&c);
+        for epoch in 2..=200u64 {
+            c.record_epoch(SimTime::from_secs(5 * epoch));
+        }
+        assert_eq!(registry_len(&c), after_one, "no history is kept");
+        let scalars = c.metrics().scalar_snapshot();
+        assert!(scalars["cloud.dc-0.utilization"] > 0.0);
+        for id in [DcId::new(0), DcId::new(1)] {
+            assert_eq!(
+                scalars[&format!("cloud.{id}.utilization")].to_bits(),
+                c.dc(id).unwrap().utilization().to_bits()
+            );
+        }
     }
 
     #[test]

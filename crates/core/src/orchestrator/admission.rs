@@ -239,18 +239,16 @@ impl Orchestrator {
 
     /// Phase: expire the slices that ran their duration (degraded ones too:
     /// the data plane kept serving through the control-plane outage) and
-    /// reclaim their resources. Takes the epoch's one listing of the
-    /// records; returns `(expired, live)` — `live` being every slice still
-    /// `Active` or `Degraded`, ascending, which the later phases share.
+    /// reclaim their resources. Takes the epoch's one listing, over
+    /// `placements` (the live set — the ended are never walked); returns
+    /// `(expired, live)` — `live` being every slice still `Active` or
+    /// `Degraded`, ascending, which the later phases share.
     pub(super) fn expire_due(&mut self, now: SimTime) -> (Vec<SliceId>, Vec<SliceId>) {
-        let serving = self
-            .records
-            .values()
-            .filter(|r| matches!(r.state, SliceState::Active | SliceState::Degraded));
-        let serving: Vec<SliceId> = serving.map(|r| r.id).collect();
-        let (expired, live): (Vec<SliceId>, Vec<SliceId>) = serving
-            .into_iter()
-            .partition(|id| self.records[id].expires_at.is_some_and(|t| t <= now));
+        use SliceState::{Active, Degraded};
+        let serving = self.placements.keys().copied();
+        let serving = serving.filter(|id| matches!(self.records[id].state, Active | Degraded));
+        let (expired, live): (Vec<SliceId>, Vec<SliceId>) =
+            serving.partition(|id| self.records[id].expires_at.is_some_and(|t| t <= now));
         for &id in &expired {
             self.teardown(id, SliceState::Expired);
             let line = format!("{id} expired, resources reclaimed");

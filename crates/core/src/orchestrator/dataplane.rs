@@ -7,7 +7,7 @@ use crate::sla::SlaVerdict;
 use ovnes_model::{Latency, Prbs, RateMbps, SliceId, UeId};
 use ovnes_ran::controller::OfferedLoad;
 use ovnes_ran::{jain_index, PfScratch, SliceScheduleOutcome, UeChannel, UeShare};
-use ovnes_sim::{SimTime, TimeSeries};
+use ovnes_sim::{SimTime, TimeSeries, SERIES_WINDOW};
 
 /// Per-slice simulation state mutated by the epoch hot path. Grouped in one
 /// struct so the parallel compute phase can hand each slice to a worker as
@@ -173,9 +173,9 @@ impl Orchestrator {
             }
             self.sla.book_epoch(now, record, &verdict);
             let timeline = self.timelines.entry(id).or_insert_with(|| SliceTimeline {
-                offered: TimeSeries::with_capacity_limit(4096),
-                delivered: TimeSeries::with_capacity_limit(4096),
-                latency: TimeSeries::with_capacity_limit(4096),
+                offered: TimeSeries::with_capacity_limit(SERIES_WINDOW),
+                delivered: TimeSeries::with_capacity_limit(SERIES_WINDOW),
+                latency: TimeSeries::with_capacity_limit(SERIES_WINDOW),
             });
             timeline.offered.record(now, load.offered.value());
             timeline.delivered.record(now, delivered.value());

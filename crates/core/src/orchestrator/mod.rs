@@ -192,9 +192,9 @@ pub struct Orchestrator {
     /// outage until the instant recorded here.
     epc_down_until: BTreeMap<SliceId, SimTime>,
     /// Per-slice measurement history, kept after the slice ends for
-    /// post-run analysis. Each series is capped at 4096 points but the map
-    /// itself never sheds an ended slice: it grows with every slice ever
-    /// admitted (ROADMAP item 1's leak).
+    /// post-run analysis. Each series is a `SERIES_WINDOW` window but the
+    /// map itself never sheds an ended slice: with `records` it grows by a
+    /// measured ≈ 5 KB of checkpoint per `admit_churn` epoch (ROADMAP 1).
     timelines: BTreeMap<SliceId, SliceTimeline>,
     /// Proportional-fair state per slice (only when fairness tracking is on).
     pf: BTreeMap<SliceId, PfState>,

@@ -4,7 +4,7 @@
 use super::Orchestrator;
 use crate::control::ControlEpochStats;
 use crate::overbooking::{GainReport, OverbookingEngine};
-use ovnes_api::{decode, encode, MonitoringReport, Status};
+use ovnes_api::{encode, MonitoringReport, Status};
 use ovnes_sim::SimTime;
 
 impl Orchestrator {
@@ -55,12 +55,13 @@ impl Orchestrator {
     }
 
     fn collect_monitoring(&mut self, now: SimTime) -> Vec<MonitoringReport> {
+        let registries = [
+            ("ran", self.ran.metrics()),
+            ("transport", self.transport.metrics()),
+            ("cloud", self.cloud.metrics()),
+        ];
         let mut reports = Vec::with_capacity(3);
-        for (domain, scalars) in [
-            ("ran", self.ran.metrics().scalar_snapshot()),
-            ("transport", self.transport.metrics().scalar_snapshot()),
-            ("cloud", self.cloud.metrics().scalar_snapshot()),
-        ] {
+        for (domain, registry) in registries {
             // A domain the health probe lost this epoch loses its report
             // too — the dashboard shows a gap, exactly like the testbed's.
             if !self.reachable(domain) {
@@ -69,20 +70,19 @@ impl Orchestrator {
             let report = MonitoringReport {
                 domain: domain.to_owned(),
                 at: now,
-                scalars,
+                scalars: registry.scalar_snapshot(),
             };
-            // Round-trip through the wire format with retries — the REST
-            // boundary. Corrupted echoes fail the decode check and retry.
-            let bytes = encode(&report).expect("reports are serializable");
+            // The REST boundary, with retries. The endpoint's contract is
+            // identity: an echo that is not byte for byte the report sent
+            // is a corruption and retried; the report built is the one kept.
+            let sent = encode(&report).expect("reports are serializable");
             let endpoint = format!("{domain}/monitoring");
-            let mut echoed = None;
-            let accepted = self.control.call_checked(now, &endpoint, bytes, |r| {
-                echoed = decode::<MonitoringReport>(&r.body.0).ok();
-                echoed.is_some()
-            });
+            let accepted = self
+                .control
+                .call_checked(now, &endpoint, sent.clone(), |r| r.body.0 == sent);
             // A rejection comes back without passing the acceptor.
             if accepted.is_some_and(|r| r.status == Status::Ok) {
-                reports.extend(echoed);
+                reports.push(report);
             }
         }
         reports

@@ -661,3 +661,41 @@ fn restored_orchestrator_tracks_exactly_the_known_domains() {
     assert_eq!(tracked, known);
     assert_eq!(restored.run_epoch(minute(2)), o.run_epoch(minute(2)));
 }
+
+/// A long-running service with a fixed slice set has a fixed-size domain
+/// state: the transport and cloud sections of a checkpoint do not grow with
+/// the epoch count (their telemetry is gauges — nothing reads a history).
+#[test]
+fn domain_sections_do_not_grow_over_calm_epochs() {
+    let config = OrchestratorConfig {
+        // Reservations stay at SLA peak, so the books themselves are still.
+        overbooking_enabled: false,
+        ..OrchestratorConfig::default()
+    };
+    let mut o = orchestrator(config);
+    for _ in 0..2 {
+        let request = SliceRequest {
+            duration: SimDuration::from_hours(10),
+            ..embb(20.0)
+        };
+        o.submit(SimTime::ZERO, request).unwrap();
+    }
+    let section_lens = |o: &Orchestrator| {
+        let state = o.export_state();
+        (
+            serde_json::to_vec(&state.transport).unwrap().len(),
+            serde_json::to_vec(&state.cloud).unwrap().len(),
+        )
+    };
+    for e in 1..=20 {
+        o.run_epoch(minute(e));
+    }
+    let (transport_20, cloud_20) = section_lens(&o);
+    for e in 21..=300 {
+        o.run_epoch(minute(e));
+    }
+    assert_eq!(o.count_in_state(SliceState::Active), 2, "the set is fixed");
+    let (transport_300, cloud_300) = section_lens(&o);
+    assert!(transport_300 <= transport_20, "grew to {transport_300}");
+    assert!(cloud_300 <= cloud_20, "grew to {cloud_300}");
+}

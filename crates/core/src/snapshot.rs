@@ -6,9 +6,10 @@
 //! call serializes a [`ScenarioState`] — orchestrator, all three domain
 //! controllers, forecasters, control plane, every RNG stream, and the run
 //! cursor — into per-component JSON blobs, stores each under its SHA-256,
-//! and appends one manifest mapping section name → content hash. Because
-//! slowly-changing sections (config, topology, quiet controllers) keep
-//! their hashes, per-epoch checkpointing stores mostly deltas.
+//! and appends one manifest mapping section name → content hash. Content
+//! addressing buys integrity (an object that does not hash to its name is
+//! refused) and the attribution below, not space: nearly every section
+//! changes between checkpoints (`snapshot.dedup_ratio` 1.000–1.003).
 //!
 //! [`WorldSnapshot::restore`] reverses the split and yields a state from
 //! which [`DemoScenario::from_state`](crate::scenario::DemoScenario::from_state)

@@ -8,14 +8,9 @@
 use crate::cell::{Enb, PlmnReservation, RanError};
 use crate::scheduler::{schedule_epoch_into, SliceLoad, SliceScheduleOutcome, SliceScratch};
 use ovnes_model::{EnbId, PlmnId, Prbs, RateMbps, SliceId};
-use ovnes_sim::{MetricRegistry, SimTime};
+use ovnes_sim::{MetricRegistry, SimTime, SERIES_WINDOW};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Samples preallocated per utilization series so steady-state epochs
-/// record telemetry without growing the buffer (≈ 11 hours of 1-minute
-/// epochs; longer runs merely fall back to amortized growth).
-const UTIL_SERIES_PREALLOC: usize = 4096;
 
 /// Offered traffic of one slice this epoch, as the orchestrator reports it.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,9 +95,10 @@ impl RanController {
             .values()
             .map(|enb| {
                 let metric_name = format!("ran.{}.prb_utilization", enb.id());
-                // Pre-create the series (with room for a long run) so the
-                // epoch's record path is a pure lookup.
-                metrics.series(&metric_name).reserve(UTIL_SERIES_PREALLOC);
+                // Pre-create the series with its whole window (plus one:
+                // `record` pushes before it evicts) so the epoch's record
+                // path is a pure lookup that never reallocates.
+                metrics.series(&metric_name).reserve(SERIES_WINDOW + 1);
                 CellBatch {
                     enb: enb.id(),
                     total: enb.total_prbs(),

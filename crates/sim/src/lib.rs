@@ -33,6 +33,6 @@ pub mod rng;
 pub mod time;
 
 pub use eventlog::{EventLog, LogEntry};
-pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, TimeSeries};
+pub use metrics::{Counter, Gauge, MetricRegistry, TimeSeries, SERIES_WINDOW};
 pub use rng::{RngState, SimRng};
 pub use time::{SimDuration, SimTime};

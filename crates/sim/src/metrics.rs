@@ -3,9 +3,10 @@
 //!
 //! The testbed's domain controllers continuously report resource utilization
 //! to the end-to-end orchestrator; here each controller owns a
-//! [`MetricRegistry`] of named [`Counter`]s, [`Gauge`]s, [`TimeSeries`] and
-//! [`Histogram`]s, which the orchestrator samples through the API layer and
-//! the dashboard renders.
+//! [`MetricRegistry`] of named [`Counter`]s, [`Gauge`]s and [`TimeSeries`],
+//! which the orchestrator samples through the API layer and the dashboard
+//! renders. A value is a gauge unless something reads its history; a
+//! registry's series keep a window of [`SERIES_WINDOW`] samples.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -70,6 +71,10 @@ impl Gauge {
     }
 }
 
+/// Samples every registry series and per-slice timeline keeps: no history
+/// grows with the run, and no run in the tree reaches the window.
+pub const SERIES_WINDOW: usize = 4096;
+
 /// Time-stamped sequence of samples, the raw material of every dashboard
 /// chart and of the forecasting engine's training window.
 ///
@@ -97,24 +102,10 @@ impl TimeSeries {
         }
     }
 
-    /// Like [`with_capacity_limit`](Self::with_capacity_limit) but with the
-    /// whole window preallocated up front, so `record` never reallocates.
-    /// For series written by allocation-free hot paths; most series should
-    /// keep the lazy default rather than commit the window eagerly.
-    pub fn preallocated(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TimeSeries {
-            // `record` pushes before evicting, so the buffer briefly holds
-            // capacity + 1 points.
-            points: Vec::with_capacity(capacity + 1),
-            capacity: Some(capacity),
-        }
-    }
-
     /// Preallocate room for `additional` more samples without changing the
-    /// window policy (an unbounded series stays unbounded). Hot paths that
-    /// record into a pre-created series reserve their expected run length
-    /// up front so steady-state `record` calls never reallocate.
+    /// window policy. Hot paths that record into a pre-created series
+    /// reserve their window up front (plus one: `record` pushes before it
+    /// evicts) so steady-state `record` calls never reallocate.
     pub fn reserve(&mut self, additional: usize) {
         self.points.reserve(additional);
     }
@@ -189,152 +180,6 @@ impl TimeSeries {
     }
 }
 
-/// Fixed-boundary histogram with exact count semantics, for latency and
-/// utilization distributions. Values above the top boundary land in an
-/// overflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Upper bounds of each bucket (ascending); bucket i counts values
-    /// `<= bounds[i]` (and greater than `bounds[i-1]`).
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// Histogram with the given ascending bucket upper bounds.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let n = bounds.len();
-        Histogram {
-            bounds,
-            counts: vec![0; n],
-            overflow: 0,
-            total: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// `n` equal-width buckets spanning `[lo, hi]`.
-    pub fn linear(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0 && hi > lo);
-        let width = (hi - lo) / n as f64;
-        // The last bound is pinned to exactly `hi`: accumulating rounding in
-        // `lo + width·i` can leave it an ulp short, dropping values equal to
-        // `hi` into the overflow bucket.
-        Self::with_bounds(
-            (1..=n)
-                .map(|i| if i == n { hi } else { lo + width * i as f64 })
-                .collect(),
-        )
-    }
-
-    /// Exponentially widening buckets: first bound `first`, each `factor`×
-    /// the previous, `n` buckets. Good for latency tails.
-    pub fn exponential(first: f64, factor: f64, n: usize) -> Self {
-        assert!(n > 0 && first > 0.0 && factor > 1.0);
-        let mut bounds = Vec::with_capacity(n);
-        let mut b = first;
-        for _ in 0..n {
-            bounds.push(b);
-            b *= factor;
-        }
-        Self::with_bounds(bounds)
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, value: f64) {
-        self.total += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        match self.bounds.iter().position(|&b| value <= b) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all observations, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum / self.total as f64)
-    }
-
-    /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.total > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.total > 0).then_some(self.max)
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) by linear interpolation within
-    /// the containing bucket. Values in the overflow bucket report the
-    /// observed maximum.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.total as f64;
-        let mut cum = 0.0;
-        let mut lower = f64::NEG_INFINITY;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = cum + c as f64;
-            if next >= target && c > 0 {
-                // The bucket's value range, tightened by the observed
-                // extremes so interpolation never leaves [min, max].
-                let lo = if lower.is_finite() {
-                    lower.max(self.min)
-                } else {
-                    self.min
-                };
-                let hi = self.bounds[i].min(self.max);
-                let frac = if c > 0 {
-                    ((target - cum) / c as f64).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                return Some(lo + (hi - lo).max(0.0) * frac);
-            }
-            cum = next;
-            lower = self.bounds[i];
-        }
-        Some(self.max)
-    }
-
-    /// Bucket view: `(upper_bound, count)` pairs plus the overflow count.
-    pub fn buckets(&self) -> (Vec<(f64, u64)>, u64) {
-        (
-            self.bounds
-                .iter()
-                .copied()
-                .zip(self.counts.iter().copied())
-                .collect(),
-            self.overflow,
-        )
-    }
-}
-
 /// Name-indexed collection of metrics owned by one component.
 ///
 /// Keys are dotted paths (`"ran.enb0.prb_used"`). BTreeMap keeps iteration
@@ -344,7 +189,6 @@ pub struct MetricRegistry {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     series: BTreeMap<String, TimeSeries>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricRegistry {
@@ -363,9 +207,18 @@ impl MetricRegistry {
         self.gauges.entry(name.to_owned()).or_default()
     }
 
-    /// Get or create the time series `name`.
+    /// Mutable view of the gauge `name` if it already exists; like
+    /// [`series_mut`](Self::series_mut), it never inserts or allocates.
+    pub fn gauge_mut(&mut self, name: &str) -> Option<&mut Gauge> {
+        self.gauges.get_mut(name)
+    }
+
+    /// Get or create the time series `name`, a window of the last
+    /// [`SERIES_WINDOW`] samples.
     pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_owned()).or_default()
+        self.series
+            .entry(name.to_owned())
+            .or_insert_with(|| TimeSeries::with_capacity_limit(SERIES_WINDOW))
     }
 
     /// Mutable view of the series `name` if it already exists. Unlike
@@ -374,15 +227,6 @@ impl MetricRegistry {
     /// pre-created their series can record without allocating.
     pub fn series_mut(&mut self, name: &str) -> Option<&mut TimeSeries> {
         self.series.get_mut(name)
-    }
-
-    /// Insert (or replace) a histogram under `name`, returning it.
-    pub fn histogram_with(
-        &mut self,
-        name: &str,
-        make: impl FnOnce() -> Histogram,
-    ) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_insert_with(make)
     }
 
     /// Read a counter if present.
@@ -400,37 +244,23 @@ impl MetricRegistry {
         self.series.get(name)
     }
 
-    /// Read-only view of a histogram if present.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Names of all counters/gauges/series/histograms (deterministic order).
-    pub fn names(&self) -> Vec<String> {
-        self.counters
-            .keys()
-            .chain(self.gauges.keys())
-            .chain(self.series.keys())
-            .chain(self.histograms.keys())
-            .cloned()
-            .collect()
-    }
-
-    /// Flat snapshot of scalar metrics (counters + gauges + last series
-    /// values), the payload a controller reports upstream each monitoring
-    /// epoch.
+    /// Flat snapshot of scalar metrics (counters + last series values +
+    /// gauges), the payload a controller reports upstream each monitoring
+    /// epoch. Gauges go in last: a registry restored from an older snapshot
+    /// may hold a series under the name of what is now a gauge, and the
+    /// live value is the gauge's.
     pub fn scalar_snapshot(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
         for (k, c) in &self.counters {
             out.insert(k.clone(), c.get() as f64);
         }
-        for (k, g) in &self.gauges {
-            out.insert(k.clone(), g.get());
-        }
         for (k, s) in &self.series {
             if let Some((_, v)) = s.last() {
                 out.insert(k.clone(), v);
             }
+        }
+        for (k, g) in &self.gauges {
+            out.insert(k.clone(), g.get());
         }
         out
     }
@@ -459,24 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn preallocated_series_behaves_like_capacity_limited() {
-        let mut a = TimeSeries::preallocated(3);
-        let mut b = TimeSeries::with_capacity_limit(3);
-        let cap = a.points.capacity();
-        for i in 0..10u64 {
-            let at = SimTime::ZERO + SimDuration::from_mins(i);
-            a.record(at, i as f64);
-            b.record(at, i as f64);
-        }
-        assert_eq!(a, b, "same window, same samples");
-        assert_eq!(
-            a.points.capacity(),
-            cap,
-            "never grew past the preallocation"
-        );
-    }
-
-    #[test]
     fn series_mut_finds_without_inserting() {
         let mut reg = MetricRegistry::new();
         assert!(reg.series_mut("absent").is_none());
@@ -486,6 +298,24 @@ mod tests {
             .expect("created above")
             .record(SimTime::ZERO + SimDuration::from_mins(1), 2.0);
         assert_eq!(reg.series_ref("present").unwrap().len(), 2);
+
+        assert!(reg.gauge_mut("absent").is_none());
+        assert_eq!(reg.gauge_value("absent"), None, "lookup did not insert");
+        reg.gauge("level").set(1.0);
+        reg.gauge_mut("level").expect("created above").set(2.0);
+        assert_eq!(reg.gauge_value("level"), Some(2.0));
+    }
+
+    #[test]
+    fn registry_series_keep_a_window() {
+        let mut reg = MetricRegistry::new();
+        for i in 0..SERIES_WINDOW as u64 + 10 {
+            reg.series("load").record(SimTime::from_secs(i), i as f64);
+        }
+        let load = reg.series_ref("load").unwrap();
+        assert_eq!(load.len(), SERIES_WINDOW);
+        assert_eq!(load.points()[0].1, 10.0, "the oldest samples went");
+        assert_eq!(reg.scalar_snapshot()["load"], (SERIES_WINDOW + 9) as f64);
     }
 
     #[test]
@@ -580,72 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::with_bounds(vec![1.0, 2.0, 4.0]);
-        for v in [0.5, 1.5, 3.0, 10.0] {
-            h.observe(v);
-        }
-        let (buckets, overflow) = h.buckets();
-        assert_eq!(buckets, vec![(1.0, 1), (2.0, 1), (4.0, 1)]);
-        assert_eq!(overflow, 1);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Some(3.75));
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(10.0));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone_and_bounded() {
-        let mut h = Histogram::linear(0.0, 100.0, 20);
-        let mut vals: Vec<f64> = (0..1000).map(|i| (i % 100) as f64).collect();
-        vals.push(99.5);
-        for v in vals {
-            h.observe(v);
-        }
-        let q10 = h.quantile(0.10).unwrap();
-        let q50 = h.quantile(0.50).unwrap();
-        let q99 = h.quantile(0.99).unwrap();
-        assert!(q10 <= q50 && q50 <= q99, "{q10} {q50} {q99}");
-        assert!((q50 - 50.0).abs() < 6.0, "median approx, got {q50}");
-        assert!(h.quantile(1.0).unwrap() <= h.max().unwrap());
-    }
-
-    #[test]
-    fn linear_top_bound_is_inclusive() {
-        // Regression: with bounds built purely by accumulation,
-        // linear(0.0, 1.0, 3) ends at 0.3333…·3 = 0.9999999999999999 and an
-        // observation of exactly 1.0 leaks into the overflow bucket.
-        let mut h = Histogram::linear(0.0, 1.0, 3);
-        h.observe(1.0);
-        let (buckets, overflow) = h.buckets();
-        assert_eq!(overflow, 0, "hi must land in the last bucket");
-        assert_eq!(buckets.last().unwrap(), &(1.0, 1));
-        // Values past hi still overflow.
-        h.observe(1.0000001);
-        assert_eq!(h.buckets().1, 1);
-    }
-
-    #[test]
-    fn histogram_quantile_empty_is_none() {
-        let h = Histogram::linear(0.0, 1.0, 2);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn exponential_bounds_grow() {
-        let h = Histogram::exponential(1.0, 2.0, 4);
-        let (buckets, _) = h.buckets();
-        let bounds: Vec<f64> = buckets.iter().map(|&(b, _)| b).collect();
-        assert_eq!(bounds, vec![1.0, 2.0, 4.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn histogram_rejects_unsorted_bounds() {
-        Histogram::with_bounds(vec![2.0, 1.0]);
-    }
-
-    #[test]
     fn registry_creates_and_reads() {
         let mut reg = MetricRegistry::new();
         reg.counter("slices.admitted").add(3);
@@ -653,20 +417,16 @@ mod tests {
         reg.series("load").record(SimTime::ZERO, 1.0);
         reg.series("load")
             .record(SimTime::ZERO + SimDuration::from_secs(1), 2.0);
-        reg.histogram_with("lat", || Histogram::linear(0.0, 10.0, 10))
-            .observe(3.0);
 
         assert_eq!(reg.counter_value("slices.admitted"), Some(3));
         assert_eq!(reg.gauge_value("ran.prb_used"), Some(42.0));
         assert_eq!(reg.series_ref("load").unwrap().len(), 2);
-        assert_eq!(reg.histogram_ref("lat").unwrap().count(), 1);
         assert_eq!(reg.counter_value("missing"), None);
 
         let snap = reg.scalar_snapshot();
         assert_eq!(snap["slices.admitted"], 3.0);
         assert_eq!(snap["ran.prb_used"], 42.0);
         assert_eq!(snap["load"], 2.0);
-        assert_eq!(reg.names().len(), 4);
     }
 
     #[test]
@@ -678,5 +438,25 @@ mod tests {
         let back: MetricRegistry = serde_json::from_str(&json).unwrap();
         assert_eq!(back.counter_value("a"), Some(1));
         assert_eq!(back.gauge_value("b"), Some(2.5));
+    }
+
+    /// Snapshots in the layout of PR 21 — a fourth map nothing observed
+    /// into, unbounded registry series, a series per link — still load: the
+    /// unknown key is ignored and an unbounded series stays as stored.
+    #[test]
+    fn registry_in_the_old_layout_still_deserialises() {
+        let old = r#"{"counters":{"transport.allocations":{"value":3}},
+            "gauges":{},
+            "series":{"transport.link-0.utilization":
+                {"points":[[60000000,0.25],[120000000,0.5]],"capacity":null}},
+            "histograms":{}}"#;
+        let mut reg: MetricRegistry = serde_json::from_str(old).unwrap();
+        assert_eq!(reg.counter_value("transport.allocations"), Some(3));
+        let link = reg.series_ref("transport.link-0.utilization").unwrap();
+        assert_eq!(link.last(), Some((SimTime::from_secs(120), 0.5)));
+        assert_eq!(reg.scalar_snapshot()["transport.link-0.utilization"], 0.5);
+        // The restored controller books a gauge now; the report follows it.
+        reg.gauge("transport.link-0.utilization").set(0.75);
+        assert_eq!(reg.scalar_snapshot()["transport.link-0.utilization"], 0.75);
     }
 }

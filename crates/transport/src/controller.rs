@@ -100,14 +100,14 @@ pub struct TransportController {
     tables: BTreeMap<SwitchId, FlowTable>,
     reservations: BTreeMap<SliceId, PathReservation>,
     metrics: MetricRegistry,
-    /// Name of each link's utilization series, indexed by link id: derived
+    /// Name of each link's utilization gauge, indexed by link id: derived
     /// from the topology (which never grows), so not part of the state.
-    utilization_series: Vec<String>,
+    utilization_gauges: Vec<String>,
     scratch: RoutingScratch,
     route_cache: RouteCache,
 }
 
-fn utilization_series(topo: &Topology) -> Vec<String> {
+fn utilization_gauges(topo: &Topology) -> Vec<String> {
     topo.links()
         .iter()
         .map(|l| format!("transport.{}.utilization", l.id))
@@ -133,7 +133,7 @@ impl TransportController {
             .collect();
         let down_reasons = vec![0; usage.len()];
         TransportController {
-            utilization_series: utilization_series(&topo),
+            utilization_gauges: utilization_gauges(&topo),
             topo,
             usage,
             down_reasons,
@@ -590,15 +590,18 @@ impl TransportController {
         }
     }
 
-    /// Record per-link utilization telemetry at `now`.
-    pub fn record_epoch(&mut self, now: SimTime) {
-        for (usage, name) in self.usage.iter().zip(&self.utilization_series) {
+    /// Record per-link utilization telemetry: one gauge per link, because
+    /// the reports and the dashboard read the current value only (the
+    /// link table's rows come from [`snapshot`](Self::snapshot)). A gauge
+    /// holds no timestamp; `_now` stays for the callers.
+    pub fn record_epoch(&mut self, _now: SimTime) {
+        for (usage, name) in self.usage.iter().zip(&self.utilization_gauges) {
             let util = usage.utilization();
             let util = if util.is_finite() { util } else { 1.0 };
-            match self.metrics.series_mut(name) {
-                Some(series) => series.record(now, util),
-                // First epoch: the series does not exist until recorded to.
-                None => self.metrics.series(name).record(now, util),
+            match self.metrics.gauge_mut(name) {
+                Some(gauge) => gauge.set(util),
+                // First epoch: the gauge does not exist until set.
+                None => self.metrics.gauge(name).set(util),
             }
         }
     }
@@ -663,7 +666,7 @@ impl TransportController {
             tables: state.tables.clone(),
             reservations: state.reservations.clone(),
             metrics: state.metrics.clone(),
-            utilization_series: utilization_series(&state.topo),
+            utilization_gauges: utilization_gauges(&state.topo),
             scratch: RoutingScratch::new(),
             route_cache: RouteCache::from_state(&state.route_cache),
         }
@@ -1018,10 +1021,55 @@ mod tests {
             .unwrap();
         assert!((mm_row.utilization - 0.5).abs() < 1e-9);
         assert_eq!(c.metrics().counter_value("transport.allocations"), Some(1));
-        assert!(c
-            .metrics()
-            .series_ref(&format!("transport.{}.utilization", mm_row.link))
-            .is_some());
+        assert_eq!(
+            c.metrics()
+                .gauge_value(&format!("transport.{}.utilization", mm_row.link)),
+            Some(mm_row.utilization)
+        );
+    }
+
+    /// Nothing reads a link's history, so none is kept: the registry is the
+    /// same size after 200 epochs as after one, and the report still carries
+    /// every link's current utilization (non-finite → 1.0).
+    #[test]
+    fn epoch_telemetry_is_a_gauge_per_link_and_does_not_grow() {
+        let mut c = testbed_controller();
+        let (src, edge, _) = endpoints(&c);
+        c.allocate(
+            SliceId::new(1),
+            src,
+            edge,
+            RateMbps::new(500.0),
+            Latency::new(5.0),
+        )
+        .unwrap();
+        let registry_len =
+            |c: &TransportController| serde_json::to_vec(&c.export_state().metrics).unwrap().len();
+        c.record_epoch(SimTime::from_secs(60));
+        let after_one = registry_len(&c);
+        for epoch in 2..=200u64 {
+            c.record_epoch(SimTime::from_secs(60 * epoch));
+        }
+        assert_eq!(registry_len(&c), after_one);
+
+        // A reserved link faded to nothing reads infinite utilization.
+        let snap = c.snapshot();
+        let faded = snap.links.iter().find(|r| r.reserved.value() > 0.0);
+        let faded = faded.unwrap().link;
+        c.degrade_link(faded, 0.0);
+        assert!(c.link_usage(faded).utilization().is_infinite());
+        c.record_epoch(SimTime::from_secs(60 * 201));
+        let scalars = c.metrics().scalar_snapshot();
+        for link in c.topology().links() {
+            let util = c.link_usage(link.id).utilization();
+            let booked = if util.is_finite() { util } else { 1.0 };
+            assert_eq!(
+                scalars[&format!("transport.{}.utilization", link.id)].to_bits(),
+                booked.to_bits(),
+                "{}",
+                link.id
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ovnes_orchestrator::{
     region_scenario_config, DemoScenario, FederationBroker, FederationConfig,
 };
 use ovnes_ran::{schedule_epoch, SliceLoad};
-use ovnes_sim::{Histogram, SimDuration, SimRng, SimTime};
+use ovnes_sim::{SimDuration, SimRng, SimTime};
 use ovnes_transport::{Topology, TransportController};
 
 const CASES: u64 = 256;
@@ -32,31 +32,6 @@ fn vec_of<T>(
 /// Uniform integer in `[lo, hi)`.
 fn int(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
     rng.uniform_usize(lo as usize, hi as usize) as u64
-}
-
-// ---- sim: histogram ----------------------------------------------------------
-
-#[test]
-fn histogram_count_and_bounds() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from(case);
-        let values = vec_of(&mut rng, 1, 500, |r| r.uniform_range(0.0, 100.0));
-        let mut h = Histogram::linear(0.0, 100.0, 10);
-        for &v in &values {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), values.len() as u64, "case {case}");
-        let (buckets, overflow) = h.buckets();
-        let total: u64 = buckets.iter().map(|&(_, c)| c).sum::<u64>() + overflow;
-        assert_eq!(total, values.len() as u64, "case {case}");
-        // Quantiles are monotone and within [min, max].
-        let q1 = h.quantile(0.25).unwrap();
-        let q2 = h.quantile(0.5).unwrap();
-        let q3 = h.quantile(0.75).unwrap();
-        assert!(q1 <= q2 && q2 <= q3, "case {case}: {q1} {q2} {q3}");
-        assert!(q1 >= h.min().unwrap() - 1e-9, "case {case}");
-        assert!(q3 <= h.max().unwrap() + 1e-9, "case {case}");
-    }
 }
 
 // ---- sim: rng determinism ----------------------------------------------------

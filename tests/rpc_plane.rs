@@ -5,14 +5,19 @@
 //! workers and under combined chaos, with every drop a physical teardown —
 //! is the `socket-*` rows of `tests/identity_matrix.rs`. What stays here is
 //! behaviour: pipelining across the three domain servers, monitoring
-//! pushed to subscribers rather than polled for, and an operator-sized
-//! report answered the same on both transports.
+//! pushed to subscribers rather than polled for, an operator-sized report
+//! answered the same on both transports, and a monitoring echo that parses
+//! but is not the report sent refused.
 
-use ovnes_api::{decode, encode, MonitoringReport};
+use ovnes_api::{
+    decode, encode, register_control_endpoints, serve_control, MonitoringReport, Response,
+    RetryPolicy, Router, RpcServer, SocketBus,
+};
 use ovnes_bench::identity::{observe_with, Cell, Control};
+use ovnes_bench::{embb_request, testbed_orchestrator};
 use ovnes_dashboard::{FeedState, TelemetryFeed};
-use ovnes_orchestrator::{spawn_domain_control_servers, ControlPlane, DOMAINS};
-use ovnes_sim::SimTime;
+use ovnes_orchestrator::{spawn_domain_control_servers, ControlPlane, OrchestratorConfig, DOMAINS};
+use ovnes_sim::{SimDuration, SimTime};
 use std::time::Duration;
 
 #[test]
@@ -124,4 +129,36 @@ fn an_operator_sized_report_is_answered_identically_on_both_transports() {
     assert_eq!(a, b);
     assert_eq!(a.body.0, bytes, "echoed bit for bit");
     assert_eq!(in_process.export_state(), over_sockets.export_state());
+}
+
+#[test]
+fn an_echo_that_parses_but_is_not_the_report_sent_is_a_control_failure() {
+    // The RAN's server is healthy, but its monitoring endpoint answers a
+    // well-formed report carrying other values than the one posted.
+    let mut router = Router::new();
+    register_control_endpoints(&mut router, "ran");
+    router.register("ran/monitoring", |req| {
+        let mut report: MonitoringReport = decode(&req.body.0).expect("a report is posted");
+        report.scalars.values_mut().for_each(|v| *v += 1.0);
+        Response::ok(req.id, encode(&report).unwrap())
+    });
+    let servers = [
+        RpcServer::spawn(router).unwrap(),
+        serve_control("transport").unwrap(),
+        serve_control("cloud").unwrap(),
+    ];
+    let mut socket = SocketBus::new();
+    servers.iter().for_each(|server| socket.attach(server));
+
+    let mut o = testbed_orchestrator(OrchestratorConfig::default(), 5);
+    o.set_control_socket(socket);
+    o.submit(SimTime::ZERO, embb_request(1, 25.0)).unwrap();
+    let report = o.run_epoch(SimTime::ZERO + SimDuration::from_mins(1));
+
+    assert!(report.unreachable_domains.is_empty(), "health answers");
+    assert_eq!(report.control_failures, 1, "the RAN's report, given up on");
+    let attempts = u64::from(RetryPolicy::default().max_attempts);
+    assert_eq!(report.control_retries, attempts - 1, "bounded");
+    let reported: Vec<&str> = o.monitoring().iter().map(|r| r.domain.as_str()).collect();
+    assert_eq!(reported, ["transport", "cloud"], "not the wrong values");
 }
